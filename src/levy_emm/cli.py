@@ -29,13 +29,14 @@ import numpy as np
 from . import __version__
 from .approximation import (PenaltyFamily, _quick_validate_penalty,
                             approx_sequence, check_penalty)
-from .errors import LevyEmmError, ValidationError
-from .esscher import EsscherStatus, esscher_entropy, memm_report, solve_linear_emm
+from .errors import ArbitrageMarketError, LevyEmmError, ValidationError
+from .esscher import (ARBITRAGE_VERDICT, EsscherStatus, esscher_entropy,
+                      memm_report, solve_linear_emm)
 from .levy_core.quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .levy_core.triplets import geometric_to_linear, linear_to_geometric
 from .mc_oracle import (SimConfig, entropy_estimate, martingale_defect,
                         pathwise_log_zn, sample_terminal)
-from .mgf_analysis import classify_esscher_parameter, exp_moment_interval
+from .mgf_analysis import classify_esscher_parameter
 from .modelspec import ModelSpec, load_model, measure_to_dict, serialize_model
 
 __all__ = ["main", "build_parser"]
@@ -148,9 +149,8 @@ def _cmd_solve(spec: ModelSpec, args: argparse.Namespace,
 
 def _cmd_domain(spec: ModelSpec, args: argparse.Namespace,
                 q: QuadratureSettings) -> dict:
-    interval = exp_moment_interval(spec.triplet, q)
     status = classify_esscher_parameter(spec.triplet, spec.T, q)
-    return {"interval": interval.describe(),
+    return {"interval": status.interval.describe(),
             "esscher_parameter": status.describe()}
 
 
@@ -159,8 +159,13 @@ def _cmd_approx(spec: ModelSpec, args: argparse.Namespace,
     penalty = _penalty_from_flag(args.penalty)
     _quick_validate_penalty(penalty, 1)
     schedule = _schedule_up_to(args.n_max)
-    trace = approx_sequence(spec.triplet, spec.T, penalty, schedule, q)
-    results = trace.describe()
+    try:
+        results = approx_sequence(spec.triplet, spec.T, penalty, schedule,
+                                  q).describe()
+    except ArbitrageMarketError:
+        # a monotone market is a verdict: there is no limit to approach
+        results = {"status": EsscherStatus.ARBITRAGE_MARKET.value,
+                   "verdict": ARBITRAGE_VERDICT, "steps": []}
     results["penalty"] = penalty.kind
     results["schedule"] = list(schedule)
     if args.check_penalty:
@@ -200,13 +205,13 @@ def _auto_kappa(spec: ModelSpec, q: QuadratureSettings) -> float:
 def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace,
                   q: QuadratureSettings) -> dict:
     kappa = _kappa_from_flag(args.kappa)
+    cfg = SimConfig(T=spec.T, n_samples=args.samples, epsilon=args.epsilon,
+                    seed=args.seed, small_jump_mode=args.small_jumps,
+                    record_jumps=args.zn is not None)
     source = "flag"
     if kappa is None:
         kappa = _auto_kappa(spec, q)
         source = "auto"
-    cfg = SimConfig(T=spec.T, n_samples=args.samples, epsilon=args.epsilon,
-                    seed=args.seed, small_jump_mode=args.small_jumps,
-                    record_jumps=args.zn is not None)
     pack = sample_terminal(spec.triplet, cfg, q)
     defect, defect_se = martingale_defect(pack, kappa)
     entropy, entropy_se = entropy_estimate(pack, kappa)

@@ -25,9 +25,8 @@ from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
                                  as_validated, cumulant, cumulant_derivative,
                                  geometric_to_linear, is_monotone)
 from .mgf_analysis import (EsscherCase, EsscherParameterStatus,
-                           ExpMomentInterval, _KAPPA_TOL, _walk_to_bracket,
                            classify_esscher_parameter, exp_moment_interval,
-                           minimize_mgf)
+                           search_increasing_root)
 
 __all__ = [
     "EsscherStatus",
@@ -37,10 +36,15 @@ __all__ = [
     "solve_linear_emm",
     "solve_geometric_emm",
     "memm_report",
+    "ARBITRAGE_VERDICT",
 ]
 
 _ENTROPY_CLAMP = 1e-8
 _ROOT_ATOL = 1e-10
+_KAPPA_XTOL = 1e-12
+
+ARBITRAGE_VERDICT = ("arbitrage market: monotone prices admit no equivalent "
+                     "martingale measure")
 
 
 def _tilt_drift_correction(vt, kappa: float, q: QuadratureSettings) -> float:
@@ -75,12 +79,22 @@ def esscher_transform(t: TripletLike, kappa: float,
     """
     vt = as_validated(t, q)
     kappa = float(kappa)
+    _check_in_interval(vt, kappa, q)
+    return _tilted(vt, kappa, q)
+
+
+def _check_in_interval(vt, kappa: float, q: QuadratureSettings) -> None:
+    if kappa != 0.0:
+        iv = exp_moment_interval(vt, q)
+        if not iv.contains(kappa):
+            raise KappaOutsideI(
+                f"kappa={kappa} outside the finite-moment interval {iv.describe()}")
+
+
+def _tilted(vt, kappa: float, q: QuadratureSettings) -> LevyTriplet:
+    """:func:`esscher_transform` for a ``κ`` already known to lie in ``I``."""
     if kappa == 0.0:
         return LevyTriplet(vt.b, vt.sigma2, vt.nu)
-    iv = exp_moment_interval(vt, q)
-    if not iv.contains(kappa):
-        raise KappaOutsideI(
-            f"kappa={kappa} outside the finite-moment interval {iv.describe()}")
     b_k = vt.b + vt.sigma2 * kappa + _tilt_drift_correction(vt, kappa, q)
     return LevyTriplet(b_k, vt.sigma2, vt.nu.tilted(kappa))
 
@@ -99,21 +113,25 @@ def esscher_entropy(t: TripletLike, horizon: float, kappa: float,
         raise ValueError("horizon must be > 0")
     vt = as_validated(t, q)
     kappa = float(kappa)
+    _check_in_interval(vt, kappa, q)
+    return _entropy(vt, horizon, kappa, q)
+
+
+def _entropy(vt, horizon: float, kappa: float, q: QuadratureSettings) -> float:
+    """:func:`esscher_entropy` for a ``κ`` already known to lie in ``I``."""
     if kappa == 0.0:
         return 0.0
-    iv = exp_moment_interval(vt, q)
-    if not iv.contains(kappa):
-        raise KappaOutsideI(
-            f"kappa={kappa} outside the finite-moment interval {iv.describe()}")
     m = cumulant_derivative(vt, kappa, q)
     c = cumulant(vt, kappa, q)
     if not (m.is_finite and c.is_finite):
         raise KappaOutsideI(
             f"tilted first moment not finite at kappa={kappa}")
-    val = horizon * (kappa * m.value - c.value)
-    if -_ENTROPY_CLAMP < val < 0.0:
-        val = 0.0
-    return val
+    return _clamped(horizon * (kappa * m.value - c.value))
+
+
+def _clamped(entropy: float) -> float:
+    """Tiny negative round-off (and ``-0.0``) becomes zero."""
+    return 0.0 if -_ENTROPY_CLAMP < entropy <= 0.0 else entropy
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +191,11 @@ def solve_linear_emm(t: TripletLike, horizon: float,
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     vt = as_validated(t, q)
-    if is_monotone(vt, q) is not Monotonicity.NOT_MONOTONE:
-        return EsscherResult(
-            EsscherStatus.ARBITRAGE_MARKET, None, None, None, None,
-            classify_esscher_parameter(vt, horizon, q),
-            "monotone price process admits no equivalent martingale measure")
     ps = classify_esscher_parameter(vt, horizon, q)
+    if ps.minimum is None:
+        return EsscherResult(
+            EsscherStatus.ARBITRAGE_MARKET, None, None, None, None, ps,
+            "monotone price process admits no equivalent martingale measure")
     if ps.exists and ps.case is EsscherCase.DEGENERATE_ZERO_MEAN:
         return EsscherResult(
             EsscherStatus.P_IS_ALREADY_EMM, 0.0, 0.0, 0.0,
@@ -186,40 +203,26 @@ def solve_linear_emm(t: TripletLike, horizon: float,
             "degenerate moment interval with zero mean: no tilt is needed")
     if ps.exists:
         k0 = ps.kappa0
-        ent = -horizon * cumulant(vt, k0, q).value + 0.0  # +0.0 normalizes -0.0
-        if -_ENTROPY_CLAMP < ent < 0.0:
-            ent = 0.0
+        ent = _clamped(-horizon * cumulant(vt, k0, q).value)
         return EsscherResult(
-            EsscherStatus.EMM_EXISTS, k0, ent, ent,
-            esscher_transform(vt, k0, q), ps,
+            EsscherStatus.EMM_EXISTS, k0, ent, ent, _tilted(vt, k0, q), ps,
             f"tilt parameter located ({ps.case.value})")
-    mp = minimize_mgf(vt, horizon, q)
-    inf_ent = -math.log(mp.phi_at_min) + 0.0  # +0.0 normalizes -0.0
-    if -_ENTROPY_CLAMP < inf_ent < 0.0:
-        inf_ent = 0.0
+    inf_ent = _clamped(-math.log(ps.minimum.phi_at_min))
     return EsscherResult(
         EsscherStatus.NO_EMM, None, None, inf_ent, None, ps,
         ps.diagnostic + "; infimum entropy approached but not attained")
-
-
-def _interior_point(lo: float, hi: float) -> float:
-    if lo < 0.0 < hi:
-        return 0.0
-    if math.isfinite(lo) and math.isfinite(hi):
-        return 0.5 * (lo + hi)
-    if math.isfinite(lo):
-        return lo + 1.0
-    if math.isfinite(hi):
-        return hi - 1.0
-    return 0.0
 
 
 def solve_geometric_emm(t: TripletLike, horizon: float,
                         q: QuadratureSettings = DEFAULT_SETTINGS) -> EsscherResult:
     """Find the tilt making ``e^{X}`` (not ``X``) a martingale.
 
-    The root equation is ``c(κ+1) - c(κ) = 0`` on the set of tilts with
-    both ``κ`` and ``κ+1`` in the finite-moment interval.  No minimal-
+    The root equation is ``c(κ+1) - c(κ) = 0`` on the candidate set of
+    tilts with both ``κ`` and ``κ+1`` in the finite-moment interval.  The
+    difference is increasing because ``c`` is convex, so
+    :func:`~levy_emm.mgf_analysis.search_increasing_root` settles it: a
+    closed end of the candidate set is probed first, and a difference of
+    constant sign up to it is decided by that one value.  No minimal-
     entropy claim is attached to the outcome, hence ``infimum_entropy``
     is always ``None`` here; ``entropy`` still reports the relative
     entropy of the tilted measure when it is finite.
@@ -237,59 +240,45 @@ def solve_geometric_emm(t: TripletLike, horizon: float,
 
     def finish(k0: float) -> EsscherResult:
         try:
-            ent = esscher_entropy(vt, horizon, k0, q)
+            ent = _entropy(vt, horizon, k0, q)
         except KappaOutsideI:
             ent = None
         status = (EsscherStatus.P_IS_ALREADY_EMM if k0 == 0.0
                   else EsscherStatus.EMM_EXISTS)
         return EsscherResult(
-            status, k0, ent, None, esscher_transform(vt, k0, q), None,
+            status, k0, ent, None, _tilted(vt, k0, q), None,
             "root of the unit-shift cumulant difference")
+
+    def no_emm(diagnostic: str) -> EsscherResult:
+        return EsscherResult(EsscherStatus.NO_EMM, None, None, None, None,
+                             None, diagnostic)
 
     def g_of(k: float) -> ExtReal:
         return cumulant(vt, k + 1.0, q) - cumulant(vt, k, q)
 
     if lo > hi:
-        return EsscherResult(
-            EsscherStatus.NO_EMM, None, None, None, None, None,
-            "no tilt keeps both kappa and kappa+1 inside the moment interval")
+        return no_emm("no tilt keeps both kappa and kappa+1 inside the "
+                      "moment interval")
     if not (lo < hi):  # single candidate needs both interval endpoints closed
         if iv.a_in_I and iv.b_in_I:
             v = g_of(lo.value)
             if v.is_finite and abs(v.value) <= _ROOT_ATOL:
                 return finish(lo.value)
-        return EsscherResult(
-            EsscherStatus.NO_EMM, None, None, None, None, None,
-            "the single admissible tilt does not solve the root equation")
+        return no_emm("the single admissible tilt does not solve the root equation")
 
-    lo_f, hi_f = lo.as_float(), hi.as_float()
-    start = _interior_point(lo_f, hi_f)
-    v0 = g_of(start)
-    if not v0.is_finite:
-        return EsscherResult(
-            EsscherStatus.NO_EMM, None, None, None, None, None,
-            "cumulant difference not finite inside the candidate set")
-    if v0.value == 0.0:
-        return finish(start)
-    direction = 1 if v0.value < 0.0 else -1
-    outcome = _walk_to_bracket(g_of, start, v0.value, lo_f, hi_f, direction)
-    if outcome[0] == "endpoint":
-        k_end = outcome[1]
-        end_ok = iv.b_in_I if direction > 0 else iv.a_in_I
-        if end_ok:
-            v = g_of(k_end)
-            if v.is_finite and abs(v.value) <= _ROOT_ATOL:
-                return finish(k_end)
-        side = "negative" if direction > 0 else "positive"
-        return EsscherResult(
-            EsscherStatus.NO_EMM, None, None, None, None, None,
-            f"cumulant difference stays {side} on the candidate set")
-    _, blo, bhi, _, _ = outcome
-    if blo == bhi:
-        return finish(blo)
-    root = float(brentq(lambda k: g_of(k).value, blo, bhi,
-                        xtol=_KAPPA_TOL, rtol=4 * 2.3e-16, maxiter=300))
-    return finish(root)
+    found = search_increasing_root(g_of, lo.as_float(), hi.as_float(),
+                                   iv.a_in_I, iv.b_in_I)
+    if found.side:
+        v = found.end_value
+        if v is not None and v.is_finite and abs(v.value) <= _ROOT_ATOL:
+            return finish(found.lo)
+        side = "negative" if found.side > 0 else "positive"
+        return no_emm(f"cumulant difference stays {side} on the candidate set")
+    if found.lo == found.hi:
+        return finish(found.lo)
+    return finish(float(brentq(lambda k: g_of(k).value, found.lo, found.hi,
+                               xtol=_KAPPA_XTOL, rtol=4 * 2.3e-16,
+                               maxiter=300)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +304,7 @@ def _verdict(res: EsscherResult) -> str:
                     else f"; infimum entropy {res.infimum_entropy:.10g} nats "
                          f"is approached but not attained")
         return "no equivalent martingale measure in the tilt family" + inf_part
-    return "arbitrage market: monotone prices admit no equivalent martingale measure"
+    return ARBITRAGE_VERDICT
 
 
 def memm_report(t: TripletLike, horizon: float,

@@ -26,7 +26,7 @@ from scipy.special import exp1
 
 from .approximation import PenaltyFamily, _mass_gap
 from .errors import (DegenerateWeights, MissingJumpRecords,
-                     UnsupportedMeasure)
+                     UnsupportedMeasure, ValidationError)
 from .levy_core.measures import (CGMY, DoubleExponentialJumps, FiniteAtomic,
                                  GaussianJumps, JumpDiffusion, LevyMeasure,
                                  SymmetricAlphaStable, Tempered,
@@ -69,13 +69,13 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if not self.T > 0:
-            raise ValueError("T must be > 0")
+            raise ValidationError("T must be > 0")
         if not (isinstance(self.n_samples, (int, np.integer)) and self.n_samples >= 1):
-            raise ValueError("n_samples must be an integer >= 1")
+            raise ValidationError("n_samples must be an integer >= 1")
         if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError("epsilon must be in (0, 1]")
+            raise ValidationError("epsilon must be in (0, 1]")
         if self.small_jump_mode not in ("gaussian", "drop"):
-            raise ValueError("small_jump_mode must be 'gaussian' or 'drop'")
+            raise ValidationError("small_jump_mode must be 'gaussian' or 'drop'")
 
 
 @dataclass(frozen=True)

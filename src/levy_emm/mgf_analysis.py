@@ -12,6 +12,12 @@ Three questions, three entry points:
 * :func:`classify_esscher_parameter` -- whether the minimizer is an actual
   zero of ``ψ_T`` (so the Esscher martingale measure exists) and which
   shape of ``E`` makes it so.
+
+:func:`search_increasing_root` is the one root routine, for ``c'`` on
+``I`` here and ``c(κ+1) - c(κ)`` in :mod:`levy_emm.esscher`: it probes a
+closed end before walking, so a root-free closed end costs one evaluation,
+and returns a bracket (each caller polishes it with Brent's method) or an
+endpoint verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
     "exp_moment_interval",
     "MinimumCase",
     "MinimumPoint",
+    "RootSearch",
+    "search_increasing_root",
     "minimize_mgf",
     "EsscherCase",
     "EsscherParameterStatus",
@@ -148,65 +156,116 @@ class MinimumPoint:
                 "interval": self.interval.describe()}
 
 
-def _interior_start(iv: ExpMomentInterval) -> float:
-    lo, hi = iv.a.as_float(), iv.b.as_float()
-    if lo < 0.0 < hi:
-        return 0.0
-    if hi == 0.0:  # interval is [a, 0]
-        return (max(lo, -1.0)) / 2.0 if math.isfinite(lo) else -0.5
-    # interval is [0, b]
-    return (min(hi, 1.0)) / 2.0 if math.isfinite(hi) else 0.5
+@dataclass(frozen=True)
+class RootSearch:
+    """Outcome of :func:`search_increasing_root`.
 
-
-def _walk_to_bracket(m_of, start: float, v_start: float, lo: float, hi: float,
-                     direction: int) -> tuple:
-    """March from ``start`` toward the ``(lo, hi)`` end lying in
-    ``direction`` until the increasing function ``m`` changes sign.
-
-    Returns ``("bracket", lo, hi, v_lo, v_hi)`` or ``("endpoint", κ_end)``
-    when the end is finite and the sign never flips.
+    ``side == 0``: a root lies in ``[lo, hi]`` (exactly at ``lo`` when
+    ``lo == hi``).  ``side == ±1``: the function keeps the start's sign, or
+    vanishes, up to the right/left end ``lo == hi``; ``end_value`` is its
+    value there, ``None`` for an open end that was only approached.
     """
-    end = hi if direction > 0 else lo
-    prev_k, prev_v = start, v_start
+
+    lo: float
+    hi: float
+    side: int = 0
+    end_value: Optional[ExtReal] = None
+
+
+def search_increasing_root(f, lo: float, hi: float, lo_closed: bool,
+                           hi_closed: bool) -> RootSearch:
+    """Bracket the root of an increasing ``ExtReal``-valued ``f`` on the
+    interval with ends ``lo < hi``, which may be infinite; ``*_closed``
+    says whether a finite end belongs to the domain.
+
+    The search starts at 0 when 0 is interior, else at most half a unit
+    inside the end nearest 0, and heads for the end where the root must
+    lie.  A closed end is probed first: the start's sign or zero there
+    decides the question, a finite opposite sign closes the bracket.  Only
+    an open or infinite end, or one where ``f`` is not finite, is walked
+    toward, halving the gap to a finite end or doubling the step toward an
+    infinite one until the sign flips; an open end of a moment interval
+    always forces the flip, as the cumulant tends to ``+inf`` there.
+    Raises :class:`NoFiniteMinimizer` when the walk finds no finite bracket.
+    """
+    if lo < 0.0 < hi:
+        start = 0.0
+    elif hi <= 0.0:
+        start = hi - min(hi - lo, 1.0) / 2.0
+    else:
+        start = lo + min(hi - lo, 1.0) / 2.0
+    v0 = f(start)
+    if not v0.is_finite:
+        raise NoFiniteMinimizer(f"function not finite at interior point {start}")
+    if v0.value == 0.0:
+        return RootSearch(start, start)
+    direction = 1 if v0.value < 0.0 else -1
+    end, closed = (hi, hi_closed) if direction > 0 else (lo, lo_closed)
+    v_end = f(end) if closed and math.isfinite(end) else None
+    if v_end is not None and not v_end.is_undefined:
+        if v_end.sign() != direction:
+            return RootSearch(end, end, direction, v_end)
+        if v_end.is_finite:
+            return RootSearch(min(start, end), max(start, end))
+
+    prev_k, prev_v = start, v0.value
     for k in range(_MAX_DOUBLINGS):
         if math.isfinite(end):
-            gap = end - prev_k
-            step = gap / 2.0
-            nxt = prev_k + step
-            if abs(gap) <= _KAPPA_TOL * max(1.0, abs(end)):
-                return ("endpoint", end)
+            if abs(end - prev_k) <= _KAPPA_TOL * max(1.0, abs(end)):
+                return RootSearch(end, end, direction, v_end)
+            nxt = prev_k + (end - prev_k) / 2.0
         else:
             nxt = prev_k + direction * max(1.0, abs(prev_k)) * (2.0 ** k)
-        v = m_of(nxt)
+        v = f(nxt)
         if v.is_undefined:
-            raise NoFiniteMinimizer(
-                f"derivative function undefined at interior point {nxt}")
-        sign = v.sign()
-        if sign == 0:
-            return ("bracket", nxt, nxt, 0.0, 0.0)
-        if (sign > 0) != (prev_v > 0):
+            raise NoFiniteMinimizer(f"function undefined at interior point {nxt}")
+        if v.sign() == 0:
+            return RootSearch(nxt, nxt)
+        if (v.sign() > 0) != (prev_v > 0):
             # sign change; if the value blew past float range, pull the far
             # end back toward the last good point until it is finite again
             far_k, far_v = nxt, v
             for _ in range(200):
                 if far_v.is_finite:
-                    break
+                    return RootSearch(min(prev_k, far_k), max(prev_k, far_k))
                 far_k = 0.5 * (prev_k + far_k)
-                far_v = m_of(far_k)
+                far_v = f(far_k)
                 if far_v.is_finite and (far_v.value > 0) == (prev_v > 0):
                     prev_k, prev_v = far_k, far_v.value
                     far_k, far_v = nxt, v
-            else:
-                raise NoFiniteMinimizer(
-                    "could not isolate a finite bracket for the root")
-            if direction > 0:
-                return ("bracket", prev_k, far_k, prev_v, far_v.value)
-            return ("bracket", far_k, prev_k, far_v.value, prev_v)
+            raise NoFiniteMinimizer("could not isolate a finite bracket for the root")
         if not v.is_finite:
             raise NoFiniteMinimizer(
-                f"derivative function jumped to {v} at {nxt} without crossing zero")
+                f"function jumped to {v} at {nxt} without crossing zero")
         prev_k, prev_v = nxt, v.value
     raise NoFiniteMinimizer("no sign change within the search range")
+
+
+def _minimum(vt, horizon: float, iv: ExpMomentInterval,
+             q: QuadratureSettings) -> MinimumPoint:
+    """The minimizer of ``φ_T`` over ``I`` for a market known not to be
+    monotone: the root of the increasing ``c'``, or the end of ``I`` up
+    to which ``c'`` keeps one sign."""
+    if iv.is_degenerate:
+        return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 1.0, iv)
+
+    def m_of(k: float) -> ExtReal:
+        return cumulant_derivative(vt, k, q)
+
+    found = search_increasing_root(m_of, iv.a.as_float(), iv.b.as_float(),
+                                   iv.a_in_I, iv.b_in_I)
+    kappa0 = found.lo
+    if found.side:
+        case = (MinimumCase.RIGHT_ENDPOINT if found.side > 0
+                else MinimumCase.LEFT_ENDPOINT)
+    else:
+        case = MinimumCase.INTERIOR_ROOT
+        if found.lo < found.hi:
+            kappa0 = float(brentq(lambda k: m_of(k).value, found.lo, found.hi,
+                                  xtol=_KAPPA_TOL, rtol=4 * 2.3e-16,
+                                  maxiter=300))
+    c_min = min(cumulant(vt, kappa0, q).value, 0.0)
+    return MinimumPoint(kappa0, case, math.exp(horizon * c_min), iv)
 
 
 def minimize_mgf(t: TripletLike, horizon: float,
@@ -214,71 +273,18 @@ def minimize_mgf(t: TripletLike, horizon: float,
     """Locate ``argmin φ_T`` over the finite-moment interval.
 
     Monotone (arbitrage) markets are refused; the degenerate interval
-    ``I = {0}`` returns the minimizer 0 with ``φ = 1``; otherwise the root
-    of the increasing derivative is bracketed by doubling/halving steps
-    from an interior point and polished by Brent's method, falling back to
-    the finite endpoint at which the derivative fails to change sign.
+    ``I = {0}`` returns the minimizer 0 with ``φ = 1``; otherwise
+    :func:`search_increasing_root` looks for the root of the increasing
+    derivative ``c'``, probing a closed end of ``I`` before it walks, and
+    Brent's method polishes the bracket it returns.  When ``c'`` keeps one
+    sign up to an end of ``I``, the minimum sits at that end.
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     vt = as_validated(t, q)
     if is_monotone(vt, q) is not Monotonicity.NOT_MONOTONE:
         raise ArbitrageMarketError("monotone price process")
-    iv = exp_moment_interval(vt, q)
-    if iv.is_degenerate:
-        return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 1.0, iv)
-
-    def m_of(k: float) -> ExtReal:
-        return cumulant_derivative(vt, k, q)
-
-    start = _interior_start(iv)
-    v0 = m_of(start)
-    if not v0.is_finite:
-        raise NoFiniteMinimizer(f"derivative not finite at interior point {start}")
-    if v0.value == 0.0:
-        kappa0 = start
-        case = MinimumCase.INTERIOR_ROOT
-    else:
-        direction = 1 if v0.value < 0.0 else -1
-        # fast path: a finite endpoint with an evaluable derivative tells us
-        # immediately whether the minimum sits there or the root is interior
-        endpoint = (iv.b if direction > 0 else iv.a)
-        end_in_I = iv.b_in_I if direction > 0 else iv.a_in_I
-        bracket = None
-        if endpoint.is_finite and end_in_I:
-            ve = m_of(endpoint.value)
-            if (direction > 0 and ve <= 0.0) or (direction < 0 and ve >= 0.0):
-                kappa0 = endpoint.value
-                case = (MinimumCase.RIGHT_ENDPOINT if direction > 0
-                        else MinimumCase.LEFT_ENDPOINT)
-                c_min = min(cumulant(vt, kappa0, q).value, 0.0)
-                return MinimumPoint(kappa0, case, math.exp(horizon * c_min), iv)
-            if ve.is_finite:
-                if direction > 0:
-                    bracket = (start, endpoint.value, v0.value, ve.value)
-                else:
-                    bracket = (endpoint.value, start, ve.value, v0.value)
-        if bracket is None:
-            outcome = _walk_to_bracket(m_of, start, v0.value,
-                                       iv.a.as_float(), iv.b.as_float(),
-                                       direction)
-            if outcome[0] == "endpoint":
-                kappa0 = outcome[1]
-                case = (MinimumCase.RIGHT_ENDPOINT if direction > 0
-                        else MinimumCase.LEFT_ENDPOINT)
-                c_min = min(cumulant(vt, kappa0, q).value, 0.0)
-                return MinimumPoint(kappa0, case, math.exp(horizon * c_min), iv)
-            bracket = outcome[1:]
-        lo, hi, v_lo, v_hi = bracket
-        if lo == hi:
-            kappa0 = lo
-        else:
-            kappa0 = float(brentq(lambda k: m_of(k).value, lo, hi,
-                                  xtol=_KAPPA_TOL, rtol=4 * 2.3e-16,
-                                  maxiter=300))
-        case = MinimumCase.INTERIOR_ROOT
-    c_min = min(cumulant(vt, kappa0, q).value, 0.0)
-    return MinimumPoint(kappa0, case, math.exp(horizon * c_min), iv)
+    return _minimum(vt, horizon, exp_moment_interval(vt, q), q)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +302,18 @@ class EsscherCase(enum.Enum):
 
 @dataclass(frozen=True)
 class EsscherParameterStatus:
-    """Existence (and location) of a zero of ``ψ_T`` on ``E``."""
+    """Existence (and location) of a zero of ``ψ_T`` on ``E``.
+
+    ``minimum`` is the minimizer of ``φ_T`` the classification found; it is
+    ``None`` exactly when the market is monotone, whose mgf has none.
+    """
 
     exists: bool
     case: Optional[EsscherCase]
     kappa0: Optional[float]
     diagnostic: str
     interval: ExpMomentInterval
+    minimum: Optional[MinimumPoint] = None
 
     def describe(self) -> dict:
         return {"exists": self.exists,
@@ -329,10 +340,19 @@ def classify_esscher_parameter(t: TripletLike, horizon: float,
     Covers the degenerate interval (where everything hinges on whether the
     process mean exists and vanishes) and, on proper intervals, reduces to
     whether the increasing derivative function crosses zero inside the
-    derivative-moment set ``E``.
+    derivative-moment set ``E``.  The status carries the mgf minimizer
+    found on the way, so a solver needs no second search.
     """
     vt = as_validated(t, q)
     iv = exp_moment_interval(vt, q)
+    if not (iv.is_degenerate or horizon > 0):
+        raise ValueError("horizon must be > 0")
+    mp = (None if is_monotone(vt, q) is not Monotonicity.NOT_MONOTONE
+          else _minimum(vt, horizon, iv, q))
+
+    def status(exists: bool, case: Optional[EsscherCase],
+               kappa0: Optional[float], diagnostic: str) -> EsscherParameterStatus:
+        return EsscherParameterStatus(exists, case, kappa0, diagnostic, iv, mp)
 
     if iv.is_degenerate:
         right_ok = vt.nu.right_tail().moment_finite(1, 0.0)
@@ -340,39 +360,29 @@ def classify_esscher_parameter(t: TripletLike, horizon: float,
         if not (right_ok and left_ok):
             what = ("undefined" if not right_ok and not left_ok
                     else ("+inf" if not right_ok else "-inf"))
-            return EsscherParameterStatus(
-                False, None, None,
-                f"degenerate moment interval and the process mean is {what}", iv)
+            return status(False, None, None,
+                          f"degenerate moment interval and the process mean is {what}")
         mean = cumulant_derivative(vt, 0.0, q)
         if abs(mean.value) <= _M_ATOL:
-            return EsscherParameterStatus(
-                True, EsscherCase.DEGENERATE_ZERO_MEAN, 0.0,
-                "degenerate moment interval but the process is driftless", iv)
-        return EsscherParameterStatus(
-            False, None, None,
-            f"degenerate moment interval with nonzero mean {mean.value:.6g}", iv)
+            return status(True, EsscherCase.DEGENERATE_ZERO_MEAN, 0.0,
+                          "degenerate moment interval but the process is driftless")
+        return status(False, None, None,
+                      f"degenerate moment interval with nonzero mean {mean.value:.6g}")
 
-    try:
-        mp = minimize_mgf(vt, horizon, q)
-    except ArbitrageMarketError:
-        return EsscherParameterStatus(
-            False, None, None,
-            "monotone price process: the derivative function has constant sign", iv)
+    if mp is None:
+        return status(False, None, None,
+                      "monotone price process: the derivative function has constant sign")
 
     if mp.case is MinimumCase.INTERIOR_ROOT:
-        return EsscherParameterStatus(
-            True, _shape_case(iv), mp.kappa0,
-            "interior zero of the derivative function", iv)
+        return status(True, _shape_case(iv), mp.kappa0,
+                      "interior zero of the derivative function")
 
     # endpoint minimum: the parameter exists only if the derivative
     # actually vanishes there (within tolerance) and the endpoint is in E
     v_end = cumulant_derivative(vt, mp.kappa0, q)
     if v_end.is_finite and abs(v_end.value) <= _M_ATOL:
-        return EsscherParameterStatus(
-            True, _shape_case(iv), mp.kappa0,
-            "derivative vanishes exactly at the interval endpoint", iv)
-    side = "below" if mp.case is MinimumCase.RIGHT_ENDPOINT else "above"
-    return EsscherParameterStatus(
-        False, None, None,
-        f"derivative stays {'negative' if side == 'below' else 'positive'} "
-        f"on the whole moment interval", iv)
+        return status(True, _shape_case(iv), mp.kappa0,
+                      "derivative vanishes exactly at the interval endpoint")
+    side = "negative" if mp.case is MinimumCase.RIGHT_ENDPOINT else "positive"
+    return status(False, None, None,
+                  f"derivative stays {side} on the whole moment interval")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -87,6 +88,32 @@ def write_spec(tmp_path):
         return str(path)
 
     return _write
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """``call_counts("f", "g")`` wraps the named functions under every
+    name a ``levy_emm`` module binds them by and returns a dict of call
+    counts that fills in as the test runs."""
+
+    def count(*names: str) -> dict:
+        counts = dict.fromkeys(names, 0)
+        modules = [m for n, m in list(sys.modules.items())
+                   if n.split(".")[0] == "levy_emm" and m is not None]
+        for name in names:
+            original = next(getattr(m, name) for m in modules
+                            if callable(getattr(m, name, None)))
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for m in modules:
+                if getattr(m, name, None) is original:
+                    monkeypatch.setattr(m, name, counted)
+        return counts
+
+    return count
 
 
 def spec_doc(**overrides) -> dict:

@@ -150,6 +150,16 @@ class TestApprox:
                         "--n-max", "0")
         assert code == 2
 
+    def test_arbitrage_verdict_is_a_success(self, tmp_path):
+        spec = str(_MODELS / "arbitrage.json")
+        code, rep = run(tmp_path, "approx", spec)
+        assert code == 0
+        res = rep["results"]
+        assert res["status"] == "arbitrage_market"
+        assert res["steps"] == []
+        _, solved = run(tmp_path, "solve", spec)
+        assert res["verdict"] == solved["results"]["verdict"]
+
 
 class TestConvert:
     def test_geometric_to_linear_brownian(self, tmp_path):
@@ -219,6 +229,15 @@ class TestMcCheck:
         assert code == 0
         assert rep["results"]["kappa"] == 0.2
         assert rep["results"]["kappa_source"] == "flag"
+
+    @pytest.mark.parametrize("flag", [("--samples", "0"),
+                                      ("--epsilon", "2")])
+    def test_bad_sampling_flags(self, tmp_path, flag):
+        code, rep = run(tmp_path, "mc-check", str(_MODELS / "kou.json"),
+                        *flag)
+        assert code == 2
+        assert rep["error"]["type"] == "ValidationError"
+        assert "results" not in rep
 
     def test_bad_kappa_flag(self, tmp_path):
         code, rep = run(tmp_path, "mc-check", str(_MODELS / "kou.json"),

@@ -10,6 +10,7 @@ equations.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ from levy_emm import (
     solve_linear_emm,
 )
 from levy_emm.errors import KappaOutsideI
+from levy_emm.modelspec import load_model
+
+_MODELS = Path(__file__).resolve().parent.parent / "docs" / "models"
 
 
 # --- independent closed forms for the shared Kou model ---------------------
@@ -279,16 +283,22 @@ class TestGeometricSolver:
         assert res.status is EsscherStatus.NO_EMM
         assert "single admissible tilt" in res.diagnostic
 
-    def test_difference_of_constant_sign(self, cgmy_y15):
+    def test_difference_of_constant_sign(self, cgmy_y15, call_counts):
         shift = cumulant_derivative(cgmy_y15, 5.0).value
+        # both ends of the candidate set [-5, 4] are closed, so the probe
+        # of the end settles each verdict: c at the start, c at the end
+        calls = call_counts("cumulant")
         res = solve_geometric_emm(
             LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu), 1.0)
         assert res.status is EsscherStatus.NO_EMM
         assert "stays negative" in res.diagnostic
+        assert calls["cumulant"] <= 6
+        calls["cumulant"] = 0
         res = solve_geometric_emm(
             LevyTriplet(shift + 1.0, 0.0, cgmy_y15.nu), 1.0)
         assert res.status is EsscherStatus.NO_EMM
         assert "stays positive" in res.diagnostic
+        assert calls["cumulant"] <= 6
 
     def test_degenerate_interval(self, stable15):
         res = solve_geometric_emm(stable15, 1.0)
@@ -298,6 +308,32 @@ class TestGeometricSolver:
         res = solve_geometric_emm(
             LevyTriplet(1.0, 0.0, FiniteAtomic(((2.0, 3.0),))), 1.0)
         assert res.status is EsscherStatus.ARBITRAGE_MARKET
+
+
+class TestSinglePass:
+    """Each solve checks monotonicity and computes the moment interval
+    once per triplet, and searches for the mgf minimizer once."""
+
+    def test_linear_report(self, kou, call_counts):
+        calls = call_counts("is_monotone", "exp_moment_interval")
+        assert memm_report(kou, 1.0)["status"] == "emm_exists"
+        assert calls == {"is_monotone": 1, "exp_moment_interval": 1}
+
+    def test_geometric_report(self, call_counts):
+        spec = load_model(_MODELS / "geometric_kou.json")
+        calls = call_counts("is_monotone", "exp_moment_interval")
+        rep = memm_report(spec.triplet, spec.T, market="geometric")
+        assert rep["status"] == "emm_exists"
+        assert calls == {"is_monotone": 2, "exp_moment_interval": 2}
+
+    def test_no_emm_minimizes_once(self, cgmy_y15, call_counts):
+        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        t = LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu)
+        calls = call_counts("minimize_mgf", "search_increasing_root",
+                            "is_monotone", "exp_moment_interval")
+        assert solve_linear_emm(t, 1.0).status is EsscherStatus.NO_EMM
+        assert calls == {"minimize_mgf": 0, "search_increasing_root": 1,
+                         "is_monotone": 1, "exp_moment_interval": 1}
 
 
 class TestReport:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 from scipy import integrate
 
 from levy_emm import (
@@ -28,6 +29,8 @@ from levy_emm import (
     minimize_mgf,
 )
 from levy_emm.errors import ArbitrageMarketError
+from levy_emm.levy_core.extreal import ExtReal, NEG_INF, POS_INF
+from levy_emm.mgf_analysis import search_increasing_root
 
 
 def _one_sided(power_right, power_left, scale_right=0.5, scale_left=1.0):
@@ -306,3 +309,134 @@ class TestClassifyEsscherParameter:
             LevyTriplet(1.0, 0.0, FiniteAtomic(((2.0, 3.0),))), 1.0)
         assert not st.exists
         assert "monotone" in st.diagnostic
+
+
+# --- the monotone-root routine ---------------------------------------------
+
+
+def _start(lo, hi):
+    """The documented start: 0 if interior, else at most half a unit
+    inside the end nearest 0."""
+    if lo < 0.0 < hi:
+        return 0.0
+    return hi - min(hi - lo, 1.0) / 2.0 if hi <= 0.0 else lo + min(hi - lo, 1.0) / 2.0
+
+
+@hs.composite
+def _root_problems(draw):
+    """An interval with closed, open or infinite ends and an increasing
+    ``a u + b u^3`` with ``u = x - r``, its root ``r`` inside, at the
+    start, at or within 1e-12 of a finite end, or beyond one."""
+    lo = draw(hs.floats(-8.0, 4.0))
+    hi = lo + draw(hs.floats(1e-3, 12.0))
+    lo_kind = draw(hs.sampled_from(["closed", "open", "inf"]))
+    hi_kind = draw(hs.sampled_from(["closed", "open", "inf"]))
+    lo = -math.inf if lo_kind == "inf" else lo
+    hi = math.inf if hi_kind == "inf" else hi
+    finite_ends = [e for e in (lo, hi) if math.isfinite(e)]
+    where = draw(hs.sampled_from(
+        ["inside", "start"] + (["end", "near", "beyond"] if finite_ends else [])))
+    if where == "inside":
+        r = draw(hs.floats(max(lo, -50.0), min(hi, 50.0)))
+    elif where == "start":
+        r = _start(lo, hi)
+    else:
+        end = draw(hs.sampled_from(finite_ends))
+        outward = 1.0 if end == hi else -1.0
+        if where == "end":
+            r = end
+        elif where == "near":
+            r = end + draw(hs.sampled_from([-1.0, 1.0])) * draw(hs.floats(0.0, 1e-12))
+        else:
+            r = end + outward * draw(hs.floats(1e-9, 5.0))
+    blow_up = draw(hs.booleans())  # f = ±inf at a closed end
+    return (lo, hi, lo_kind, hi_kind, r, draw(hs.floats(1e-3, 1e3)),
+            draw(hs.floats(0.0, 1.0)), blow_up)
+
+
+class TestSearchIncreasingRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(_root_problems())
+    # a zero at the start point
+    @example((-2.0, 3.0, "open", "closed", 0.0, 1.0, 0.0, False))
+    # a zero exactly at a closed end, and just inside it
+    @example((-2.0, 3.0, "open", "closed", 3.0, 2.0, 0.5, False))
+    @example((-2.0, 3.0, "closed", "open", -2.0 + 1e-12, 2.0, 0.0, False))
+    # +inf at a closed end, with the root inside and beyond it
+    @example((-2.0, 3.0, "open", "closed", 2.5, 1.0, 0.0, True))
+    @example((-2.0, 3.0, "open", "closed", 4.0, 1.0, 0.0, True))
+    # a root within 1e-12 of an open end, and a candidate set without 0
+    @example((-6.0, 3.0, "open", "open", 3.0 - 1e-12, 1.0, 0.0, False))
+    @example((-5.0, -0.5, "closed", "open", -0.5 + 1e-13, 1.0, 1.0, False))
+    def test_bracket_or_endpoint_verdict(self, problem):
+        lo, hi, lo_kind, hi_kind, r, a, b, blow_up = problem
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if blow_up and x == hi and hi_kind == "closed":
+                return POS_INF
+            if blow_up and x == lo and lo_kind == "closed":
+                return NEG_INF
+            u = x - r
+            return ExtReal.finite(a * u + b * u ** 3)
+
+        def in_domain(x):
+            return (lo < x < hi or (x == lo and lo_kind == "closed")
+                    or (x == hi and hi_kind == "closed"))
+
+        has_root = in_domain(r) and not (blow_up and r in (lo, hi))
+        found = search_increasing_root(f, lo, hi, lo_kind == "closed",
+                                       hi_kind == "closed")
+        if (has_root and r in (lo, hi) and r != _start(lo, hi)):
+            # a zero at a closed end is an endpoint verdict, not a bracket
+            assert found.side != 0 and found.end_value.value == 0.0
+        if found.side == 0:
+            assert has_root
+            assert in_domain(found.lo) and in_domain(found.hi)
+            assert found.lo <= r <= found.hi
+            assert f(found.lo).value <= 0.0 <= f(found.hi).value
+            return
+        end = hi if found.side > 0 else lo
+        end_kind = hi_kind if found.side > 0 else lo_kind
+        assert found.lo == found.hi == end
+        assert (r - end) * found.side >= 0.0 or abs(r - end) <= 2e-12 * max(1.0, abs(end))
+        if end_kind == "open":
+            assert found.end_value is None
+        elif not blow_up:
+            # a closed end without a sign change is decided by one probe
+            assert len(calls) <= 2
+            assert found.end_value.value == f(end).value
+            if has_root:
+                assert r == end and found.end_value.value == 0.0
+
+    def test_zero_at_start_costs_one_evaluation(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return ExtReal.finite(x - 0.5)
+
+        found = search_increasing_root(f, 0.0, 5.0, True, True)
+        assert (found.lo, found.hi, found.side) == (0.5, 0.5, 0)
+        assert calls == [0.5]
+
+    def test_closed_end_without_root_costs_two_evaluations(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return ExtReal.finite(x - 7.0)
+
+        found = search_increasing_root(f, -5.0, 4.0, True, True)
+        assert (found.lo, found.side, found.end_value.value) == (4.0, 1, -3.0)
+        assert calls == [0.0, 4.0]
+
+    def test_undefined_on_the_way_raises(self):
+        from levy_emm.errors import NoFiniteMinimizer
+
+        def f(x):
+            return ExtReal.finite(-1.0) if x < 1.0 else POS_INF - POS_INF
+
+        with pytest.raises(NoFiniteMinimizer):
+            search_increasing_root(f, -1.0, math.inf, False, False)
