@@ -36,6 +36,7 @@ __all__ = [
     "default_schedule",
     "PenaltyDiagnostics",
     "check_penalty",
+    "mass_gap",
 ]
 
 
@@ -102,24 +103,28 @@ class PenaltyFamily:
         return np.asarray(self.rho(int(n), np.asarray(x, dtype=float)),
                           dtype=float)
 
-
-def _quick_validate_penalty(p: PenaltyFamily, n: int) -> None:
-    """Cheap structural sniff run by :func:`perturbed_triplet`."""
-    if not p.superlinear:
-        raise PenaltyViolation(
-            f"penalty family {p.kind!r} is not superlinear: "
-            "the tempered tails would not dominate exponential tilts")
-    probe = p.rho_at(n, np.array([-1e6, -1e3, -2.0, 2.0, 1e3, 1e6]))
-    if not np.all(np.isfinite(probe)) or np.any(probe < 0.0):
-        raise PenaltyViolation("penalty must be finite and nonnegative")
-    r_mid = 1e3 / max(float(p.rho_at(n, 1e3)), 1e-300)
-    r_far = 1e6 / max(float(p.rho_at(n, 1e6)), 1e-300)
-    if not r_far <= 0.1 * r_mid:
-        raise PenaltyViolation(
-            f"|x|/rho_n(x) does not decay ({r_mid:.3g} at 1e3 vs "
-            f"{r_far:.3g} at 1e6): penalty is not superlinear")
-    if p.vanishes_inside and np.any(p.rho_at(n, np.array([-0.9, 0.5, 1.0])) != 0.0):
-        raise PenaltyViolation("penalty declared to vanish on |x| <= 1 but does not")
+    def validate(self, n: int) -> None:
+        """Cheap structural sniff of ``ρ_n``: raises
+        :class:`PenaltyViolation` for a family that is not superlinear,
+        not finite and nonnegative, or not zero inside the unit ball when
+        it says so.  :func:`check_penalty` is the numerical diagnosis."""
+        if not self.superlinear:
+            raise PenaltyViolation(
+                f"penalty family {self.kind!r} is not superlinear: "
+                "the tempered tails would not dominate exponential tilts")
+        probe = self.rho_at(n, np.array([-1e6, -1e3, -2.0, 2.0, 1e3, 1e6]))
+        if not np.all(np.isfinite(probe)) or np.any(probe < 0.0):
+            raise PenaltyViolation("penalty must be finite and nonnegative")
+        r_mid = 1e3 / max(float(self.rho_at(n, 1e3)), 1e-300)
+        r_far = 1e6 / max(float(self.rho_at(n, 1e6)), 1e-300)
+        if not r_far <= 0.1 * r_mid:
+            raise PenaltyViolation(
+                f"|x|/rho_n(x) does not decay ({r_mid:.3g} at 1e3 vs "
+                f"{r_far:.3g} at 1e6): penalty is not superlinear")
+        if (self.vanishes_inside
+                and np.any(self.rho_at(n, np.array([-0.9, 0.5, 1.0])) != 0.0)):
+            raise PenaltyViolation(
+                "penalty declared to vanish on |x| <= 1 but does not")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +153,7 @@ def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int,
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    _quick_validate_penalty(p, int(n))
+    p.validate(int(n))
     vt = as_validated(t, q)
     nu = vt.nu
     if _no_outer_mass(nu, q):
@@ -176,8 +181,8 @@ def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int,
-              q: QuadratureSettings) -> float:
+def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int,
+             q: QuadratureSettings) -> float:
     """``∫ (1 - e^{-ρ_n}) dν`` — the jump mass the tempering removes."""
     atoms = nu.atoms()
     if atoms is not None:
@@ -353,7 +358,7 @@ def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
                     f"tempered model unexpectedly returned {res.status.value}")
             kappa_n = res.kappa0
             entropy_n = res.entropy
-            gap = _mass_gap(vt.nu, p, n, q)
+            gap = mass_gap(vt.nu, p, n, q)
             corr = horizon * gap - horizon * _correction_integral(
                 vt.nu, p, n, kappa_n, q)
             vs_p = _entropy_vs_base(vt, p, n, kappa_n, horizon, q)
@@ -435,7 +440,7 @@ def check_penalty(p: PenaltyFamily, nu: LevyMeasure,
 
     integrable_ok = True
     try:
-        gap = _mass_gap(nu, p, 1, q)
+        gap = mass_gap(nu, p, 1, q)
         integrable_ok = math.isfinite(gap) and gap >= -q.abs_tol
         witnesses["mass_gap_n1"] = gap
     except LevyEmmError as exc:

@@ -27,8 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .approximation import (PenaltyFamily, _quick_validate_penalty,
-                            approx_sequence, check_penalty)
+from .approximation import PenaltyFamily, approx_sequence, check_penalty
 from .errors import ArbitrageMarketError, LevyEmmError, ValidationError
 from .esscher import (ARBITRAGE_VERDICT, EsscherStatus, esscher_entropy,
                       memm_report, solve_linear_emm)
@@ -157,7 +156,7 @@ def _cmd_domain(spec: ModelSpec, args: argparse.Namespace,
 def _cmd_approx(spec: ModelSpec, args: argparse.Namespace,
                 q: QuadratureSettings) -> dict:
     penalty = _penalty_from_flag(args.penalty)
-    _quick_validate_penalty(penalty, 1)
+    penalty.validate(1)
     schedule = _schedule_up_to(args.n_max)
     try:
         results = approx_sequence(spec.triplet, spec.T, penalty, schedule,
@@ -205,6 +204,12 @@ def _auto_kappa(spec: ModelSpec, q: QuadratureSettings) -> float:
 def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace,
                   q: QuadratureSettings) -> dict:
     kappa = _kappa_from_flag(args.kappa)
+    penalty = None
+    if args.zn is not None:
+        if args.zn < 1:
+            raise ValidationError(f"--zn: must be >= 1, got {args.zn}")
+        penalty = _penalty_from_flag(args.penalty)
+        penalty.validate(args.zn)
     cfg = SimConfig(T=spec.T, n_samples=args.samples, epsilon=args.epsilon,
                     seed=args.seed, small_jump_mode=args.small_jumps,
                     record_jumps=args.zn is not None)
@@ -236,10 +241,7 @@ def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace,
                                  if analytic is not None and entropy_se
                                  else None)},
     }
-    if args.zn is not None:
-        if args.zn < 1:
-            raise ValidationError(f"--zn: must be >= 1, got {args.zn}")
-        penalty = _penalty_from_flag(args.penalty)
+    if penalty is not None:
         zn = pathwise_log_zn(pack, penalty, args.zn, spec.nu, q)
         zn_values = np.exp(zn.log_zn)
         results["pathwise_zn"] = {

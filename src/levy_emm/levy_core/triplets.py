@@ -29,8 +29,8 @@ from .extreal import ExtReal, NEG_INF, POS_INF
 from .measures import (ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage,
                        zero_measure)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, SidePlan,
-                         expm1_minus_x, small_jump_variation, tail_mass,
-                         two_sided_integral)
+                         expm1_minus_x, one_sided_integral,
+                         small_jump_variation, tail_mass, two_sided_integral)
 
 __all__ = [
     "LevyTriplet",
@@ -291,20 +291,7 @@ def _small_jump_first_variation(nu: LevyMeasure, side: int,
     if atoms is not None:
         return math.fsum(m * abs(p) for p, m in atoms
                          if abs(p) <= q.inner_cut and p * side > 0)
-    from .quadrature import _classify_origin, _quad  # internal reuse
-
-    def f(x: float) -> float:
-        with np.errstate(all="ignore"):
-            v = float(x * np.asarray(nu.density(np.asarray(side * x, dtype=float))))
-        return v if math.isfinite(v) else 0.0
-
-    # strict acceptance: the spurious finite part QUADPACK reports for a
-    # non-integrable origin would otherwise pass as a (negative!) variation
-    val, err, ok = _quad(f, 0.0, q.inner_cut, q, sloppy=False)
-    if ok and val >= 0.0:
-        return val
-    status, out = _classify_origin(f, q, q.inner_cut)
-    return math.inf if status == "div" else out
+    return one_sided_integral(nu, side, 1, 0.0, q.inner_cut, q)
 
 
 def is_monotone(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Monotonicity:

@@ -24,15 +24,15 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy.special import exp1
 
-from .approximation import PenaltyFamily, _mass_gap
+from .approximation import PenaltyFamily, mass_gap
 from .errors import (DegenerateWeights, MissingJumpRecords,
-                     UnsupportedMeasure, ValidationError)
+                     QuadratureFailure, UnsupportedMeasure, ValidationError)
 from .levy_core.measures import (CGMY, DoubleExponentialJumps, FiniteAtomic,
                                  GaussianJumps, JumpDiffusion, LevyMeasure,
                                  SymmetricAlphaStable, Tempered,
                                  VarianceGamma)
 from .levy_core.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                                   _one_sided_x2_mass, _panel_with_log_retry)
+                                   one_sided_integral)
 from .levy_core.triplets import TripletLike, as_validated
 
 __all__ = [
@@ -109,20 +109,15 @@ class _JumpPlan:
     exact: bool
 
 
-def _quad_side(nu: LevyMeasure, side: int, lo: float, hi: float,
-               weight: Callable[[np.ndarray], np.ndarray],
-               q: QuadratureSettings) -> float:
-    """``∫_{lo<s<hi} weight(side*s) ν(side*s) ds`` over tail distances."""
-    if hi <= lo:
-        return 0.0
-
-    def f(s: float) -> float:
-        x = np.asarray(side * s, dtype=float)
-        with np.errstate(all="ignore"):
-            return float(np.asarray(weight(x) * nu.density(x)))
-
-    val, _, ok = _panel_with_log_retry(f, lo, hi, q, ())
-    if not ok:
+def _side_integral(nu: LevyMeasure, side: int, power: int, lo: float,
+                   hi: float, q: QuadratureSettings) -> float:
+    """``∫_{lo<s<hi} s^power ν(side*s) ds`` over jump distances, finite or
+    :class:`UnsupportedMeasure`."""
+    try:
+        val = one_sided_integral(nu, side, power, lo, hi, q)
+    except QuadratureFailure:
+        val = math.nan
+    if not math.isfinite(val):
         raise UnsupportedMeasure(
             f"could not integrate the jump density on side {side:+d}")
     return val
@@ -143,23 +138,24 @@ def _rejection_sampler(propose, accept_prob):
     return draw
 
 
-def _one_sided_exp_poly_plan(C: float, rate: float, power_y: float,
+def _one_sided_exp_poly_plan(nu: LevyMeasure, rate: float, power_y: float,
                              eps: float, q: QuadratureSettings,
                              side: int) -> Tuple[float, Callable]:
-    """Plan for density ``C e^{-rate*s} s^{-1-power_y}`` on ``s > eps``
-    (``power_y = 0`` is the gamma-like case).  Returns (intensity, draw of
-    signed sizes)."""
+    """Plan for the side of ``nu`` with density ``C e^{-rate*s}
+    s^{-1-power_y}`` on ``s > eps`` (``power_y = 0`` is the gamma-like
+    case).  Returns (intensity, draw of signed sizes)."""
     if power_y == 0.0:
-        lam = C * float(exp1(rate * eps))
+        lam = nu.C * float(exp1(rate * eps))
 
         def propose(rng, k):
             return eps + rng.exponential(1.0 / rate, k)
 
         draw = _rejection_sampler(propose, lambda x: eps / x)
     else:
-        lam = _quad_side(
-            _PlainExpPoly(C, rate, power_y), +1, eps, math.inf,
-            lambda x: np.ones_like(x), q)
+        # beyond the inner cut this is the tail mass that validation has
+        # already integrated (one_sided_integral caches it)
+        lam = (_side_integral(nu, side, 0, eps, q.inner_cut, q)
+               + _side_integral(nu, side, 0, q.inner_cut, math.inf, q))
 
         def propose(rng, k):
             return eps * rng.random(k) ** (-1.0 / power_y)
@@ -174,18 +170,6 @@ def _one_sided_exp_poly_plan(C: float, rate: float, power_y: float,
         return side * draw(rng, k)
 
     return lam, signed_draw
-
-
-class _PlainExpPoly:
-    """Minimal density adapter for :func:`_quad_side` rate integrals."""
-
-    def __init__(self, C: float, rate: float, y: float) -> None:
-        self.C, self.rate, self.y = C, rate, y
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        s = np.abs(np.asarray(x, dtype=float))
-        with np.errstate(all="ignore"):
-            return self.C * np.exp(-self.rate * s) * s ** (-1.0 - self.y)
 
 
 def _mix_plans(parts: List[Tuple[float, Callable]], exact: bool) -> _JumpPlan:
@@ -245,13 +229,13 @@ def _jump_plan(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> _JumpPlan:
         return _JumpPlan(2.0 * lam_side, draw, False)
 
     if isinstance(nu, VarianceGamma):
-        parts = [_one_sided_exp_poly_plan(nu.C, nu.M, 0.0, eps, q, +1),
-                 _one_sided_exp_poly_plan(nu.C, nu.G, 0.0, eps, q, -1)]
+        parts = [_one_sided_exp_poly_plan(nu, nu.M, 0.0, eps, q, +1),
+                 _one_sided_exp_poly_plan(nu, nu.G, 0.0, eps, q, -1)]
         return _mix_plans(parts, False)
 
     if isinstance(nu, CGMY):
-        parts = [_one_sided_exp_poly_plan(nu.C, nu.M, nu.Y, eps, q, +1),
-                 _one_sided_exp_poly_plan(nu.C, nu.G, nu.Y, eps, q, -1)]
+        parts = [_one_sided_exp_poly_plan(nu, nu.M, nu.Y, eps, q, +1),
+                 _one_sided_exp_poly_plan(nu, nu.G, nu.Y, eps, q, -1)]
         return _mix_plans(parts, False)
 
     if isinstance(nu, Tempered):
@@ -280,20 +264,10 @@ def _jump_plan(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> _JumpPlan:
 
 
 def _thinned_rate(nu: Tempered, eps: float, q: QuadratureSettings) -> float:
-    """``∫_{|x|>eps} weight dν_base`` — the effective tempered intensity."""
-    lo = eps
-    total = 0.0
-    for side in (+1, -1):
-        total += _quad_side(nu.base, side, lo, _side_limit(nu.base, side),
-                            nu.weight, q)
-    return total
-
-
-def _side_limit(nu: LevyMeasure, side: int) -> float:
-    tail = nu.right_tail() if side > 0 else nu.left_tail()
-    if tail.kind == "bounded":
-        return float(tail.cutoff)
-    return math.inf
+    """``∫_{|x|>eps} weight dν_base = ν({|x| > eps})`` — the effective
+    tempered intensity."""
+    return (_side_integral(nu, +1, 0, eps, math.inf, q)
+            + _side_integral(nu, -1, 0, eps, math.inf, q))
 
 
 def _truncated_mean(nu: LevyMeasure, lo: float, q: QuadratureSettings) -> float:
@@ -305,21 +279,16 @@ def _truncated_mean(nu: LevyMeasure, lo: float, q: QuadratureSettings) -> float:
                                if lo < abs(p) <= q.inner_cut))
     if nu.is_symmetric():
         return 0.0
-    total = 0.0
-    for side in (+1, -1):
-        hi = min(q.inner_cut, _side_limit(nu, side))
-        total += _quad_side(nu, side, lo, hi, lambda x: x, q)
-    return total
+    return (_side_integral(nu, +1, 1, lo, q.inner_cut, q)
+            - _side_integral(nu, -1, 1, lo, q.inner_cut, q))
 
 
 def _small_variance(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> float:
     """``∫_{|x|<=eps} x² ν(dx)`` for the Gaussian remainder."""
     if nu.atoms() is not None:
         return 0.0
-    total = 0.0
-    for side in (+1, -1):
-        total += _one_sided_x2_mass(nu, side, eps, q)
-    return total
+    return (one_sided_integral(nu, +1, 2, 0.0, eps, q)
+            + one_sided_integral(nu, -1, 2, 0.0, eps, q))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +462,8 @@ def pathwise_log_zn(pack: SamplePack, p: PenaltyFamily, n: int,
     if pack.jump_records is None:
         raise MissingJumpRecords(
             "pathwise evaluation needs jump records; sample with record_jumps=True")
-    gap_n = _mass_gap(nu, p, int(n), q)
-    gap_1 = _mass_gap(nu, p, 1, q)
+    gap_n = mass_gap(nu, p, int(n), q)
+    gap_1 = mass_gap(nu, p, 1, q)
     log_zn = np.array([
         pack.T * gap_n - float(np.sum(p.rho_at(n, rec[:, 1])))
         for rec in pack.jump_records])

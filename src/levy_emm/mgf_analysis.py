@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from scipy.optimize import brentq
 
@@ -242,12 +242,13 @@ def search_increasing_root(f, lo: float, hi: float, lo_closed: bool,
 
 
 def _minimum(vt, horizon: float, iv: ExpMomentInterval,
-             q: QuadratureSettings) -> MinimumPoint:
+             q: QuadratureSettings) -> Tuple[MinimumPoint, Optional[ExtReal]]:
     """The minimizer of ``φ_T`` over ``I`` for a market known not to be
     monotone: the root of the increasing ``c'``, or the end of ``I`` up
-    to which ``c'`` keeps one sign."""
+    to which ``c'`` keeps one sign.  Also returns ``c'`` at that end when
+    the search evaluated it there (``None`` otherwise)."""
     if iv.is_degenerate:
-        return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 1.0, iv)
+        return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 1.0, iv), None
 
     def m_of(k: float) -> ExtReal:
         return cumulant_derivative(vt, k, q)
@@ -265,7 +266,8 @@ def _minimum(vt, horizon: float, iv: ExpMomentInterval,
                                   xtol=_KAPPA_TOL, rtol=4 * 2.3e-16,
                                   maxiter=300))
     c_min = min(cumulant(vt, kappa0, q).value, 0.0)
-    return MinimumPoint(kappa0, case, math.exp(horizon * c_min), iv)
+    mp = MinimumPoint(kappa0, case, math.exp(horizon * c_min), iv)
+    return mp, found.end_value
 
 
 def minimize_mgf(t: TripletLike, horizon: float,
@@ -284,7 +286,7 @@ def minimize_mgf(t: TripletLike, horizon: float,
     vt = as_validated(t, q)
     if is_monotone(vt, q) is not Monotonicity.NOT_MONOTONE:
         raise ArbitrageMarketError("monotone price process")
-    return _minimum(vt, horizon, exp_moment_interval(vt, q), q)
+    return _minimum(vt, horizon, exp_moment_interval(vt, q), q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +349,9 @@ def classify_esscher_parameter(t: TripletLike, horizon: float,
     iv = exp_moment_interval(vt, q)
     if not (iv.is_degenerate or horizon > 0):
         raise ValueError("horizon must be > 0")
-    mp = (None if is_monotone(vt, q) is not Monotonicity.NOT_MONOTONE
-          else _minimum(vt, horizon, iv, q))
+    mp, m_end = None, None
+    if is_monotone(vt, q) is Monotonicity.NOT_MONOTONE:
+        mp, m_end = _minimum(vt, horizon, iv, q)
 
     def status(exists: bool, case: Optional[EsscherCase],
                kappa0: Optional[float], diagnostic: str) -> EsscherParameterStatus:
@@ -379,7 +382,7 @@ def classify_esscher_parameter(t: TripletLike, horizon: float,
 
     # endpoint minimum: the parameter exists only if the derivative
     # actually vanishes there (within tolerance) and the endpoint is in E
-    v_end = cumulant_derivative(vt, mp.kappa0, q)
+    v_end = m_end if m_end is not None else cumulant_derivative(vt, mp.kappa0, q)
     if v_end.is_finite and abs(v_end.value) <= _M_ATOL:
         return status(True, _shape_case(iv), mp.kappa0,
                       "derivative vanishes exactly at the interval endpoint")

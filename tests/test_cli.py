@@ -266,10 +266,24 @@ class TestMcCheck:
         assert zn["max_zn"] <= zn["uniform_bound"]
         assert abs(zn["zn_mean"] - 1.0) <= 5 * zn["zn_se"]
 
-    def test_zn_index_validated(self, tmp_path):
+    def test_zn_index_validated(self, tmp_path, call_counts):
+        calls = call_counts("sample_terminal")
         code, rep = run(tmp_path, "mc-check", str(_MODELS / "zn_atom.json"),
                         "--samples", "100", "--zn", "0")
         assert code == 2
+        assert calls == {"sample_terminal": 0}
+
+    @pytest.mark.parametrize("penalty,error", [
+        ("power:0.5", "PenaltyViolation"), ("bogus", "ValidationError")])
+    def test_zn_penalty_validated_before_sampling(self, tmp_path, call_counts,
+                                                  penalty, error):
+        calls = call_counts("sample_terminal")
+        code, rep = run(tmp_path, "mc-check", str(_MODELS / "zn_atom.json"),
+                        "--zn", "2", "--penalty", penalty)
+        assert code == 2
+        assert rep["error"]["type"] == error
+        assert "results" not in rep
+        assert calls == {"sample_terminal": 0}
 
     def test_reports_are_reproducible(self, tmp_path):
         argv = ("mc-check", str(_MODELS / "kou.json"),

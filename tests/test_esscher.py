@@ -25,6 +25,7 @@ from levy_emm import (
     LevyTriplet,
     TailDecay,
     VarianceGamma,
+    classify_esscher_parameter,
     cumulant,
     cumulant_derivative,
     esscher_entropy,
@@ -334,6 +335,18 @@ class TestSinglePass:
         assert solve_linear_emm(t, 1.0).status is EsscherStatus.NO_EMM
         assert calls == {"minimize_mgf": 0, "search_increasing_root": 1,
                          "is_monotone": 1, "exp_moment_interval": 1}
+
+    def test_endpoint_minimum_reuses_the_probed_derivative(self, cgmy_y15,
+                                                            call_counts):
+        # c' is evaluated at the start 0 and at the closed end 5, once each
+        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        t = LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu)
+        calls = call_counts("cumulant_derivative")
+        status = classify_esscher_parameter(t, 1.0)
+        assert not status.exists
+        assert status.diagnostic == ("derivative stays negative on the "
+                                     "whole moment interval")
+        assert calls == {"cumulant_derivative": 2}
 
 
 class TestReport:

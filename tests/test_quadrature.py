@@ -6,15 +6,23 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import exp1
 
 from levy_emm import (
     CGMY,
+    DoubleExponentialJumps,
     FiniteAtomic,
+    GaussianJumps,
+    JumpDiffusion,
+    LevyTriplet,
+    PenaltyFamily,
     QuadratureSettings,
     SymmetricAlphaStable,
     VarianceGamma,
+    cumulant,
     levy_integral,
+    perturbed_triplet,
     small_jump_variation,
     tail_mass,
 )
@@ -162,3 +170,97 @@ class TestLevyIntegral:
         with pytest.raises(ValueError):
             levy_integral(zero := FiniteAtomic(()), lambda x: x, kind="bad")
         assert zero.is_zero
+
+
+def _cumulant_integrand(kappa):
+    """``g_κ``: ``e^{κx} - 1 - κx`` on the unit ball, ``e^{κx} - 1`` beyond,
+    so that ``∫ g_κ dν`` is ``c(κ)`` of the driftless pure-jump triplet."""
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):
+            return np.where(np.abs(x) <= 1.0, expm1_minus_x(kappa * x),
+                            np.expm1(kappa * x))
+
+    return g
+
+
+def _generic_and_fast(nu, kappa):
+    generic = levy_integral(nu, _cumulant_integrand(kappa),
+                            kind="small_jump_compensated")
+    return generic, cumulant(LevyTriplet(0.0, 0.0, nu), kappa)
+
+
+_TEMPERED_STABLE = perturbed_triplet(
+    LevyTriplet(0.0, 0.0, SymmetricAlphaStable(alpha=0.8)),
+    PenaltyFamily.default_quadratic(), 2).nu
+
+# measure, then the tilts drawn inside I = (lo_I, hi_I): up to 0.9 of the
+# way to an exponential tail's rate, where both factors of g_κ ν still
+# fit in a double (see test_known_limits_of_the_generic_path)
+_INSIDE = {
+    "merton": (JumpDiffusion(1.0, GaussianJumps(-0.1, 0.3)), -50.0, 50.0),
+    "variance_gamma": (VarianceGamma(C=1.0, G=6.0, M=9.0), -5.4, 8.1),
+    "kou": (JumpDiffusion(1.5, DoubleExponentialJumps(0.4, 8.0, 6.0)),
+            -5.4, 7.2),
+    "cgmy_y05": (CGMY(C=0.5, G=4.0, M=7.0, Y=0.5), -3.6, 6.3),
+    "cgmy_y1": (CGMY(C=1.0, G=5.0, M=5.0, Y=1.0), -4.5, 4.5),
+    "tempered_stable": (_TEMPERED_STABLE, -15.0, 15.0),
+}
+# measures with a bounded I, and its ends
+_OUTSIDE = {
+    "variance_gamma": (_INSIDE["variance_gamma"][0], -6.0, 9.0),
+    "kou": (_INSIDE["kou"][0], -6.0, 8.0),
+    "cgmy_y05": (_INSIDE["cgmy_y05"][0], -4.0, 7.0),
+    "cgmy_y1": (_INSIDE["cgmy_y1"][0], -5.0, 5.0),
+}
+
+
+class TestGenericPathAgreesWithCumulant:
+    """``levy_integral`` (no tail hints) against ``cumulant`` (hinted
+    tails, tilted log-densities) on the cumulant integrand ``g_κ``."""
+
+    @pytest.mark.parametrize("name", sorted(_INSIDE))
+    @settings(max_examples=12, deadline=None)
+    @given(u=st.floats(0.0, 1.0))
+    def test_inside_I(self, name, u):
+        nu, lo, hi = _INSIDE[name]
+        kappa = lo + (hi - lo) * u
+        generic, fast = _generic_and_fast(nu, kappa)
+        assert generic.is_finite and fast.is_finite, (kappa, generic, fast)
+        assert math.isclose(generic.value, fast.value, rel_tol=1e-9,
+                            abs_tol=1e-300), kappa
+
+    @pytest.mark.parametrize("name", sorted(_OUTSIDE))
+    @settings(max_examples=6, deadline=None)
+    @given(beyond=st.floats(0.5, 20.0), right=st.booleans())
+    def test_outside_I(self, name, beyond, right):
+        nu, a, b = _OUTSIDE[name]
+        kappa = b + beyond if right else a - beyond
+        generic, fast = _generic_and_fast(nu, kappa)
+        assert generic.is_pos_inf and fast.is_pos_inf, (kappa, generic, fast)
+
+    @pytest.mark.parametrize("nu,kappa", [
+        (JumpDiffusion(1.0, GaussianJumps(-0.1, 0.3)), 4.0),
+        (VarianceGamma(C=1.0, G=6.0, M=9.0), 4.0),
+        (JumpDiffusion(1.5, DoubleExponentialJumps(0.4, 8.0, 6.0)), 4.0),
+        (_TEMPERED_STABLE, 4.0),
+    ], ids=["merton", "variance_gamma", "kou", "tempered_stable"])
+    def test_overflow_where_the_density_underflows(self, nu, kappa):
+        # e^{κx} overflows on the probe panel [128, 256] where the density
+        # is already 0; the product there is 0, not a divergence
+        generic, fast = _generic_and_fast(nu, kappa)
+        assert generic.is_finite
+        assert math.isclose(generic.value, fast.value, rel_tol=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="known limit of the unhinted path")
+    @pytest.mark.parametrize("nu,kappa", [
+        # e^{κx} overflows while e^{-Mx} is still a positive subnormal
+        (VarianceGamma(C=1.0, G=6.0, M=9.0), 8.91),
+        (CGMY(C=0.5, G=4.0, M=7.0, Y=0.5), 7.0),  # closed end of I
+        # the tilted bump peaks beyond the probe's four growing panels
+        (_TEMPERED_STABLE, 17.5),
+    ], ids=["vg_near_open_end", "cgmy_closed_end", "tempered_far_bump"])
+    def test_known_limits_of_the_generic_path(self, nu, kappa):
+        generic, fast = _generic_and_fast(nu, kappa)
+        assert generic.is_finite and fast.is_finite
