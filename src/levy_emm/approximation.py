@@ -22,9 +22,8 @@ from .esscher import solve_linear_emm
 from .levy_core.measures import FiniteAtomic, LevyMeasure, Tempered
 from .levy_core.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
                                    SidePlan, exp_entropy_term,
-                                   two_sided_integral)
-from .levy_core.triplets import (LevyTriplet, TripletLike, as_validated,
-                                 exp_tail_integrand)
+                                   exp_tail_integrand, two_sided_integral)
+from .levy_core.triplets import LevyTriplet, TripletLike, as_validated
 from .mgf_analysis import minimize_mgf
 
 __all__ = [
@@ -192,10 +191,9 @@ def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int,
     def pre(x: np.ndarray) -> np.ndarray:
         return -np.expm1(-p.rho_at(n, x))
 
-    right = SidePlan(exp_tail_integrand(nu, +1, 0.0, prefactor=pre),
-                     nu.right_tail().moment_finite(0, 0.0))
-    left = SidePlan(exp_tail_integrand(nu, -1, 0.0, prefactor=pre),
-                    nu.left_tail().moment_finite(0, 0.0))
+    tail = exp_tail_integrand(0.0, prefactor=pre)
+    right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
+    left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
     val, _ = two_sided_integral(nu, q, inner_g=None, right=right, left=left)
     # lossy view: an unvalidated measure with infinite outer mass must come
     # back as inf so the integrability diagnostic can fail it, not crash
@@ -221,16 +219,14 @@ def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
     def log_w(x: np.ndarray) -> np.ndarray:
         return -p.rho_at(n, x)
 
-    right = SidePlan(exp_tail_integrand(nu, +1, kappa, prefactor=pre,
-                                        log_weight=log_w), True)
-    left = SidePlan(exp_tail_integrand(nu, -1, kappa, prefactor=pre,
-                                       log_weight=log_w), True)
+    plan = SidePlan(exp_tail_integrand(kappa, prefactor=pre, log_weight=log_w),
+                    True)
     inner = None
     if not p.vanishes_inside:
         def inner(x):
             with np.errstate(all="ignore"):
                 return p.rho_at(n, x) * np.exp(kappa * x - p.rho_at(n, x))
-    val, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left,
+    val, _ = two_sided_integral(nu, q, inner_g=inner, right=plan, left=plan,
                                 compensated=False)
     return val.value
 
@@ -252,24 +248,19 @@ def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
             m * float(exp_entropy_term(np.asarray(u_of(pos))))
             for pos, m in atoms))
     else:
-        if p.vanishes_inside:
-            def inner(x):
-                return exp_entropy_term(kappa * x)
-        else:
-            def inner(x):
-                return exp_entropy_term(u_of(x))
+        def entropy(x: np.ndarray) -> np.ndarray:
+            return exp_entropy_term(u_of(x))
 
-        def tail(side: int):
-            def f(s: np.ndarray) -> np.ndarray:
-                x = side * np.asarray(s, dtype=float)
-                with np.errstate(all="ignore"):
-                    return exp_entropy_term(u_of(x)) * nu.density(x)
-            return f
+        def inner(x: np.ndarray) -> np.ndarray:
+            return exp_entropy_term(kappa * x)
 
-        right = SidePlan(tail(+1), nu.right_tail().moment_finite(0, 0.0))
-        left = SidePlan(tail(-1), nu.left_tail().moment_finite(0, 0.0))
-        val, _ = two_sided_integral(nu, q, inner_g=inner, right=right,
-                                    left=left, compensated=True)
+        right = SidePlan(None, nu.right_tail().moment_finite(0, 0.0),
+                         weight=entropy)
+        left = SidePlan(None, nu.left_tail().moment_finite(0, 0.0),
+                        weight=entropy)
+        val, _ = two_sided_integral(
+            nu, q, inner_g=inner if p.vanishes_inside else entropy,
+            right=right, left=left, compensated=True)
         jump_part = val.value
     return horizon * (vt.sigma2 * kappa * kappa / 2.0 + jump_part)
 

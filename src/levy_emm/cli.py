@@ -22,7 +22,7 @@ import csv
 import json
 import sys
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -192,10 +192,12 @@ def _cmd_convert(spec: ModelSpec, args: argparse.Namespace,
     return out
 
 
-def _auto_kappa(spec: ModelSpec, q: QuadratureSettings) -> float:
+def _auto_kappa(spec: ModelSpec,
+                q: QuadratureSettings) -> Tuple[float, Optional[float]]:
+    """The martingale tilt and its entropy, from one solve."""
     res = solve_linear_emm(spec.triplet, spec.T, q)
     if res.status in (EsscherStatus.EMM_EXISTS, EsscherStatus.P_IS_ALREADY_EMM):
-        return float(res.kappa0)
+        return float(res.kappa0), res.entropy
     raise ValidationError(
         f"--kappa auto: no martingale tilt exists ({res.status.value}); "
         "pass an explicit --kappa value")
@@ -215,15 +217,16 @@ def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace,
                     record_jumps=args.zn is not None)
     source = "flag"
     if kappa is None:
-        kappa = _auto_kappa(spec, q)
+        kappa, analytic = _auto_kappa(spec, q)
         source = "auto"
+    else:
+        try:
+            analytic = esscher_entropy(spec.triplet, spec.T, kappa, q)
+        except LevyEmmError:
+            analytic = None
     pack = sample_terminal(spec.triplet, cfg, q)
     defect, defect_se = martingale_defect(pack, kappa)
     entropy, entropy_se = entropy_estimate(pack, kappa)
-    try:
-        analytic = esscher_entropy(spec.triplet, spec.T, kappa, q)
-    except LevyEmmError:
-        analytic = None
     results = {
         "kappa": kappa,
         "kappa_source": source,

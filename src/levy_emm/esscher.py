@@ -314,8 +314,12 @@ def memm_report(t: TripletLike, horizon: float,
 
     For the linear market this is the minimal-entropy identification; for
     the geometric market it reports the geometric root alongside the
-    linear solve of the converted triplet (whose existence status must
-    agree), keeping the minimality claim on the linear side only.
+    linear solve of the converted triplet, keeping the minimality claim on
+    the linear side only.  The two statuses can disagree on a valid model:
+    the geometric tilt needs ``e^{κX}`` moments, the tilt of the
+    stochastic logarithm moments of its price jumps, so on a stable law
+    only the second exists.  ``statuses_consistent`` reports whether they
+    agree.
     """
     if market not in ("linear", "geometric"):
         raise ValueError(f"unknown market {market!r}")

@@ -6,11 +6,11 @@ from .measures import (CGMY, DoubleExponentialJumps, ExpJumpImage, ExpTilted,
                        JumpDiffusion, LevyMeasure, LogJumpImage,
                        SymmetricAlphaStable, TailDecay, Tempered,
                        VarianceGamma, zero_measure)
-from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, levy_integral,
-                         small_jump_variation, tail_mass)
+from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
+                         exp_tail_integrand, small_jump_variation, tail_mass)
 from .triplets import (LevyTriplet, Monotonicity, ValidatedTriplet,
                        as_validated, cumulant, cumulant_derivative,
-                       exp_tail_integrand, geometric_to_linear, is_monotone,
+                       geometric_to_linear, is_monotone,
                        linear_to_geometric, mgf, mgf_derivative,
                        validate_triplet)
 
@@ -20,7 +20,7 @@ __all__ = [
     "DoubleExponentialJumps", "JumpDiffusion", "VarianceGamma", "CGMY",
     "SymmetricAlphaStable", "Tempered", "ExpTilted", "GenericDensity",
     "ExpJumpImage", "LogJumpImage", "zero_measure",
-    "QuadratureSettings", "DEFAULT_SETTINGS", "levy_integral",
+    "QuadratureSettings", "DEFAULT_SETTINGS",
     "small_jump_variation", "tail_mass",
     "LevyTriplet", "ValidatedTriplet", "validate_triplet", "as_validated",
     "cumulant", "cumulant_derivative", "mgf", "mgf_derivative",

@@ -49,6 +49,7 @@ _BOUNDED = "bounded"
 _SUPEREXP = "superexp"
 _EXP = "exp"
 _POLY = "poly"
+_IMAGE = "exp_image"
 
 
 @dataclass(frozen=True)
@@ -67,19 +68,27 @@ class TailDecay:
         density ``~ s^power * exp(-rate * s)``;
     ``poly``
         density ``~ s^power`` (``power = -inf`` encodes "faster than any
-        polynomial but slower than any exponential").
+        polynomial but slower than any exponential");
+    ``exp_image``
+        ``e^{-rate s}`` times the image of the log-jump tail ``base`` under
+        ``s -> e^s - 1``: at the edge tilt ``rate`` the weight-``w`` moment
+        is the base's ``e^{ws}`` moment, below it every moment converges
+        and above it none does.
     """
 
     kind: str
     rate: float = 0.0
     power: float = 0.0
     cutoff: float = math.inf
+    base: Optional["TailDecay"] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (_BOUNDED, _SUPEREXP, _EXP, _POLY):
+        if self.kind not in (_BOUNDED, _SUPEREXP, _EXP, _POLY, _IMAGE):
             raise ValidationError(f"unknown tail kind {self.kind!r}")
         if self.kind == _EXP and not self.rate > 0:
             raise ValidationError("exp tail needs rate > 0")
+        if self.kind == _IMAGE and (self.base is None or self.rate < 0):
+            raise ValidationError("image tail needs a base tail and rate >= 0")
 
     # constructors ------------------------------------------------------
     @staticmethod
@@ -105,6 +114,10 @@ class TailDecay:
         direction (pass ``κ`` for the right tail, ``-κ`` for the left)."""
         if self.kind in (_BOUNDED, _SUPEREXP):
             return True
+        if self.kind == _IMAGE:
+            if tilt_along != self.rate:
+                return tilt_along < self.rate
+            return self.base.moment_finite(0, float(weight_power))
         if self.kind == _EXP:
             if tilt_along < self.rate:
                 return True
@@ -122,7 +135,7 @@ class TailDecay:
         """Supremum of tilts with a finite plain exponential moment."""
         if self.kind in (_BOUNDED, _SUPEREXP):
             return math.inf
-        if self.kind == _EXP:
+        if self.kind in (_EXP, _IMAGE):
             return self.rate
         return 0.0
 
@@ -138,6 +151,10 @@ class TailDecay:
         """
         if self.kind in (_BOUNDED, _SUPEREXP) or tilt_along == 0.0:
             return self
+        if self.kind == _IMAGE:
+            if tilt_along > self.rate:
+                raise KappaOutsideI(f"tilt {tilt_along} beyond rate {self.rate}")
+            return TailDecay(_IMAGE, rate=self.rate - tilt_along, base=self.base)
         if self.kind == _EXP:
             new_rate = self.rate - tilt_along
             if new_rate > 0:
@@ -197,11 +214,6 @@ class LevyMeasure:
 
     @property
     def is_zero(self) -> bool:
-        return False
-
-    @property
-    def finite_activity(self) -> bool:
-        """Whether the total mass is finite (compound-Poisson structure)."""
         return False
 
     # transforms -----------------------------------------------------------
@@ -269,10 +281,6 @@ class FiniteAtomic(LevyMeasure):
     @property
     def is_zero(self) -> bool:
         return not self.atom_list
-
-    @property
-    def finite_activity(self) -> bool:
-        return True
 
     def total_mass(self) -> float:
         return float(sum(m for _, m in self.atom_list))
@@ -402,10 +410,6 @@ class JumpDiffusion(LevyMeasure):
 
     def has_negative_jumps(self) -> bool:
         return not (isinstance(self.jumps, DoubleExponentialJumps) and self.jumps.p == 1.0)
-
-    @property
-    def finite_activity(self) -> bool:
-        return True
 
     def total_mass(self) -> float:
         return self.intensity
@@ -658,12 +662,6 @@ class Tempered(LevyMeasure):
     def has_negative_jumps(self) -> bool:
         return self.base.has_negative_jumps()
 
-    @property
-    def finite_activity(self) -> bool:
-        # the weight is bounded by one and equals one near zero for every
-        # penalty this package constructs, so activity matches the base
-        return self.base.finite_activity
-
     def describe(self) -> dict:
         return {"type": "tempered", "base": self.base.describe(),
                 "weight": getattr(self.weight, "__name__", "custom")}
@@ -716,10 +714,6 @@ class ExpTilted(LevyMeasure):
 
     def has_negative_jumps(self) -> bool:
         return self.base.has_negative_jumps()
-
-    @property
-    def finite_activity(self) -> bool:
-        return self.base.finite_activity
 
     def tilted(self, kappa: float) -> "LevyMeasure":
         if kappa == 0.0:
@@ -779,11 +773,9 @@ class ExpJumpImage(LevyMeasure):
     """Image of a measure under ``x -> e^x - 1`` (log-jumps to price jumps).
 
     Supported on ``(-1, inf)``; the left tail is therefore trivially
-    bounded.  Right-tail metadata is mapped conservatively: an exponential
-    tail with rate ``r`` becomes a polynomial tail of order ``-r-1`` (the
-    logarithmic prefactor this ignores only matters exactly at the
-    convergence boundary ``r = 1``, where membership is decided as
-    divergent).
+    bounded.  The measure has no density of its own: integrals against it
+    are taken against ``base`` by pullback, and the right-tail metadata is
+    exact (the ``exp_image`` kind of :class:`TailDecay`).
     """
 
     base: LevyMeasure
@@ -794,33 +786,11 @@ class ExpJumpImage(LevyMeasure):
             return None
         return tuple((math.expm1(p), m) for p, m in base_atoms)
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        y = np.asarray(x, dtype=float)
-        ok = y > -1.0
-        safe = np.where(ok, y, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = self.base.density(np.log1p(safe)) / (1.0 + safe)
-        return np.where(ok, val, 0.0)
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        y = np.asarray(x, dtype=float)
-        ok = y > -1.0
-        safe = np.where(ok, y, 0.0)
-        lp = np.log1p(safe)
-        out = self.base.log_density(lp) - lp
-        return np.where(ok, out, -np.inf)
-
     def right_tail(self) -> TailDecay:
         t = self.base.right_tail()
         if t.kind == _BOUNDED:
-            return TailDecay.bounded(math.expm1(t.cutoff) if math.isfinite(t.cutoff) else math.inf)
-        if t.kind == _EXP:
-            return TailDecay.polynomial(-t.rate - 1.0)
-        if t.kind == _SUPEREXP:
-            return TailDecay.polynomial(-math.inf)
-        # polynomial log-jump tail: price jumps have density ~ (log y)^p / y,
-        # whose mass converges but whose first moment never does
-        return TailDecay.polynomial(-1.5)
+            return TailDecay.bounded(math.expm1(t.cutoff))
+        return TailDecay(_IMAGE, base=t)
 
     def left_tail(self) -> TailDecay:
         return TailDecay.bounded(1.0)
@@ -831,17 +801,14 @@ class ExpJumpImage(LevyMeasure):
     def has_negative_jumps(self) -> bool:
         return self.base.has_negative_jumps()
 
-    @property
-    def finite_activity(self) -> bool:
-        return self.base.finite_activity
-
     def describe(self) -> dict:
         return {"type": "exp_jump_image", "base": self.base.describe()}
 
 
 @dataclass(frozen=True)
 class LogJumpImage(LevyMeasure):
-    """Image of a price-jump measure under ``y -> log(1+y)``.
+    """Image of a price-jump measure under ``y -> log(1+y)``, integrated
+    against ``base`` by pullback like :class:`ExpJumpImage`.
 
     The constructor only accepts measures that verifiably carry no mass on
     ``(-inf, 0)`` beyond a bounded cutoff above -1; general densities with
@@ -866,22 +833,11 @@ class LogJumpImage(LevyMeasure):
             return None
         return tuple((math.log1p(p), m) for p, m in base_atoms)
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ex = np.exp(x)
-        return self.base.density(np.expm1(x)) * ex
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.base.log_density(np.expm1(x)) + x
-
     def right_tail(self) -> TailDecay:
         t = self.base.right_tail()
         if t.kind == _BOUNDED:
             return TailDecay.bounded(math.log1p(t.cutoff) if math.isfinite(t.cutoff) else math.inf)
         if t.kind == _POLY:
-            if math.isinf(t.power):
-                return TailDecay.superexp()
             return TailDecay.exponential(-(t.power + 1.0), 0.0)
         return TailDecay.superexp()
 
@@ -896,10 +852,6 @@ class LogJumpImage(LevyMeasure):
 
     def has_negative_jumps(self) -> bool:
         return self.base.has_negative_jumps()
-
-    @property
-    def finite_activity(self) -> bool:
-        return self.base.finite_activity
 
     def describe(self) -> dict:
         return {"type": "log_jump_image", "base": self.base.describe()}

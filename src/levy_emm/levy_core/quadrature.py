@@ -1,38 +1,46 @@
 """Integration against jump measures: one kernel for every integral
-``∫ g dν`` the package needs.
+``∫ g dν`` the package needs, and the only code that multiplies an
+integrand by a jump density.
 
 Density integrals are split into five panels per the package-wide layout::
 
     (-inf, -1] | [-1, -zw] | (-zw, zw) | [zw, 1] | [1, inf)
 
-with ``zw = zero_window``.  :func:`two_sided_integral` is the kernel; the
-public :func:`levy_integral` is a thin wrapper over it that adds exact atom
-sums and tails without decay hints.  The kind of each panel picks its
-QUADPACK policy (Piessens et al. 1983):
+with ``zw = zero_window``.  :func:`two_sided_integral` is the kernel.
+Callers give it the integrand on the inner cut as a function of the jump
+size, and each tail as a :class:`SidePlan` whose log-space part
+(:func:`exp_tail_integrand`) takes ``log ν`` from the kernel.  The kind of
+each panel picks its QUADPACK policy (Piessens et al. 1983):
 
-* a tail whose convergence a decay hint decides goes to QAGI, with a
-  doubling-panel classifier as fallback; a hinted divergent tail is a
-  signed infinity without any quadrature;
-* a tail without a hint first passes a doubling-panel probe that rules out
-  (signed) divergence — QAGI left alone would report the finite part of
-  ``∫ x^{-p}, p < 1`` as a clean success — and only then QAGI, with full
-  panel classification as the fallback;
+* a tail that its decay hint calls divergent is a signed infinity without
+  any quadrature; a convergent one goes to QAGI, with a doubling-panel
+  classifier as fallback;
 * the bounded panel ``[zw, 1]`` goes to QAGS, retried in log space;
 * the window ``(-zw, zw)`` is a second-order series for integrands that are
   O(x^2) by contract (``compensated``), otherwise a strict QAGS panel that
   falls back to halving-panel classification, so a non-integrable origin
   comes back as a signed infinity.
 
+Image measures (:class:`~.measures.ExpJumpImage`,
+:class:`~.measures.LogJumpImage`, and an :class:`~.measures.ExpTilted`
+over either) have no density of their own.  They are integrated by
+pullback onto their base, ``∫ g dν_img = ∫ g(φ(t)) ν(dt)`` with
+``φ = expm1`` or ``log1p``: each base point goes to the image's inner or
+tail integrand by ``|φ(t)| <= inner_cut`` (the base is split where that
+changes, at ``ln 2``, ``e - 1`` and ``e^{-1} - 1``), so the base's own
+hints, panels and origin rule do the work.  A tilt ``e^{κy}`` of the
+image enters as ``κφ(t)`` in ``log ν``.
+
 :func:`one_sided_integral` applies the same three interval policies
 (origin, unbounded tail, bounded panel) to the moments ``∫ s^p dν`` of one
 side; the small-jump moments and tail masses, the monotonicity test and
 the simulation rates all go through it.
 
-Exactly symmetric measures with hinted tails are integrated by folding the
-negative axis onto the positive one, so odd integrands cancel in IEEE
-arithmetic rather than to quadrature tolerance.  That exactness is what
-downstream code relies on to report "the mean is zero" for symmetric models
-without a fudge factor.
+Exactly symmetric measures are integrated by folding the negative axis
+onto the positive one, so odd integrands cancel in IEEE arithmetic rather
+than to quadrature tolerance.  That exactness is what downstream code
+relies on to report "the mean is zero" for symmetric models without a
+fudge factor.
 """
 
 from __future__ import annotations
@@ -40,21 +48,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
 
 from ..errors import NonIntegrableLevyMeasure, QuadratureFailure
 from .extreal import ExtReal, NEG_INF, POS_INF
-from .measures import LevyMeasure
+from .measures import ExpJumpImage, ExpTilted, LevyMeasure, LogJumpImage
 
 __all__ = [
     "QuadratureSettings",
     "DEFAULT_SETTINGS",
-    "levy_integral",
     "two_sided_integral",
     "SidePlan",
+    "exp_tail_integrand",
     "one_sided_integral",
     "small_jump_variation",
     "tail_mass",
@@ -119,15 +127,6 @@ def exp_entropy_term(u: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         direct = np.exp(u) * (u - 1.0) + 1.0
     return np.where(small, series, direct)
-
-
-def _scalar(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
-    """Adapt a vectorised integrand to the scalar signature quad expects."""
-
-    def wrapped(x: float) -> float:
-        return float(np.asarray(f(np.asarray(x, dtype=float))))
-
-    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -252,41 +251,74 @@ def _classify_origin(f: Callable[[float], float], q: QuadratureSettings,
     return _classify_geometric(piece, q, 4096, "integral near zero")
 
 
-_PROBE_PANELS = 8
+# ---------------------------------------------------------------------------
+# tail integrands and image measures
+# ---------------------------------------------------------------------------
+
+Fn = Callable[[np.ndarray], np.ndarray]
 
 
-def _unhinted_tail(f: Callable[[float], float], q: QuadratureSettings,
-                   start: float) -> Tuple[str, float, float]:
-    """``∫_start^inf f`` when nothing is known about the tail's decay.
+def exp_tail_integrand(kappa: float, *, power: int = 0,
+                       prefactor: Optional[Fn] = None,
+                       log_weight: Optional[Fn] = None):
+    """Tail integrand ``(x, log ν(x)) -> x^power p(x) e^{κx + w(x)} ν(x)``.
 
-    QAGI alone cannot be trusted here: on a polynomially divergent tail it
-    extrapolates the (negative!) finite part and reports a clean success.
-    A short doubling-panel probe detects that growth first; a decaying
-    prefix earns the direct QAGI evaluation, and if QAGI still complains
-    the full panel classifier decides.  Returns ``(status, value, err)``
-    with ``value`` the divergence sign when ``status == "div"``.
+    The kernel supplies the jump size and ``log ν``; the exponential
+    factors are assembled in log space, so a density that underflows never
+    meets a tilt that overflows.  For image measures the kernel also passes
+    ``tilt``, the image's own tilt (added to κ), and ``log_abs_x``, with
+    which the power is taken in log space: a price jump ``x = e^t - 1``
+    overflows long before ``x^power ν`` does.
     """
-    prev = None
-    grow = 0
-    for k in range(_PROBE_PANELS):
-        a, b = start * 2.0 ** k, start * 2.0 ** (k + 1)
-        piece, _, _ = _quad(f, a, b, q)
-        if not math.isfinite(piece):
-            sign = math.copysign(1.0, piece) if piece == piece else 1.0
-            return "div", sign, 0.0
-        if (prev is not None and abs(piece) > abs(prev) * (1.0 + 1e-9)
-                and abs(piece) > q.abs_tol):
-            grow += 1
-            if grow >= _GROW_LIMIT:
-                return "div", math.copysign(1.0, piece), 0.0
-        else:
-            grow = 0
-        prev = piece
-    val, err, ok = _quad(f, start, math.inf, q)
-    if ok:
-        return "conv", val, err
-    status, out = _classify_tail(f, q, start)
-    return status, out, q.abs_tol
+
+    def f(x, log_nu, tilt=0.0, log_abs_x=None):
+        k = kappa + tilt
+        with np.errstate(all="ignore"):
+            expo = k * x + log_nu if k else log_nu
+            if log_weight is not None:
+                expo = expo + log_weight(x)
+            if log_abs_x is not None and power:
+                val = np.exp(expo + power * log_abs_x) * np.sign(x) ** power
+            else:
+                val = np.exp(expo) * x ** power if power else np.exp(expo)
+            if prefactor is not None:
+                val = val * prefactor(x)
+        return val
+
+    return f
+
+
+class _Pullback(NamedTuple):
+    """An image measure as ``e^{tilt φ(t)} base(dt)`` pushed through ``φ``."""
+
+    base: LevyMeasure
+    phi: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
+    tilt: float
+
+    def log_abs_phi(self, t: np.ndarray) -> np.ndarray:
+        """``log|φ(t)|``, finite where ``φ(t) = e^t - 1`` overflows."""
+        if self.phi is np.expm1 and t > 0:
+            return t + np.log(-np.expm1(-t))
+        return np.log(np.abs(self.phi(t)))
+
+    def base_distance(self, side: int, s: float) -> float:
+        """Distance from the origin of the base point over ``side * s``."""
+        with np.errstate(all="ignore"):
+            u = abs(float(self.inverse(side * s)))
+        return math.inf if u != u else u  # beyond the image's support
+
+
+def _pullback(nu: LevyMeasure) -> Optional[_Pullback]:
+    tilt = 0.0
+    if isinstance(nu, ExpTilted) and isinstance(nu.base, (ExpJumpImage,
+                                                          LogJumpImage)):
+        nu, tilt = nu.base, nu.kappa
+    if isinstance(nu, ExpJumpImage):
+        return _Pullback(nu.base, np.expm1, np.log1p, tilt)
+    if isinstance(nu, LogJumpImage):
+        return _Pullback(nu.base, np.log1p, np.expm1, tilt)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -327,45 +359,72 @@ def _panel_with_log_retry(f: Callable[[float], float], a: float, b: float,
 def one_sided_integral(nu: LevyMeasure, side: int, power: int,
                        lo: float, hi: float,
                        q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """``∫_{lo < s < hi} s^power ν(side*s) ds`` for a density measure, over
-    jump distances ``s`` on one side.
+    """``∫_{lo < s < hi} s^power ν(side*s) ds`` for a density measure or
+    an image of one, over jump distances ``s`` on one side.
 
-    The interval is clipped to the side's support, and its kind picks the
-    policy: from the origin (``lo == 0``), strict QUADPACK acceptance
-    with the doubling-panel classifier as fallback, since a non-integrable
-    origin would otherwise pass its spurious finite part; out to infinity,
-    the divergence probe of an unhinted tail; a bounded panel away from
-    the origin, QAGS with a log-space retry.  A divergent integral comes
-    back as ``inf``; a panel that fails raises :class:`QuadratureFailure`.
-    Results are cached.
+    The interval is clipped to the side's support (an image measure's is
+    then pulled back onto its base) and its kind picks the policy: from
+    the origin (``lo == 0``), strict QUADPACK acceptance with the
+    doubling-panel classifier as fallback, since a non-integrable origin
+    would otherwise pass its spurious finite part; out to infinity, the
+    tail-decay hint decides divergence and QAGI the value; a bounded panel
+    away from the origin, QAGS with a log-space retry.  A divergent
+    integral comes back as ``inf``; a panel that fails raises
+    :class:`QuadratureFailure`.  Results are cached.
     """
     end = _tail_upper_limit(nu, side)
     if min(hi, end) <= lo:
         return 0.0
     hi = min(hi, end * (1.0 + 1e-12))
-
-    def f(s: float) -> float:
-        with np.errstate(all="ignore"):
-            d = np.asarray(nu.density(np.asarray(side * s, dtype=float)))
-            # s*s, not s**2: pow rounds differently, and c(κ) uses x^2 mass
-            v = float(math.prod((s,) * power) * d)
-        return v if math.isfinite(v) else 0.0
-
-    if lo == 0.0:
-        val, _, ok = _quad(f, 0.0, hi, q, epsabs=q.abs_tol * 1e-4, sloppy=False)
-        if ok and val >= 0.0:
-            return val
-        status, val = _classify_origin(f, q, hi)
-    elif math.isinf(hi):
-        status, val, _ = _unhinted_tail(f, q, lo)
+    decay = nu.right_tail() if side > 0 else nu.left_tail()
+    pb = _pullback(nu)
+    if pb is None:
+        def f(s: float) -> float:
+            with np.errstate(all="ignore"):
+                d = np.asarray(nu.density(np.asarray(side * s, dtype=float)))
+                # s*s, not s**2: pow rounds differently, and c(κ) uses x^2 mass
+                v = float(math.prod((s,) * power) * d)
+            return v if math.isfinite(v) else 0.0
     else:
-        val, _, ok = _panel_with_log_retry(f, lo, hi, q, ())
-        if not ok:
-            raise QuadratureFailure(
-                f"could not integrate the jump density on side {side:+d} "
-                f"over [{lo:g}, {hi:g}]")
-        return val
-    return math.inf if status == "div" else val
+        base, moment = pb.base, exp_tail_integrand(0.0, power=power)
+        lo = pb.base_distance(side, lo)
+        hi = min(pb.base_distance(side, hi),
+                 _tail_upper_limit(base, side) * (1.0 + 1e-12))
+
+        def f(s: float) -> float:
+            t = side * np.asarray(s, dtype=float)
+            with np.errstate(all="ignore"):
+                v = side ** power * float(moment(
+                    pb.phi(t), base.log_density(t), pb.tilt, pb.log_abs_phi(t)))
+            return v if math.isfinite(v) else 0.0
+
+    def piece(a: float, b: float) -> float:
+        if a == 0.0:
+            val, _, ok = _quad(f, 0.0, b, q, epsabs=q.abs_tol * 1e-4,
+                               sloppy=False)
+            if ok and val >= 0.0:
+                return val
+            status, val = _classify_origin(f, q, b)
+        elif math.isinf(b):
+            if not decay.moment_finite(power, 0.0):
+                return math.inf
+            val, _, ok = _quad(f, a, b, q)
+            if ok:
+                return val
+            status, val = _classify_tail(f, q, a)
+        else:
+            val, _, ok = _panel_with_log_retry(f, a, b, q, ())
+            if not ok:
+                raise QuadratureFailure(
+                    f"could not integrate the jump density on side {side:+d} "
+                    f"over [{a:g}, {b:g}]")
+            return val
+        return math.inf if status == "div" else val
+
+    if lo == 0.0 and hi > q.inner_cut:
+        # an image side can run from the base's origin into its tail
+        return piece(0.0, q.inner_cut) + piece(q.inner_cut, hi)
+    return piece(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -424,56 +483,75 @@ def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> floa
 class SidePlan:
     """Tail plan for one side of a structured integral.
 
-    ``tail_f`` maps distances ``s > inner_cut`` (always positive; the left
-    side is pre-mirrored) to integrand values ``g(±s) ν(±s)`` and must be
-    overflow-safe.  ``converges`` is decided by the caller from tail-decay
-    hints; a divergent side contributes ``div_sign * inf``, and ``None``
-    (no hint) sends an unbounded tail through the divergence probe.
+    Beyond the inner cut the integrand at jump sizes ``x`` is
+    ``tail(x, log ν(x)) + weight(x) ν(x)``, either part optional: ``tail``
+    (see :func:`exp_tail_integrand`) works in log space, ``weight``
+    multiplies the density itself.  ``converges`` is decided by the caller
+    from tail-decay hints; a divergent side contributes ``div_sign * inf``.
     """
 
-    tail_f: Optional[Callable[[np.ndarray], np.ndarray]]
-    converges: Optional[bool]
+    tail: Optional[Callable[..., np.ndarray]]
+    converges: bool
     div_sign: int = 1
+    weight: Optional[Fn] = None
+
+    @property
+    def empty(self) -> bool:
+        return self.tail is None and self.weight is None
 
 
-def _tail_value(nu: LevyMeasure, side: int, plan: SidePlan,
-                q: QuadratureSettings) -> Tuple[ExtReal, float]:
-    if plan.tail_f is None:
+def _density_product(nu: LevyMeasure, side: int, tail, weight
+                     ) -> Callable[[float], float]:
+    """``s -> tail(x, log ν(x)) + weight(x) ν(x)`` at ``x = side*s``."""
+
+    def f(s: float) -> float:
+        x = side * np.asarray(s, dtype=float)
+        with np.errstate(all="ignore"):
+            if weight is None:
+                return float(tail(x, nu.log_density(x)))
+            w = weight(x) * nu.density(x)
+            return float(w if tail is None else tail(x, nu.log_density(x)) + w)
+
+    return f
+
+
+def _tail_value(nu: LevyMeasure, side: int, f: Optional[Callable[[float], float]],
+                converges: bool, div_sign: int, q: QuadratureSettings,
+                pts: Sequence[float]) -> Tuple[ExtReal, float]:
+    """``∫`` over ``side*x > inner_cut``, split at the breakpoints there; a
+    hinted divergence is a signed infinity without quadrature."""
+    if f is None:
         return ExtReal.finite(0.0), 0.0
-    if plan.converges is False:
-        return (POS_INF if plan.div_sign > 0 else NEG_INF), 0.0
+    if not converges:
+        return (POS_INF if div_sign > 0 else NEG_INF), 0.0
     hi = _tail_upper_limit(nu, side)
     if hi <= q.inner_cut:
         return ExtReal.finite(0.0), 0.0
-    f = _scalar(plan.tail_f)
-    if plan.converges is None and math.isinf(hi):
-        status, out, err = _unhinted_tail(f, q, q.inner_cut)
-    else:
-        out, err, ok = _quad(f, q.inner_cut, hi * (1.0 + 1e-12), q)
-        status = "conv"
+    hi *= 1.0 + 1e-12
+    total, err, lo = 0.0, 0.0, q.inner_cut
+    for p in sorted(p for p in pts if q.inner_cut < p < hi):
+        val, e, ok = _panel_with_log_retry(f, lo, p, q, ())
         if not ok:
-            status, out = _classify_tail(f, q, q.inner_cut)
-            err = q.abs_tol
-    if status == "div":
-        return (POS_INF if out > 0 else NEG_INF), 0.0
-    return ExtReal.finite(out), err
+            raise QuadratureFailure(f"tail panel failed on side {side:+d}")
+        total, err, lo = total + val, err + e, p
+    out, e, ok = _quad(f, lo, hi, q)
+    if not ok:
+        status, out = _classify_tail(f, q, lo)
+        if status == "div":
+            return (POS_INF if out > 0 else NEG_INF), 0.0
+        e = q.abs_tol
+    return ExtReal.finite(total + out), err + e
 
 
 def _inner_value(nu: LevyMeasure, side: int, inner_g, q: QuadratureSettings,
-                 compensated: bool, breakpoints: Sequence[float]) -> Tuple[float, float]:
+                 compensated: bool, pts: Sequence[float]) -> Tuple[float, float]:
     """Integral over ``0 < side*x <= inner_cut``: the [zw, 1] panel plus the
     series window (compensated integrands) or a direct [0, zw] panel, which
     may come back as a signed infinity."""
     if inner_g is None:
         return 0.0, 0.0
-
-    def f(x: float) -> float:
-        xx = np.asarray(side * x, dtype=float)
-        with np.errstate(all="ignore"):
-            return float(np.asarray(inner_g(xx) * nu.density(xx)))
-
+    f = _density_product(nu, side, None, inner_g)
     zw = q.zero_window
-    pts = [abs(b) for b in breakpoints]
     val, err, ok = _panel_with_log_retry(f, zw, q.inner_cut, q, pts)
     if not ok:
         raise QuadratureFailure(f"inner panel failed on side {side:+d}")
@@ -496,86 +574,89 @@ def _inner_value(nu: LevyMeasure, side: int, inner_g, q: QuadratureSettings,
     return val + cval, err + cerr
 
 
+def _pulled_back(pb: _Pullback, q: QuadratureSettings, inner_g: Optional[Fn],
+                 right: SidePlan, left: SidePlan, compensated: bool,
+                 breakpoints: Sequence[float]) -> Tuple[ExtReal, float]:
+    """:func:`two_sided_integral` of an image measure as one over its base:
+    base points within ``u`` of the origin map into the image's inner cut
+    and take ``inner_g``, the others take the image's side plans."""
+    cut = q.inner_cut
+    u_r, u_l = pb.base_distance(+1, cut), pb.base_distance(-1, cut)
+
+    def g(t, log_nu):
+        with np.errstate(all="ignore"):
+            y = pb.phi(t)
+            dens = np.exp(log_nu + pb.tilt * y if pb.tilt else log_nu)
+            if (t <= u_r) if t > 0 else (-t <= u_l):
+                return 0.0 if inner_g is None else inner_g(y) * dens
+            plan = right if t > 0 else left
+            val = 0.0
+            if plan.tail is not None:
+                val = plan.tail(y, log_nu, pb.tilt, pb.log_abs_phi(t))
+            if plan.weight is not None:
+                val = val + plan.weight(y) * dens
+        return val
+
+    def base_plan(plan: SidePlan, u: float) -> SidePlan:
+        if (inner_g is None or u <= cut) and (plan.empty or u == math.inf):
+            return SidePlan(None, True)  # nothing to integrate beyond the cut
+        return SidePlan(g, plan.converges, plan.div_sign)
+
+    pts = [u_r, u_l] + [pb.base_distance(side, abs(b))
+                        for b in breakpoints for side in (+1, -1)]
+    return two_sided_integral(pb.base, q, inner_g=lambda t: g(t, 0.0),
+                              right=base_plan(right, u_r),
+                              left=base_plan(left, u_l),
+                              compensated=compensated, breakpoints=pts)
+
+
 def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
-                       inner_g: Optional[Callable[[np.ndarray], np.ndarray]],
+                       inner_g: Optional[Fn],
                        right: SidePlan, left: SidePlan,
                        compensated: bool = True,
                        breakpoints: Sequence[float] = ()) -> Tuple[ExtReal, float]:
-    """Structured integral of ``g dν`` for a *density* measure.
+    """Structured integral of ``g dν`` for a *density* measure or an image
+    of one.
 
     ``inner_g`` is the raw integrand on ``|x| <= inner_cut`` (or None when
-    it vanishes there); the tail integrands live in the side plans.  Purely
-    atomic measures never reach this function, their sums are exact.
+    it vanishes there); the tail integrands live in the side plans.  Image
+    measures are integrated against their base by pullback.  Purely atomic
+    measures never reach this function, their sums are exact.
     """
-    if (nu.is_symmetric() and (right.tail_f is None) == (left.tail_f is None)
-            and right.converges is not None and left.converges is not None):
-        # fold x -> -x: odd parts cancel exactly, provided neither side
-        # diverges on its own (two opposite divergent tails must surface as
-        # "undefined", not cancel)
-        if not (right.converges and left.converges):
-            total = ExtReal.finite(0.0)
-            if not right.converges:
-                total = total + (POS_INF if right.div_sign > 0 else NEG_INF)
-            if not left.converges:
-                total = total + (POS_INF if left.div_sign > 0 else NEG_INF)
-            return total, 0.0
+    pb = _pullback(nu)
+    if pb is not None:
+        return _pulled_back(pb, q, inner_g, right, left, compensated,
+                            breakpoints)
+    pts = [abs(b) for b in breakpoints]
+
+    def tail(side: int, plan: SidePlan):
+        return (None if plan.empty
+                else _density_product(nu, side, plan.tail, plan.weight))
+
+    if (nu.is_symmetric() and right.empty == left.empty
+            and right.converges and left.converges):
+        # fold x -> -x: odd parts cancel exactly; a side that diverges on
+        # its own is not folded, so two opposite divergent tails surface as
+        # "undefined" instead of cancelling
         folded_tail = None
-        if right.tail_f is not None:
-            rf, lf = right.tail_f, left.tail_f
+        if not right.empty:
+            rf, lf = tail(+1, right), tail(-1, left)
             folded_tail = lambda s: rf(s) + lf(s)
         folded_inner = None
         if inner_g is not None:
             gi = inner_g
             folded_inner = lambda x: gi(x) + gi(-x)
-        tail, terr = _tail_value(nu, +1, SidePlan(folded_tail, True), q)
-        inner, ierr = _inner_value(nu, +1, folded_inner, q, compensated,
-                                   breakpoints)
-        return tail + ExtReal.finite(inner), terr + ierr
+        t, terr = _tail_value(nu, +1, folded_tail, True, 1, q, pts)
+        inner, ierr = _inner_value(nu, +1, folded_inner, q, compensated, pts)
+        return t + ExtReal.finite(inner), terr + ierr
 
-    tr, er = _tail_value(nu, +1, right, q)
-    tl, el = _tail_value(nu, -1, left, q)
+    tr, er = _tail_value(nu, +1, tail(+1, right), right.converges,
+                         right.div_sign, q, pts)
+    tl, el = _tail_value(nu, -1, tail(-1, left), left.converges,
+                         left.div_sign, q, pts)
     total = tr + tl
     if not total.is_finite:
         return total, 0.0
-    ir, eir = _inner_value(nu, +1, inner_g, q, compensated, breakpoints)
-    il, eil = _inner_value(nu, -1, inner_g, q, compensated, breakpoints)
+    ir, eir = _inner_value(nu, +1, inner_g, q, compensated, pts)
+    il, eil = _inner_value(nu, -1, inner_g, q, compensated, pts)
     return total + ExtReal.finite(ir + il), er + el + eir + eil
-
-
-def levy_integral(nu: LevyMeasure, g: Callable[[np.ndarray], np.ndarray],
-                  q: QuadratureSettings = DEFAULT_SETTINGS,
-                  kind: str = "plain") -> ExtReal:
-    """Integrate a user integrand against a jump measure.
-
-    ``kind="plain"`` integrates ``g`` as given (``g`` piecewise smooth);
-    ``kind="small_jump_compensated"`` asserts ``g(x) = O(x^2)`` at the
-    origin and activates the series window there.  Atom sums are exact;
-    divergent integrals come back as signed infinities; integrals that can
-    be neither computed nor classified raise :class:`QuadratureFailure`.
-    """
-    if kind not in ("plain", "small_jump_compensated"):
-        raise ValueError(f"unknown integral kind {kind!r}")
-
-    atoms = nu.atoms()
-    if atoms is not None:
-        if not atoms:
-            return ExtReal.finite(0.0)
-        positions = np.array([p for p, _ in atoms], dtype=float)
-        masses = np.array([m for _, m in atoms], dtype=float)
-        values = np.asarray(g(positions), dtype=float)
-        return ExtReal.finite(float(math.fsum(masses * values)))
-
-    def tail(side: int) -> SidePlan:
-        # an arbitrary integrand carries no decay hint; where the density
-        # has underflowed to 0 the product is 0 even if g overflowed
-        def f(s: np.ndarray) -> np.ndarray:
-            x = side * np.asarray(s, dtype=float)
-            with np.errstate(all="ignore"):
-                d = nu.density(x)
-                return np.where(d > 0, g(x) * d, 0.0)
-        return SidePlan(f, None)
-
-    val, _ = two_sided_integral(nu, q, inner_g=g, right=tail(+1),
-                                left=tail(-1),
-                                compensated=kind == "small_jump_compensated")
-    return val

@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .extreal import ExtReal, NEG_INF, POS_INF
 from .measures import (ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage,
                        zero_measure)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, SidePlan,
-                         expm1_minus_x, one_sided_integral,
+                         exp_tail_integrand, expm1_minus_x, one_sided_integral,
                          small_jump_variation, tail_mass, two_sided_integral)
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "is_monotone",
     "geometric_to_linear",
     "linear_to_geometric",
-    "exp_tail_integrand",
 ]
 
 
@@ -124,40 +123,12 @@ def as_validated(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Va
 
 
 # ---------------------------------------------------------------------------
-# overflow-safe tail integrands
-# ---------------------------------------------------------------------------
-
-
-def exp_tail_integrand(nu: LevyMeasure, side: int, kappa: float, *,
-                       prefactor: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                       log_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                       subtract: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Integrand ``s -> p(x) e^{κx + w(x)} ν(x) + subtract * ν(x)`` at
-    ``x = side * s`` for tail distances ``s``.
-
-    Exponential factors are assembled in log space, so a density that
-    underflows never meets a tilt that overflows.
-    """
-
-    def f(s: np.ndarray) -> np.ndarray:
-        x = side * np.asarray(s, dtype=float)
-        with np.errstate(all="ignore"):
-            expo = kappa * x + nu.log_density(x)
-            if log_weight is not None:
-                expo = expo + log_weight(x)
-            val = np.exp(expo)
-            if prefactor is not None:
-                val = val * prefactor(x)
-            if subtract != 0.0:
-                val = val + subtract * nu.density(x)
-        return val
-
-    return f
-
-
-# ---------------------------------------------------------------------------
 # cumulant and its derivative
 # ---------------------------------------------------------------------------
+
+
+def _minus_one(x: np.ndarray) -> float:
+    return -1.0
 
 
 def _atoms_cumulant_jumps(atoms, kappa: float, cut: float) -> float:
@@ -192,8 +163,9 @@ def cumulant(t: TripletLike, kappa: float,
     right_ok = nu.right_tail().moment_finite(0, kappa)
     left_ok = nu.left_tail().moment_finite(0, -kappa)
     # e^{κx} - 1 is positive wherever it diverges, on either side
-    right = SidePlan(exp_tail_integrand(nu, +1, kappa, subtract=-1.0), right_ok, +1)
-    left = SidePlan(exp_tail_integrand(nu, -1, kappa, subtract=-1.0), left_ok, +1)
+    tail = exp_tail_integrand(kappa)
+    right = SidePlan(tail, right_ok, +1, weight=_minus_one)
+    left = SidePlan(tail, left_ok, +1, weight=_minus_one)
     inner = lambda x: expm1_minus_x(kappa * x)
     jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left,
                                   compensated=True)
@@ -228,9 +200,9 @@ def cumulant_derivative(t: TripletLike, kappa: float,
 
     right_ok = nu.right_tail().moment_finite(1, kappa)
     left_ok = nu.left_tail().moment_finite(1, -kappa)
-    ident = lambda x: x
-    right = SidePlan(exp_tail_integrand(nu, +1, kappa, prefactor=ident), right_ok, +1)
-    left = SidePlan(exp_tail_integrand(nu, -1, kappa, prefactor=ident), left_ok, -1)
+    tail = exp_tail_integrand(kappa, power=1)
+    right = SidePlan(tail, right_ok, +1)
+    left = SidePlan(tail, left_ok, -1)
     if kappa == 0.0:
         inner = None  # x e^{0x} - h(x) vanishes identically inside the cut
     else:
@@ -364,12 +336,11 @@ def _conversion_drift_integral(nu: LevyMeasure, q: QuadratureSettings) -> float:
 
     # right tail (x > 1): integrand vanishes; left tail (x < -1): e^x - 1,
     # bounded, so always convergent
-    left_f = exp_tail_integrand(nu, -1, 1.0, subtract=-1.0)
     val, _ = two_sided_integral(
         nu, q,
         inner_g=inner,
         right=SidePlan(None, True),
-        left=SidePlan(left_f, True),
+        left=SidePlan(exp_tail_integrand(1.0), True, weight=_minus_one),
         compensated=True,
         breakpoints=(_LN2,),
     )

@@ -413,13 +413,8 @@ def entropy_estimate(pack: SamplePack, kappa: float) -> Tuple[float, float]:
     vals = pack.values
     if kappa == 0.0:
         return 0.0, 0.0
-    lw = kappa * vals
-    shift = float(lw.max())
-    w = np.exp(lw - shift)
-    ess = float(w.sum()) ** 2 / float((w * w).sum())
-    if ess < _MIN_ESS:
-        raise DegenerateWeights(
-            f"effective sample size {ess:.2f} < {_MIN_ESS:g} at kappa={kappa}")
+    w = _norm_weights(vals, kappa)
+    shift = float((kappa * vals).max())
     B = float(w.mean())
     A = float((w * vals).mean())
     log_phi_hat = shift + math.log(B)

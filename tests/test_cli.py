@@ -13,7 +13,9 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from scipy import integrate, optimize
 
 from levy_emm.cli import main
 
@@ -33,6 +35,43 @@ def run(tmp_path, *argv):
     report = json.loads(out.read_text())
     jsonschema.validate(report, _SCHEMA)
     return code, report
+
+
+def _stable_linear_root(alpha: float, b: float) -> float:
+    """Root of ``c_L'`` for the stochastic logarithm of ``b t`` plus a
+    symmetric ``alpha``-stable pure-jump process, by x-space quadrature
+    over the log-jumps ``x`` (price jumps ``y = e^x - 1``)."""
+    ln2 = math.log(2.0)
+
+    def quad(f):
+        # x = ±u^2 near the origin smooths the density's singularity
+        total = 0.0
+        for sgn, end in ((1.0, math.sqrt(ln2)), (-1.0, 1.0)):
+            total += integrate.quad(lambda u: 2 * u * f(sgn * u * u), 0.0, end,
+                                    epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+        for a, c in ((ln2, 1.0), (1.0, math.inf), (-math.inf, -1.0)):
+            total += integrate.quad(f, a, c, epsabs=1e-15, epsrel=1e-13,
+                                    limit=400)[0]
+        return total
+
+    def dens(x):
+        return abs(x) ** (-1.0 - alpha)
+
+    # drift: b + ∫ [y 1{|y| <= 1} - x 1{|x| <= 1}] ν(dx)
+    b_lin = b + quad(lambda x: ((math.expm1(x) if x <= ln2 else 0.0)
+                                - (x if abs(x) <= 1.0 else 0.0)) * dens(x))
+
+    def c_prime(kappa):
+        def f(x):
+            if x <= ln2:
+                y = math.expm1(x)
+                return y * math.expm1(kappa * y) * dens(x)
+            with np.errstate(over="ignore"):
+                y = float(np.expm1(x))  # inf far out, where e^{κy} is 0
+            return math.exp(kappa * y + x + math.log(-math.expm1(-x))) * dens(x)
+        return b_lin + quad(f)
+
+    return optimize.brentq(c_prime, -5.0, -1e-3, xtol=1e-14)
 
 
 class TestSolve:
@@ -67,6 +106,30 @@ class TestSolve:
         assert res["status"] == "emm_exists"
         assert res["statuses_consistent"] is True
         assert "linear_equivalent" in res
+
+    def test_geometric_stable_spec(self, tmp_path, write_spec):
+        # the geometric tilt needs e^{κX} moments, which a stable law
+        # lacks; the stochastic logarithm's tilt exists, so the two
+        # statuses disagree, and that is the answer
+        doc = {"version": 1, "name": "g", "market": "geometric", "S0": 1,
+               "b": 0.05, "sigma2": 0, "T": 1,
+               "nu": {"kind": "symmetric_alpha_stable", "alpha": 1.5}}
+        code, rep = run(tmp_path, "solve", write_spec(doc))
+        assert code == 0
+        res = rep["results"]
+        assert res["status"] == "no_emm"
+        assert res["linear_equivalent"]["status"] == "emm_exists"
+        assert res["statuses_consistent"] is False
+
+    def test_geometric_stable_linear_root(self, tmp_path, write_spec):
+        alpha, b = 0.8, 0.05
+        doc = {"version": 1, "name": "g", "market": "geometric", "S0": 1,
+               "b": b, "sigma2": 0, "T": 1,
+               "nu": {"kind": "symmetric_alpha_stable", "alpha": alpha}}
+        code, rep = run(tmp_path, "solve", write_spec(doc))
+        assert code == 0
+        got = rep["results"]["linear_equivalent"]["kappa0"]
+        assert got == pytest.approx(_stable_linear_root(alpha, b), abs=1e-9)
 
     def test_market_override_flag(self, tmp_path):
         spec = str(_MODELS / "geometric_brownian.json")
@@ -222,6 +285,15 @@ class TestMcCheck:
         assert abs(res["martingale_defect"]["z"]) <= 5
         assert abs(res["entropy"]["z"]) <= 5
         assert res["entropy"]["analytic"] > 0
+
+    def test_auto_kappa_solves_once(self, tmp_path, call_counts):
+        # the analytic entropy is the solve's own, not a second evaluation
+        calls = call_counts("exp_moment_interval")
+        code, rep = run(tmp_path, "mc-check", str(_MODELS / "kou.json"),
+                        "--samples", "2000")
+        assert code == 0
+        assert rep["results"]["entropy"]["analytic"] > 0
+        assert calls == {"exp_moment_interval": 1}
 
     def test_explicit_kappa(self, tmp_path):
         code, rep = run(tmp_path, "mc-check", str(_MODELS / "kou.json"),

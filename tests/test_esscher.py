@@ -30,6 +30,7 @@ from levy_emm import (
     cumulant_derivative,
     esscher_entropy,
     esscher_transform,
+    geometric_to_linear,
     memm_report,
     solve_geometric_emm,
     solve_linear_emm,
@@ -116,6 +117,20 @@ class TestTransform:
             lhs = cumulant(tilted, u).value
             rhs = cumulant(cgmy_y05, u + 1.3).value - c_k
             assert math.isclose(lhs, rhs, rel_tol=1e-8, abs_tol=1e-12)
+
+    def test_shift_identity_converted_kou(self, kou):
+        # the price-jump image has I = (-inf, 0]: the tilted image is
+        # integrated by pullback with the tilt in its log density, up to
+        # the tilted interval's closed end u = -k
+        lin = geometric_to_linear(kou)
+        k = solve_linear_emm(lin, 1.0).kappa0
+        assert k < 0
+        tilted = esscher_transform(lin, k)
+        c_k = cumulant(lin, k).value
+        for u in (-2.0, -0.5, 0.5 * -k, -k):
+            lhs = cumulant(tilted, u).value
+            rhs = cumulant(lin, u + k).value - c_k
+            assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12), u
 
     def test_outside_interval_rejected(self, kou, vg):
         with pytest.raises(KappaOutsideI):

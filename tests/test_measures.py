@@ -327,26 +327,21 @@ class TestWrappers:
         assert float(nu.density(np.array(2.0))) == pytest.approx(
             math.exp(-2.0) / 2.0)
 
-    def test_exp_jump_image_density(self):
-        # density change of variables: nu_img(y) = nu(log(1+y)) / (1+y)
-        base = JumpDiffusion(1.0, GaussianJumps(-0.1, 0.2))
-        img = ExpJumpImage(base)
-        y = np.array([-0.3, 0.5, 2.0])
-        np.testing.assert_allclose(
-            img.density(y),
-            base.density(np.log1p(y)) / (1.0 + y), rtol=1e-12)
-        # no mass at or below -1
-        assert float(img.density(np.array(-1.5))) == 0.0
-
-    def test_log_jump_image_density(self):
-        # admissible: positive jumps only, so no mass near -1
-        base = JumpDiffusion(1.0, DoubleExponentialJumps(1.0, 2.0, 3.0))
-        img = LogJumpImage(base)
-        x = np.array([0.2, 0.9, 2.0])
-        np.testing.assert_allclose(
-            img.density(x), base.density(np.expm1(x)) * np.exp(x),
-            rtol=1e-12)
-        assert img.right_tail() == TailDecay.superexp()
+    def test_exp_jump_image_tail_is_exact(self):
+        # at tilt 0 the weight-w moment of the price jumps is the base's
+        # e^{wx} moment; below 0 every moment converges, above none does
+        cgmy = ExpJumpImage(CGMY(1.0, 5.0, 1.0, 0.5)).right_tail()
+        assert cgmy.tilt_sup() == 0.0
+        assert cgmy.moment_finite(1, 0.0)  # rate 1, power -1.5 < -1
+        assert not cgmy.moment_finite(2, 0.0)
+        assert cgmy.moment_finite(5, -1e-6) and not cgmy.moment_finite(0, 1e-6)
+        stable = ExpJumpImage(SymmetricAlphaStable(1.5)).right_tail()
+        assert stable.moment_finite(0, 0.0) and not stable.moment_finite(1, 0.0)
+        tilted = stable.tilted(-0.5)  # e^{-0.5 y} times the image tail
+        assert tilted.tilt_sup() == 0.5 and tilted.moment_finite(0, 0.5)
+        assert not tilted.moment_finite(1, 0.5)
+        bounded = ExpJumpImage(FiniteAtomic(((0.5, 1.0),))).right_tail()
+        assert bounded == TailDecay.bounded(math.expm1(0.5))
 
     def test_log_jump_image_rejects_mass_at_minus_one(self):
         from levy_emm.errors import UnsupportedMeasure

@@ -26,6 +26,7 @@ from levy_emm import (
     cumulant,
     cumulant_derivative,
     exp_moment_interval,
+    geometric_to_linear,
     minimize_mgf,
 )
 from levy_emm.errors import ArbitrageMarketError
@@ -137,6 +138,16 @@ class TestExpMomentInterval:
         assert (iv.a.value, iv.b.value) == (-5.0, 5.0)
         assert (iv.a_in_I, iv.b_in_I, iv.a_in_E, iv.b_in_E) \
             == (False, True, False, True)
+
+    def test_price_jump_image_at_the_rate_edge(self):
+        # log-jumps CGMY(1, 5, M=1, 0.5): the price jumps' first moment is
+        # the base's e^x moment at its rate, finite by the x^{-1.5} factor
+        lin = geometric_to_linear(LevyTriplet(0.05, 0.0, CGMY(1.0, 5.0, 1.0, 0.5)))
+        iv = exp_moment_interval(lin)
+        assert (iv.b.value, iv.b_in_I, iv.b_in_E) == (0.0, True, True)
+        # ∫_{x > ln 2} (e^x - 1) e^{-x} x^{-1.5} dx, by mpmath
+        assert math.isclose(cumulant_derivative(lin, 0.0).value,
+                            lin.b + 2.0484684017643, rel_tol=1e-12)
 
 
 def _kou_derivative(k):

@@ -3,7 +3,9 @@
 No module imports another module's private (``_``-prefixed) name, not even
 inside a function, and only the quadrature layer calls into
 ``scipy.integrate``: every integral against a jump measure goes through
-``levy_core/quadrature.py``.
+``levy_core/quadrature.py``.  That layer is also the only caller of a
+measure's ``density``/``log_density`` outside the measures themselves, so
+no integrand multiplies by a jump density on its own.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "levy_emm"
 _MODULES = sorted(_PACKAGE.rglob("*.py"))
 _QUADRATURE = _PACKAGE / "levy_core" / "quadrature.py"
+_MEASURES = _PACKAGE / "levy_core" / "measures.py"
 
 
 def _module_name(path: Path) -> str:
@@ -64,3 +67,15 @@ def test_only_quadrature_imports_scipy_integrate(path):
             or (module == "scipy" and name == "integrate")]
     assert path == _QUADRATURE or not uses, (
         f"{_module_name(path)} imports scipy.integrate: {uses}")
+
+
+@pytest.mark.parametrize("path", _MODULES,
+                         ids=[_module_name(p) for p in _MODULES])
+def test_only_the_kernel_evaluates_densities(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = sorted({node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("density", "log_density")})
+    assert path in (_QUADRATURE, _MEASURES) or not calls, (
+        f"{_module_name(path)} evaluates a jump density on lines {calls}")

@@ -17,10 +17,13 @@ from scipy import integrate
 
 from levy_emm import (
     CGMY,
+    DoubleExponentialJumps,
     ExpJumpImage,
     FiniteAtomic,
     GenericDensity,
+    JumpDiffusion,
     LevyTriplet,
+    LogJumpImage,
     Monotonicity,
     QuadratureSettings,
     TailDecay,
@@ -475,6 +478,30 @@ class TestConversions:
         want = 0.03 + 0.5 * 0.02 + 1.5 * mismatch
         assert math.isclose(lin.b, want, rel_tol=1e-9)
 
+    def test_log_jump_image_round_trip(self):
+        # one-sided Kou price jumps: the log-price measure is their image
+        # under log(1 + y), integrated against the price jumps by pullback
+        price = JumpDiffusion(1.5, DoubleExponentialJumps(1.0, 3.0, 6.0))
+        lin = LevyTriplet(0.02, 0.04, price)
+        geo = linear_to_geometric(lin)
+        assert isinstance(geo.nu, LogJumpImage) and geo.nu.base == price
+
+        def dens(y):
+            return 1.5 * 3.0 * math.exp(-3.0 * y)
+
+        # b_G = b - σ²/2 - ∫ [y 1{y <= 1} - log(1+y) 1{log(1+y) <= 1}] ν(dy)
+        mismatch = 0.0
+        for lo, hi in ((0.0, 1.0), (1.0, math.e - 1.0)):
+            val, _ = integrate.quad(
+                lambda y: ((y if y <= 1.0 else 0.0) - math.log1p(y)) * dens(y),
+                lo, hi, limit=200)
+            mismatch += val
+        assert math.isclose(geo.b, 0.02 - 0.02 - mismatch, rel_tol=1e-10)
+        back = geometric_to_linear(geo)
+        assert back.nu == price
+        assert math.isclose(back.b, lin.b, rel_tol=1e-12)
+        assert back.sigma2 == lin.sigma2
+
     def test_jump_to_minus_one_rejected(self):
         for pos in (-1.0, -1.5):
             t = LevyTriplet(0.0, 0.0, FiniteAtomic(((pos, 0.5),)))
@@ -502,17 +529,33 @@ class TestTailIntegrandHelper:
         from levy_emm.levy_core import exp_tail_integrand
 
         nu = vg.nu
-        f = exp_tail_integrand(nu, +1, 2.0, prefactor=lambda x: x * x,
-                               subtract=-1.0)
+        f = exp_tail_integrand(2.0, prefactor=lambda x: x * x)
         for s in (1.0, 2.5, 4.0):
-            naive = (s * s * math.exp(2.0 * s) - 1.0) * float(nu.density(np.asarray(s)))
-            assert math.isclose(float(f(np.asarray(s))), naive, rel_tol=1e-12)
+            x = np.asarray(s)
+            naive = s * s * math.exp(2.0 * s) * float(nu.density(x))
+            assert math.isclose(float(f(x, nu.log_density(x))), naive,
+                                rel_tol=1e-12)
 
-        g = exp_tail_integrand(nu, -1, 2.0, log_weight=lambda x: -x * x)
+        g = exp_tail_integrand(2.0, log_weight=lambda x: -x * x)
         for s in (1.0, 3.0):
-            x = -s
-            naive = math.exp(2.0 * x - x * x) * float(nu.density(np.asarray(x)))
-            assert math.isclose(float(g(np.asarray(s))), naive, rel_tol=1e-12)
+            x = np.asarray(-s)
+            naive = math.exp(2.0 * -s - s * s) * float(nu.density(x))
+            assert math.isclose(float(g(x, nu.log_density(x))), naive,
+                                rel_tol=1e-12)
+
+        # image measures: the kernel adds the image's tilt and takes the
+        # power in log space, where the price jump itself may overflow
+        h = exp_tail_integrand(-0.5, power=1)
+        x = np.asarray(3.0)
+        assert math.isclose(
+            float(h(x, nu.log_density(x), tilt=0.25,
+                    log_abs_x=math.log(3.0))),
+            3.0 * math.exp(-0.25 * 3.0) * float(nu.density(x)), rel_tol=1e-12)
+        t = 800.0  # e^t - 1 overflows; x e^{-x} e^{-t} is still a number
+        assert float(h(np.asarray(math.inf), -t, log_abs_x=t)) == 0.0
+        assert math.isclose(
+            float(exp_tail_integrand(0.0, power=1)(np.asarray(math.inf), -t,
+                                                   log_abs_x=t)), 1.0)
 
     def test_no_nan_when_density_underflows(self, vg):
         from levy_emm.levy_core import exp_tail_integrand
@@ -522,8 +565,9 @@ class TestTailIntegrandHelper:
         with np.errstate(all="ignore"):
             naive = math.inf * float(nu.density(np.asarray(s)))  # 0 * inf
         assert math.isnan(naive)
-        f = exp_tail_integrand(nu, +1, 8.9)
-        val = float(f(np.asarray(s)))
+        f = exp_tail_integrand(8.9)
+        x = np.asarray(s)
+        val = float(f(x, nu.log_density(x)))
         assert val == 0.0
 
 
