@@ -20,9 +20,10 @@ import numpy as np
 from .errors import LevyEmmError, PenaltyViolation
 from .esscher import solve_linear_emm
 from .levy_core.measures import FiniteAtomic, LevyMeasure, Tempered
-from .levy_core.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                                   SidePlan, exp_entropy_term,
-                                   exp_tail_integrand, two_sided_integral)
+from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
+                                   QuadratureSettings, SidePlan,
+                                   exp_entropy_term, exp_tail_integrand,
+                                   two_sided_integral)
 from .levy_core.triplets import LevyTriplet, TripletLike, as_validated
 from .mgf_analysis import minimize_mgf
 
@@ -46,21 +47,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PenaltyFamily:
-    """A decreasing family of superlinear penalties ``ρ_n >= 0``.
+    """A decreasing family of superlinear penalties ``ρ_n >= 0`` that
+    vanish on ``|x| <= 1``, so small jumps are never tempered.
 
     ``rho(n, x)`` must be vectorised in ``x``.  The declared flags record
     structural facts the numerics rely on: ``superlinear`` (``|x|/ρ_n(x)``
     vanishes at infinity, which makes ``e^{-ρ_n}`` beat every exponential
-    tilt), ``vanishes_inside`` (``ρ_n = 0`` on ``|x| <= 1``, keeping small
-    jumps untouched), and ``even`` (``ρ_n(-x) = ρ_n(x)``, preserving
-    symmetry of symmetric measures).  :func:`check_penalty` verifies the
-    declarations numerically.
+    tilt) and ``even`` (``ρ_n(-x) = ρ_n(x)``, preserving symmetry of
+    symmetric measures).  :func:`check_penalty` verifies the declarations
+    numerically.
     """
 
     kind: str
     rho: Callable[[int, np.ndarray], np.ndarray]
     superlinear: bool = True
-    vanishes_inside: bool = True
     even: bool = True
 
     @staticmethod
@@ -93,10 +93,10 @@ class PenaltyFamily:
 
     @staticmethod
     def custom(rho: Callable[[int, np.ndarray], np.ndarray], *,
-               superlinear: bool = True, vanishes_inside: bool = True,
+               superlinear: bool = True,
                even: bool = True) -> "PenaltyFamily":
         return PenaltyFamily("custom", rho, superlinear=superlinear,
-                             vanishes_inside=vanishes_inside, even=even)
+                             even=even)
 
     def rho_at(self, n: int, x) -> np.ndarray:
         return np.asarray(self.rho(int(n), np.asarray(x, dtype=float)),
@@ -105,8 +105,8 @@ class PenaltyFamily:
     def validate(self, n: int) -> None:
         """Cheap structural sniff of ``ρ_n``: raises
         :class:`PenaltyViolation` for a family that is not superlinear,
-        not finite and nonnegative, or not zero inside the unit ball when
-        it says so.  :func:`check_penalty` is the numerical diagnosis."""
+        not finite and nonnegative, or not zero inside the unit ball.
+        :func:`check_penalty` is the numerical diagnosis."""
         if not self.superlinear:
             raise PenaltyViolation(
                 f"penalty family {self.kind!r} is not superlinear: "
@@ -120,10 +120,8 @@ class PenaltyFamily:
             raise PenaltyViolation(
                 f"|x|/rho_n(x) does not decay ({r_mid:.3g} at 1e3 vs "
                 f"{r_far:.3g} at 1e6): penalty is not superlinear")
-        if (self.vanishes_inside
-                and np.any(self.rho_at(n, np.array([-0.9, 0.5, 1.0])) != 0.0)):
-            raise PenaltyViolation(
-                "penalty declared to vanish on |x| <= 1 but does not")
+        if np.any(self.rho_at(n, np.array([-0.9, 0.5, 1.0])) != 0.0):
+            raise PenaltyViolation("penalty must vanish on |x| <= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +132,10 @@ class PenaltyFamily:
 def _no_outer_mass(nu: LevyMeasure, q: QuadratureSettings) -> bool:
     atoms = nu.atoms()
     if atoms is not None:
-        return all(abs(pos) <= q.inner_cut for pos, _ in atoms)
+        return all(abs(pos) <= INNER_CUT for pos, _ in atoms)
     r, l = nu.right_tail(), nu.left_tail()
-    return (r.kind == "bounded" and r.cutoff <= q.inner_cut
-            and l.kind == "bounded" and l.cutoff <= q.inner_cut)
+    return (r.kind == "bounded" and r.cutoff <= INNER_CUT
+            and l.kind == "bounded" and l.cutoff <= INNER_CUT)
 
 
 def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int,
@@ -221,13 +219,7 @@ def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
 
     plan = SidePlan(exp_tail_integrand(kappa, prefactor=pre, log_weight=log_w),
                     True)
-    inner = None
-    if not p.vanishes_inside:
-        def inner(x):
-            with np.errstate(all="ignore"):
-                return p.rho_at(n, x) * np.exp(kappa * x - p.rho_at(n, x))
-    val, _ = two_sided_integral(nu, q, inner_g=inner, right=plan, left=plan,
-                                compensated=False)
+    val, _ = two_sided_integral(nu, q, inner_g=None, right=plan, left=plan)
     return val.value
 
 
@@ -258,9 +250,8 @@ def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
                          weight=entropy)
         left = SidePlan(None, nu.left_tail().moment_finite(0, 0.0),
                         weight=entropy)
-        val, _ = two_sided_integral(
-            nu, q, inner_g=inner if p.vanishes_inside else entropy,
-            right=right, left=left, compensated=True)
+        val, _ = two_sided_integral(nu, q, inner_g=inner, right=right,
+                                    left=left)
         jump_part = val.value
     return horizon * (vt.sigma2 * kappa * kappa / 2.0 + jump_part)
 

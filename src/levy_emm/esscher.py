@@ -19,8 +19,9 @@ from scipy.optimize import brentq
 
 from .errors import KappaOutsideI
 from .levy_core.extreal import ExtReal
-from .levy_core.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                                   SidePlan, two_sided_integral)
+from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
+                                   QuadratureSettings, SidePlan,
+                                   two_sided_integral)
 from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
                                  as_validated, cumulant, cumulant_derivative,
                                  geometric_to_linear, is_monotone)
@@ -55,7 +56,7 @@ def _tilt_drift_correction(vt, kappa: float, q: QuadratureSettings) -> float:
     if atoms is not None:
         with np.errstate(over="ignore"):
             return float(math.fsum(m * p * np.expm1(kappa * p)
-                                   for p, m in atoms if abs(p) <= q.inner_cut))
+                                   for p, m in atoms if abs(p) <= INNER_CUT))
 
     def inner(x):
         with np.errstate(over="ignore"):
@@ -63,8 +64,7 @@ def _tilt_drift_correction(vt, kappa: float, q: QuadratureSettings) -> float:
 
     val, _ = two_sided_integral(
         nu, q, inner_g=inner,
-        right=SidePlan(None, True), left=SidePlan(None, True),
-        compensated=True)
+        right=SidePlan(None, True), left=SidePlan(None, True))
     return val.value
 
 

@@ -6,7 +6,7 @@ Density integrals are split into five panels per the package-wide layout::
 
     (-inf, -1] | [-1, -zw] | (-zw, zw) | [zw, 1] | [1, inf)
 
-with ``zw = zero_window``.  :func:`two_sided_integral` is the kernel.
+with ``zw = ZERO_WINDOW``.  :func:`two_sided_integral` is the kernel.
 Callers give it the integrand on the inner cut as a function of the jump
 size, and each tail as a :class:`SidePlan` whose log-space part
 (:func:`exp_tail_integrand`) takes ``log ν`` from the kernel.  The kind of
@@ -15,18 +15,29 @@ each panel picks its QUADPACK policy (Piessens et al. 1983):
 * a tail that its decay hint calls divergent is a signed infinity without
   any quadrature; a convergent one goes to QAGI, with a doubling-panel
   classifier as fallback;
-* the bounded panel ``[zw, 1]`` goes to QAGS, retried in log space;
-* the window ``(-zw, zw)`` is a second-order series for integrands that are
-  O(x^2) by contract (``compensated``), otherwise a strict QAGS panel that
-  falls back to halving-panel classification, so a non-integrable origin
-  comes back as a signed infinity.
+* every bounded panel, ``[zw, 1]`` and the tail up to its last breakpoint,
+  is split at its breakpoints; each piece gets one 21-point Gauss–Kronrod
+  step in ``x``, kept when QUADPACK's own first-step test accepts it, and
+  otherwise QAGS in ``x = e^u``.  An infinite-variation density makes
+  ``[zw, 1]`` span eight decades of a power law; QAGS in ``x`` can then
+  extrapolate its subdivisions to the integral from 0, whereas in ``u``
+  the power law is a smooth exponential.  A smooth integrand (finite
+  activity) passes the first step with 21 evaluations and keeps the value
+  QAGS in ``x`` gives;
+* the window ``(-zw, zw)`` is a second-order series: the inner integrand
+  is O(x^2) by contract, so ``g(zw)/zw^2`` times the window's second
+  moment of ν leaves an error of relative order ``zw`` on the window's own
+  share, and of order ``zw^2`` for a symmetric measure, whose fold makes
+  the integrand even.  That holds only while the panel beside it is
+  integrated from ``zw``: a rule that extrapolated it to 0 would count
+  ``(0, zw)`` twice.
 
 Image measures (:class:`~.measures.ExpJumpImage`,
 :class:`~.measures.LogJumpImage`, and an :class:`~.measures.ExpTilted`
 over either) have no density of their own.  They are integrated by
 pullback onto their base, ``∫ g dν_img = ∫ g(φ(t)) ν(dt)`` with
 ``φ = expm1`` or ``log1p``: each base point goes to the image's inner or
-tail integrand by ``|φ(t)| <= inner_cut`` (the base is split where that
+tail integrand by ``|φ(t)| <= INNER_CUT`` (the base is split where that
 changes, at ``ln 2``, ``e - 1`` and ``e^{-1} - 1``), so the base's own
 hints, panels and origin rule do the work.  A tilt ``e^{κy}`` of the
 image enters as ``κφ(t)`` in ``log ν``.
@@ -60,6 +71,9 @@ from .measures import ExpJumpImage, ExpTilted, LevyMeasure, LogJumpImage
 __all__ = [
     "QuadratureSettings",
     "DEFAULT_SETTINGS",
+    "INNER_CUT",
+    "ZERO_WINDOW",
+    "MAX_SUBDIVISIONS",
     "two_sided_integral",
     "SidePlan",
     "exp_tail_integrand",
@@ -71,28 +85,26 @@ __all__ = [
 ]
 
 
+#: jump size separating small (compensated) jumps from large ones; the
+#: truncation ``h(x) = x 1_{|x| <= 1}``, the penalty families and the
+#: market conversion are all stated against 1
+INNER_CUT = 1.0
+#: half-width of the series window around the origin
+ZERO_WINDOW = 1e-8
+#: QUADPACK's subinterval limit for every adaptive call
+MAX_SUBDIVISIONS = 200
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and panel parameters shared by all integration routines.
-
-    ``inner_cut`` is the jump size separating "small" (compensated) from
-    "large" jumps and ``zero_window`` the half-width of the series window
-    around the origin.
-    """
+    """Absolute and relative tolerances shared by all integration routines."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-11
-    max_subdivisions: int = 200
-    inner_cut: float = 1.0
-    zero_window: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.zero_window < self.inner_cut:
-            raise ValueError("need 0 < zero_window < inner_cut")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions too small")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -134,10 +146,14 @@ def exp_entropy_term(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _tolerances(q: QuadratureSettings) -> Tuple[float, float]:
+    """QUADPACK's ``(epsabs, epsrel)``: a tenth of the kernel's tolerances."""
+    return q.abs_tol * 0.1, max(q.rel_tol * 0.1, 5e-14)
+
+
 def _quad(f: Callable[[float], float], a: float, b: float, q: QuadratureSettings,
-          points: Optional[Sequence[float]] = None,
-          epsabs: Optional[float] = None,
-          sloppy: bool = True) -> Tuple[float, float, bool]:
+          epsabs: Optional[float] = None, sloppy: bool = True,
+          limit: int = MAX_SUBDIVISIONS) -> Tuple[float, float, bool]:
     """One quad call; returns (value, error estimate, converged flag).
 
     Never raises: callers decide whether a sloppy result is fatal, a reason
@@ -145,20 +161,14 @@ def _quad(f: Callable[[float], float], a: float, b: float, q: QuadratureSettings
     refuses warned results outright — required wherever the integrand may
     hide a non-integrable singularity, because the spurious "finite part"
     QUADPACK extrapolates there can be large enough to pass the relative
-    error gate on its own scale.
+    error gate on its own scale.  ``limit=1`` is a single 21-point
+    Gauss–Kronrod step, which QUADPACK always reports as unconverged.
     """
-    kwargs = dict(
-        full_output=1,
-        epsabs=q.abs_tol * 0.1 if epsabs is None else epsabs,
-        epsrel=max(q.rel_tol * 0.1, 5e-14),
-        limit=q.max_subdivisions,
-    )
-    if points is not None and math.isfinite(a) and math.isfinite(b):
-        pts = sorted(p for p in points if a < p < b)
-        if pts:
-            kwargs["points"] = pts
+    abs_default, epsrel = _tolerances(q)
     with np.errstate(all="ignore"):
-        res = integrate.quad(f, a, b, **kwargs)
+        res = integrate.quad(f, a, b, full_output=1,
+                             epsabs=abs_default if epsabs is None else epsabs,
+                             epsrel=epsrel, limit=limit)
     val, err = res[0], res[1]
     ok = len(res) == 3 and math.isfinite(val)
     if not ok and sloppy and math.isfinite(val):
@@ -333,26 +343,30 @@ def _tail_upper_limit(nu: LevyMeasure, side: int) -> float:
     return math.inf
 
 
-def _panel_with_log_retry(f: Callable[[float], float], a: float, b: float,
-                          q: QuadratureSettings,
-                          pts: Sequence[float]) -> Tuple[float, float, bool]:
-    """Quad over ``[a, b] ⊂ (0, inf)``; on failure retry under ``x = e^u``.
+def _panel(f: Callable[[float], float], a: float, b: float,
+           q: QuadratureSettings, pts: Sequence[float] = ()) -> Tuple[float, float]:
+    """``∫_a^b f`` over a bounded panel ``0 < a < b``, split at ``pts``.
 
-    Integrable power singularities at the origin turn into smooth
-    exponentials in log space, which sidesteps the extrapolation-table
-    roundoff QAGS reports on panels spanning many decades.
+    Each piece gets one 21-point Gauss–Kronrod step in ``x``, accepted by
+    QUADPACK's own first-step test; a piece that fails it is integrated by
+    QAGS in ``x = e^u``.  A power singularity just left of ``a`` turns
+    into a smooth exponential there, where QAGS in ``x`` would extrapolate
+    its subdivisions towards the integral from 0.  Raises
+    :class:`QuadratureFailure` when a piece fails in both.
     """
-    val, err, ok = _quad(f, a, b, q, points=pts)
-    if ok or a <= 0.0:
-        return val, err, ok
-    lo, hi = math.log(a), math.log(b)
-    log_pts = [math.log(p) for p in pts if a < p < b]
-    val2, err2, ok2 = _quad(lambda u: f(math.exp(u)) * math.exp(u),
-                            lo, hi, q, points=log_pts)
-    if ok2:
-        return val2, err2, True
-    # neither representation converged: keep the better error estimate
-    return (val, err, False) if err <= err2 else (val2, err2, False)
+    epsabs, epsrel = _tolerances(q)
+    ends = [a] + sorted(p for p in pts if a < p < b) + [b]
+    total = err = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        val, e, _ = _quad(f, lo, hi, q, limit=1)
+        if not e <= max(epsabs, epsrel * abs(val)):
+            val, e, ok = _quad(lambda u: f(math.exp(u)) * math.exp(u),
+                               math.log(lo), math.log(hi), q)
+            if not ok:
+                raise QuadratureFailure(
+                    f"could not integrate the panel [{lo:g}, {hi:g}]")
+        total, err = total + val, err + e
+    return total, err
 
 
 @lru_cache(maxsize=1024)
@@ -368,7 +382,7 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
     doubling-panel classifier as fallback, since a non-integrable origin
     would otherwise pass its spurious finite part; out to infinity, the
     tail-decay hint decides divergence and QAGI the value; a bounded panel
-    away from the origin, QAGS with a log-space retry.  A divergent
+    away from the origin, the panel rule of :func:`_panel`.  A divergent
     integral comes back as ``inf``; a panel that fails raises
     :class:`QuadratureFailure`.  Results are cached.
     """
@@ -413,17 +427,12 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
                 return val
             status, val = _classify_tail(f, q, a)
         else:
-            val, _, ok = _panel_with_log_retry(f, a, b, q, ())
-            if not ok:
-                raise QuadratureFailure(
-                    f"could not integrate the jump density on side {side:+d} "
-                    f"over [{a:g}, {b:g}]")
-            return val
+            return _panel(f, a, b, q)[0]
         return math.inf if status == "div" else val
 
-    if lo == 0.0 and hi > q.inner_cut:
+    if lo == 0.0 and hi > INNER_CUT:
         # an image side can run from the base's origin into its tail
-        return piece(0.0, q.inner_cut) + piece(q.inner_cut, hi)
+        return piece(0.0, INNER_CUT) + piece(INNER_CUT, hi)
     return piece(lo, hi)
 
 
@@ -445,18 +454,18 @@ def _one_sided_x2_mass(nu: LevyMeasure, side: int, r: float,
 
 
 def small_jump_variation(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """``∫_{0 < |x| <= inner_cut} x^2 ν(dx)``; raises if infinite."""
+    """``∫_{0 < |x| <= INNER_CUT} x^2 ν(dx)``; raises if infinite."""
     atoms = nu.atoms()
     if atoms is not None:
-        return math.fsum(m * p * p for p, m in atoms if abs(p) <= q.inner_cut)
+        return math.fsum(m * p * p for p, m in atoms if abs(p) <= INNER_CUT)
     if nu.is_symmetric():
-        return 2.0 * _one_sided_x2_mass(nu, +1, q.inner_cut, q)
-    return (_one_sided_x2_mass(nu, +1, q.inner_cut, q)
-            + _one_sided_x2_mass(nu, -1, q.inner_cut, q))
+        return 2.0 * _one_sided_x2_mass(nu, +1, INNER_CUT, q)
+    return (_one_sided_x2_mass(nu, +1, INNER_CUT, q)
+            + _one_sided_x2_mass(nu, -1, INNER_CUT, q))
 
 
 def _one_sided_tail_mass(nu: LevyMeasure, side: int, q: QuadratureSettings) -> float:
-    val = one_sided_integral(nu, side, 0, q.inner_cut, math.inf, q)
+    val = one_sided_integral(nu, side, 0, INNER_CUT, math.inf, q)
     if math.isinf(val):
         raise NonIntegrableLevyMeasure("infinite jump mass beyond the inner cut")
     if val < 0.0:
@@ -465,10 +474,10 @@ def _one_sided_tail_mass(nu: LevyMeasure, side: int, q: QuadratureSettings) -> f
 
 
 def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """``ν({|x| > inner_cut})``."""
+    """``ν({|x| > INNER_CUT})``."""
     atoms = nu.atoms()
     if atoms is not None:
-        return math.fsum(m for p, m in atoms if abs(p) > q.inner_cut)
+        return math.fsum(m for p, m in atoms if abs(p) > INNER_CUT)
     if nu.is_symmetric():
         return 2.0 * _one_sided_tail_mass(nu, +1, q)
     return _one_sided_tail_mass(nu, +1, q) + _one_sided_tail_mass(nu, -1, q)
@@ -518,22 +527,21 @@ def _density_product(nu: LevyMeasure, side: int, tail, weight
 def _tail_value(nu: LevyMeasure, side: int, f: Optional[Callable[[float], float]],
                 converges: bool, div_sign: int, q: QuadratureSettings,
                 pts: Sequence[float]) -> Tuple[ExtReal, float]:
-    """``∫`` over ``side*x > inner_cut``, split at the breakpoints there; a
-    hinted divergence is a signed infinity without quadrature."""
+    """``∫`` over ``side*x > INNER_CUT``: bounded panels up to the last
+    breakpoint there, then the rest of the tail; a hinted divergence is a
+    signed infinity without quadrature."""
     if f is None:
         return ExtReal.finite(0.0), 0.0
     if not converges:
         return (POS_INF if div_sign > 0 else NEG_INF), 0.0
     hi = _tail_upper_limit(nu, side)
-    if hi <= q.inner_cut:
+    if hi <= INNER_CUT:
         return ExtReal.finite(0.0), 0.0
     hi *= 1.0 + 1e-12
-    total, err, lo = 0.0, 0.0, q.inner_cut
-    for p in sorted(p for p in pts if q.inner_cut < p < hi):
-        val, e, ok = _panel_with_log_retry(f, lo, p, q, ())
-        if not ok:
-            raise QuadratureFailure(f"tail panel failed on side {side:+d}")
-        total, err, lo = total + val, err + e, p
+    lo = max((p for p in pts if INNER_CUT < p < hi), default=INNER_CUT)
+    total = err = 0.0
+    if lo > INNER_CUT:
+        total, err = _panel(f, INNER_CUT, lo, q, pts)
     out, e, ok = _quad(f, lo, hi, q)
     if not ok:
         status, out = _classify_tail(f, q, lo)
@@ -544,44 +552,30 @@ def _tail_value(nu: LevyMeasure, side: int, f: Optional[Callable[[float], float]
 
 
 def _inner_value(nu: LevyMeasure, side: int, inner_g, q: QuadratureSettings,
-                 compensated: bool, pts: Sequence[float]) -> Tuple[float, float]:
-    """Integral over ``0 < side*x <= inner_cut``: the [zw, 1] panel plus the
-    series window (compensated integrands) or a direct [0, zw] panel, which
-    may come back as a signed infinity."""
+                 pts: Sequence[float]) -> Tuple[float, float]:
+    """Integral over ``0 < side*x <= INNER_CUT``: the panel ``[zw, 1]``
+    plus the series window ``(0, zw)``."""
     if inner_g is None:
         return 0.0, 0.0
-    f = _density_product(nu, side, None, inner_g)
-    zw = q.zero_window
-    val, err, ok = _panel_with_log_retry(f, zw, q.inner_cut, q, pts)
-    if not ok:
-        raise QuadratureFailure(f"inner panel failed on side {side:+d}")
-    if compensated:
-        # series window: integrand is O(x^2) by contract, so approximate it
-        # by (g(x)/x^2 at the window edge) * one-sided second moment of ν
-        g_edge = float(np.asarray(inner_g(np.asarray(side * zw, dtype=float))))
-        core = 0.0
-        if g_edge != 0.0:
-            core = (g_edge / (zw * zw)) * _one_sided_x2_mass(nu, side, zw, q)
-        return val + core, err
-    # strict acceptance: a non-integrable origin must not pass its
-    # extrapolated finite part
-    cval, cerr, ok = _quad(f, 0.0, zw, q, sloppy=False)
-    if not ok:
-        status, cval = _classify_origin(f, q, zw)
-        if status == "div":
-            cval = math.copysign(math.inf, cval)
-        cerr = q.abs_tol
-    return val + cval, err + cerr
+    zw = ZERO_WINDOW
+    val, err = _panel(_density_product(nu, side, None, inner_g), zw,
+                      INNER_CUT, q, pts)
+    # series window: the integrand is O(x^2) by contract, so approximate it
+    # by (g(x)/x^2 at the window edge) * one-sided second moment of ν
+    g_edge = float(np.asarray(inner_g(np.asarray(side * zw, dtype=float))))
+    core = 0.0
+    if g_edge != 0.0:
+        core = (g_edge / (zw * zw)) * _one_sided_x2_mass(nu, side, zw, q)
+    return val + core, err
 
 
 def _pulled_back(pb: _Pullback, q: QuadratureSettings, inner_g: Optional[Fn],
-                 right: SidePlan, left: SidePlan, compensated: bool,
+                 right: SidePlan, left: SidePlan,
                  breakpoints: Sequence[float]) -> Tuple[ExtReal, float]:
     """:func:`two_sided_integral` of an image measure as one over its base:
     base points within ``u`` of the origin map into the image's inner cut
     and take ``inner_g``, the others take the image's side plans."""
-    cut = q.inner_cut
-    u_r, u_l = pb.base_distance(+1, cut), pb.base_distance(-1, cut)
+    u_r, u_l = pb.base_distance(+1, INNER_CUT), pb.base_distance(-1, INNER_CUT)
 
     def g(t, log_nu):
         with np.errstate(all="ignore"):
@@ -598,7 +592,7 @@ def _pulled_back(pb: _Pullback, q: QuadratureSettings, inner_g: Optional[Fn],
         return val
 
     def base_plan(plan: SidePlan, u: float) -> SidePlan:
-        if (inner_g is None or u <= cut) and (plan.empty or u == math.inf):
+        if (inner_g is None or u <= INNER_CUT) and (plan.empty or u == math.inf):
             return SidePlan(None, True)  # nothing to integrate beyond the cut
         return SidePlan(g, plan.converges, plan.div_sign)
 
@@ -607,26 +601,25 @@ def _pulled_back(pb: _Pullback, q: QuadratureSettings, inner_g: Optional[Fn],
     return two_sided_integral(pb.base, q, inner_g=lambda t: g(t, 0.0),
                               right=base_plan(right, u_r),
                               left=base_plan(left, u_l),
-                              compensated=compensated, breakpoints=pts)
+                              breakpoints=pts)
 
 
 def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
                        inner_g: Optional[Fn],
                        right: SidePlan, left: SidePlan,
-                       compensated: bool = True,
                        breakpoints: Sequence[float] = ()) -> Tuple[ExtReal, float]:
     """Structured integral of ``g dν`` for a *density* measure or an image
     of one.
 
-    ``inner_g`` is the raw integrand on ``|x| <= inner_cut`` (or None when
-    it vanishes there); the tail integrands live in the side plans.  Image
-    measures are integrated against their base by pullback.  Purely atomic
-    measures never reach this function, their sums are exact.
+    ``inner_g`` is the raw integrand on ``|x| <= INNER_CUT``, ``O(x^2)`` at
+    the origin (or None when it vanishes there); the tail integrands live
+    in the side plans.  Image measures are integrated against their base
+    by pullback.  Purely atomic measures never reach this function, their
+    sums are exact.
     """
     pb = _pullback(nu)
     if pb is not None:
-        return _pulled_back(pb, q, inner_g, right, left, compensated,
-                            breakpoints)
+        return _pulled_back(pb, q, inner_g, right, left, breakpoints)
     pts = [abs(b) for b in breakpoints]
 
     def tail(side: int, plan: SidePlan):
@@ -647,7 +640,7 @@ def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
             gi = inner_g
             folded_inner = lambda x: gi(x) + gi(-x)
         t, terr = _tail_value(nu, +1, folded_tail, True, 1, q, pts)
-        inner, ierr = _inner_value(nu, +1, folded_inner, q, compensated, pts)
+        inner, ierr = _inner_value(nu, +1, folded_inner, q, pts)
         return t + ExtReal.finite(inner), terr + ierr
 
     tr, er = _tail_value(nu, +1, tail(+1, right), right.converges,
@@ -657,6 +650,6 @@ def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
     total = tr + tl
     if not total.is_finite:
         return total, 0.0
-    ir, eir = _inner_value(nu, +1, inner_g, q, compensated, pts)
-    il, eil = _inner_value(nu, -1, inner_g, q, compensated, pts)
+    ir, eir = _inner_value(nu, +1, inner_g, q, pts)
+    il, eil = _inner_value(nu, -1, inner_g, q, pts)
     return total + ExtReal.finite(ir + il), er + el + eir + eil

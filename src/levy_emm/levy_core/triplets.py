@@ -1,7 +1,8 @@
 """Characteristic triplets and their moment functions.
 
 A triplet ``(b, sigma2, nu)`` is stated relative to the truncation
-``h(x) = x * 1_{|x| <= inner_cut}``.  The two workhorses are
+``h(x) = x * 1_{|x| <= INNER_CUT}`` with ``INNER_CUT = 1``.  The two
+workhorses are
 
 * ``cumulant``: ``c(κ) = bκ + σ²κ²/2 + ∫(e^{κx} - 1 - κh(x)) ν(dx)``, with
   ``c(0) = 0`` exactly and value ``+inf`` outside the finite-moment set;
@@ -28,9 +29,10 @@ from ..errors import (JumpBelowMinusOne, NegativeVariance,
 from .extreal import ExtReal, NEG_INF, POS_INF
 from .measures import (ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage,
                        zero_measure)
-from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, SidePlan,
-                         exp_tail_integrand, expm1_minus_x, one_sided_integral,
-                         small_jump_variation, tail_mass, two_sided_integral)
+from .quadrature import (DEFAULT_SETTINGS, INNER_CUT, QuadratureSettings,
+                         SidePlan, exp_tail_integrand, expm1_minus_x,
+                         one_sided_integral, small_jump_variation, tail_mass,
+                         two_sided_integral)
 
 __all__ = [
     "LevyTriplet",
@@ -131,12 +133,12 @@ def _minus_one(x: np.ndarray) -> float:
     return -1.0
 
 
-def _atoms_cumulant_jumps(atoms, kappa: float, cut: float) -> float:
+def _atoms_cumulant_jumps(atoms, kappa: float) -> float:
     total = []
     with np.errstate(over="ignore"):
         for p, m in atoms:
             u = kappa * p
-            if abs(p) <= cut:
+            if abs(p) <= INNER_CUT:
                 total.append(m * float(expm1_minus_x(np.asarray(u))))
             else:
                 total.append(m * float(np.expm1(u)))
@@ -158,7 +160,7 @@ def cumulant(t: TripletLike, kappa: float,
 
     atoms = nu.atoms()
     if atoms is not None:
-        return ExtReal.finite(base + _atoms_cumulant_jumps(atoms, kappa, q.inner_cut))
+        return ExtReal.finite(base + _atoms_cumulant_jumps(atoms, kappa))
 
     right_ok = nu.right_tail().moment_finite(0, kappa)
     left_ok = nu.left_tail().moment_finite(0, -kappa)
@@ -167,8 +169,7 @@ def cumulant(t: TripletLike, kappa: float,
     right = SidePlan(tail, right_ok, +1, weight=_minus_one)
     left = SidePlan(tail, left_ok, +1, weight=_minus_one)
     inner = lambda x: expm1_minus_x(kappa * x)
-    jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left,
-                                  compensated=True)
+    jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left)
     return ExtReal.finite(base) + jumps
 
 
@@ -191,7 +192,7 @@ def cumulant_derivative(t: TripletLike, kappa: float,
         parts = []
         with np.errstate(over="ignore"):
             for p, m in atoms:
-                if abs(p) <= q.inner_cut:
+                if abs(p) <= INNER_CUT:
                     val = p * float(np.expm1(kappa * p))  # x(e^{κx}-1) = xe^{κx}-h
                 else:
                     val = p * float(np.exp(kappa * p))
@@ -207,8 +208,7 @@ def cumulant_derivative(t: TripletLike, kappa: float,
         inner = None  # x e^{0x} - h(x) vanishes identically inside the cut
     else:
         inner = lambda x: x * np.expm1(kappa * x)
-    jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left,
-                                  compensated=True)
+    jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left)
     return ExtReal.finite(base) + jumps
 
 
@@ -262,8 +262,8 @@ def _small_jump_first_variation(nu: LevyMeasure, side: int,
     atoms = nu.atoms()
     if atoms is not None:
         return math.fsum(m * abs(p) for p, m in atoms
-                         if abs(p) <= q.inner_cut and p * side > 0)
-    return one_sided_integral(nu, side, 1, 0.0, q.inner_cut, q)
+                         if abs(p) <= INNER_CUT and p * side > 0)
+    return one_sided_integral(nu, side, 1, 0.0, INNER_CUT, q)
 
 
 def is_monotone(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Monotonicity:
@@ -311,13 +311,12 @@ def _conversion_drift_integral(nu: LevyMeasure, q: QuadratureSettings) -> float:
     The integrand is x²/2 + O(x³) at the origin, equals ``e^x - 1`` below
     -1, ``-x`` on (ln 2, 1], and vanishes above 1.
     """
-    cut = q.inner_cut
 
     def g_full(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         price = np.expm1(x)
         keep_price = np.where(np.abs(price) <= 1.0, price, 0.0)
-        keep_log = np.where(np.abs(x) <= cut, x, 0.0)
+        keep_log = np.where(np.abs(x) <= INNER_CUT, x, 0.0)
         return keep_price - keep_log
 
     atoms = nu.atoms()
@@ -341,7 +340,6 @@ def _conversion_drift_integral(nu: LevyMeasure, q: QuadratureSettings) -> float:
         inner_g=inner,
         right=SidePlan(None, True),
         left=SidePlan(exp_tail_integrand(1.0), True, weight=_minus_one),
-        compensated=True,
         breakpoints=(_LN2,),
     )
     return val.value

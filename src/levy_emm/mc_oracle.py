@@ -31,8 +31,8 @@ from .levy_core.measures import (CGMY, DoubleExponentialJumps, FiniteAtomic,
                                  GaussianJumps, JumpDiffusion, LevyMeasure,
                                  SymmetricAlphaStable, Tempered,
                                  VarianceGamma)
-from .levy_core.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                                   one_sided_integral)
+from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
+                                   QuadratureSettings, one_sided_integral)
 from .levy_core.triplets import TripletLike, as_validated
 
 __all__ = [
@@ -154,8 +154,8 @@ def _one_sided_exp_poly_plan(nu: LevyMeasure, rate: float, power_y: float,
     else:
         # beyond the inner cut this is the tail mass that validation has
         # already integrated (one_sided_integral caches it)
-        lam = (_side_integral(nu, side, 0, eps, q.inner_cut, q)
-               + _side_integral(nu, side, 0, q.inner_cut, math.inf, q))
+        lam = (_side_integral(nu, side, 0, eps, INNER_CUT, q)
+               + _side_integral(nu, side, 0, INNER_CUT, math.inf, q))
 
         def propose(rng, k):
             return eps * rng.random(k) ** (-1.0 / power_y)
@@ -276,11 +276,11 @@ def _truncated_mean(nu: LevyMeasure, lo: float, q: QuadratureSettings) -> float:
     atoms = nu.atoms()
     if atoms is not None:
         return float(math.fsum(p * m for p, m in atoms
-                               if lo < abs(p) <= q.inner_cut))
+                               if lo < abs(p) <= INNER_CUT))
     if nu.is_symmetric():
         return 0.0
-    return (_side_integral(nu, +1, 1, lo, q.inner_cut, q)
-            - _side_integral(nu, -1, 1, lo, q.inner_cut, q))
+    return (_side_integral(nu, +1, 1, lo, INNER_CUT, q)
+            - _side_integral(nu, -1, 1, lo, INNER_CUT, q))
 
 
 def _small_variance(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> float:

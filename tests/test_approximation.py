@@ -19,6 +19,7 @@ from levy_emm import (
     GenericDensity,
     LevyTriplet,
     PenaltyFamily,
+    SymmetricAlphaStable,
     TailDecay,
     approx_sequence,
     check_penalty,
@@ -35,7 +36,7 @@ _SCHEDULE = (1, 4, 16, 64, 256, 1024, 4096, 16384)
 
 def _lying_custom(rho):
     """Declare an invalid penalty as valid, to exercise the diagnostics."""
-    return PenaltyFamily.custom(rho, superlinear=True, vanishes_inside=True)
+    return PenaltyFamily.custom(rho, superlinear=True)
 
 
 def _outside(fn):
@@ -287,3 +288,16 @@ class TestHeavyTailSequence:
         for s in tr.steps:
             assert abs(s.entropy_vs_P - (s.entropy_n + s.correction_n)) <= 1e-12
         assert vs[0] > vs[1] > vs[2] > 0.0
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.7, 1.9])
+    def test_identity_with_drift(self, alpha):
+        # with a drift every κ_n is nonzero, so the identity rests on the
+        # inner integrals of c, c' and the entropy, each counting (0, zw)
+        # once
+        t = LevyTriplet(0.15, 0.0, SymmetricAlphaStable(alpha=alpha))
+        tr = approx_sequence(t, 1.0, PenaltyFamily.default_quadratic(),
+                             (1, 2, 4))
+        assert not tr.failures and len(tr.steps) == 3
+        for s in tr.steps:
+            assert s.kappa_n != 0.0
+            assert abs(s.entropy_vs_P - (s.entropy_n + s.correction_n)) <= 1e-10

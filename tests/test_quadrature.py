@@ -31,18 +31,16 @@ from levy_emm import (
     tail_mass,
 )
 from levy_emm.levy_core.extreal import POS_INF, UNDEFINED
-from levy_emm.levy_core.quadrature import (exp_entropy_term, expm1_minus_x,
-                                           one_sided_integral)
+from levy_emm.levy_core.quadrature import (DEFAULT_SETTINGS, SidePlan,
+                                           exp_entropy_term, expm1_minus_x,
+                                           one_sided_integral,
+                                           two_sided_integral)
 
 
 class TestSettings:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureSettings(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(zero_window=2.0)  # >= inner_cut
-        with pytest.raises(ValueError):
-            QuadratureSettings(max_subdivisions=3)
 
     def test_frozen_and_hashable(self):
         assert hash(QuadratureSettings()) == hash(QuadratureSettings())
@@ -300,6 +298,86 @@ class TestGenericPathAgreesWithCumulant:
                             rel_tol=1e-9)
 
 
+def _stable_inner_series(alpha, kappa, first):
+    """``Σ_{j>=first} κ^j / (j! (j + 2 - first - α))`` at 30 digits: the
+    integral over ``(0, 1]`` of ``(e^{κx} - 1 - κx) x^{-1-α}``
+    (``first = 2``) or of ``x (e^{κx} - 1) x^{-1-α}`` (``first = 1``)."""
+    with mpmath.workdps(30):
+        k, a = mpmath.mpf(kappa), mpmath.mpf(alpha)
+        # |κ| <= 3, so terms past j = 60 are below 1e-50
+        return mpmath.fsum(k ** j / (mpmath.factorial(j) * (j + 2 - first - a))
+                           for j in range(first, 60))
+
+
+def _cgmy_oracle(C, G, M, Y, kappa):
+    """``(c(κ), c'(κ))`` of the driftless CGMY triplet at 30 digits.
+
+    On one side with rate ``r`` and tilt ``k``, the inner integrals over
+    ``(0, 1]`` are power series from ``e^{-rs} = Σ (-rs)^j/j!``, and the
+    tails over ``(1, inf)`` are upper incomplete gamma functions."""
+    with mpmath.workdps(30):
+        C, Y, k = mpmath.mpf(C), mpmath.mpf(Y), mpmath.mpf(kappa)
+
+        def side(r, k):
+            r, a = mpmath.mpf(r), mpmath.mpf(r) - k
+            # |a|, r < 10, so terms past j = 90 are below 1e-40
+            c = mpmath.fsum((a ** j - r ** j + j * k * r ** (j - 1))
+                            * (-1) ** j / (mpmath.factorial(j) * (j - Y))
+                            for j in range(2, 90))
+            cp = mpmath.fsum((a ** j - r ** j) * (-1) ** j
+                             / (mpmath.factorial(j) * (j + 1 - Y))
+                             for j in range(1, 90))
+            c += (a ** Y * mpmath.gammainc(-Y, a)
+                  - r ** Y * mpmath.gammainc(-Y, r))
+            cp += a ** (Y - 1) * mpmath.gammainc(1 - Y, a)
+            return C * c, C * cp
+
+        c_right, cp_right = side(M, k)
+        c_left, cp_left = side(G, -k)
+        return float(c_right + c_left), float(cp_right - cp_left)
+
+
+class TestInfiniteVariationOrigin:
+    """The panel beside the series window is integrated from the window's
+    edge, not from 0, so ``(0, zw)`` is counted once; checked against
+    oracles that share no code with the kernel."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.1, 1.5, 1.7, 1.9, 1.99])
+    def test_stable_inner_integrals_match_the_series(self, alpha):
+        # mpmath.quad itself is off by about 2e-4 at α >= 1.9, the series
+        # is exact
+        nu = SymmetricAlphaStable(alpha=alpha)
+        none = SidePlan(None, True)
+        for kappa in np.linspace(-3.0, 3.0, 13):
+            c_in, _ = two_sided_integral(
+                nu, DEFAULT_SETTINGS, right=none, left=none,
+                inner_g=lambda x: expm1_minus_x(kappa * x))
+            cp_in, _ = two_sided_integral(
+                nu, DEFAULT_SETTINGS, right=none, left=none,
+                inner_g=lambda x: x * np.expm1(kappa * x))
+            # the left side is the right side at -κ, with x -> -x
+            want_c = float(_stable_inner_series(alpha, kappa, 2)
+                           + _stable_inner_series(alpha, -kappa, 2))
+            want_cp = float(_stable_inner_series(alpha, kappa, 1)
+                            - _stable_inner_series(alpha, -kappa, 1))
+            assert math.isclose(c_in.value, want_c, rel_tol=1e-12), (
+                kappa, c_in, want_c)
+            assert math.isclose(cp_in.value, want_cp, rel_tol=1e-12), (
+                kappa, cp_in, want_cp)
+
+    def test_cgmy_above_one_matches_mpmath(self):
+        # Y > 1: the inner integrand is a power law x^{1-Y} over the eight
+        # decades of [zw, 1], and |c'| is far from 0 across I = (-G, M)
+        C, G, M, Y = 0.4357, 4.9045, 4.5985, 1.3593
+        lin = LevyTriplet(0.0, 0.0, CGMY(C=C, G=G, M=M, Y=Y))
+        for kappa in np.linspace(-4.5, 4.4, 48):
+            want_c, want_cp = _cgmy_oracle(C, G, M, Y, kappa)
+            assert math.isclose(cumulant(lin, kappa).value, want_c,
+                                rel_tol=1e-12), kappa
+            assert math.isclose(cumulant_derivative(lin, kappa).value,
+                                want_cp, rel_tol=1e-12), kappa
+
+
 _LN2 = math.log(2.0)
 
 # log-jump measures whose price-jump images ExpJumpImage(ν) are checked
@@ -347,11 +425,7 @@ def _image_oracle(nu, what, kappa=0.0):
                        (_LN2, 1.0), (1.0, math.inf)))
 
 
-# The kernel's series window may count (0, zw) twice where QAGS
-# extrapolates an inner panel to the origin (ROADMAP item 6): for the
-# 0.8-stable at κ = -1 that is 2.1e-10, 9.8e-10 of c_L.  Elsewhere the
-# kernel agrees with the oracle within 4e-10.
-_IMAGE_REL_TOL = 2e-9
+_IMAGE_REL_TOL = 1e-10
 
 
 class TestImageMeasures:

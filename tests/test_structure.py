@@ -3,7 +3,8 @@
 No module imports another module's private (``_``-prefixed) name, not even
 inside a function, and only the quadrature layer calls into
 ``scipy.integrate``: every integral against a jump measure goes through
-``levy_core/quadrature.py``.  That layer is also the only caller of a
+``levy_core/quadrature.py``, whose ``_quad`` is the one caller of
+``scipy.integrate.quad``.  That layer is also the only caller of a
 measure's ``density``/``log_density`` outside the measures themselves, so
 no integrand multiplies by a jump density on its own.
 """
@@ -79,3 +80,37 @@ def test_only_the_kernel_evaluates_densities(path):
                     and node.func.attr in ("density", "log_density")})
     assert path in (_QUADRATURE, _MEASURES) or not calls, (
         f"{_module_name(path)} evaluates a jump density on lines {calls}")
+
+
+class _QuadCallers(ast.NodeVisitor):
+    """Names of the innermost functions that call ``integrate.quad``
+    (``<module>`` for a call at module level)."""
+
+    def __init__(self) -> None:
+        self.stack = ["<module>"]
+        self.callers = set()
+
+    def visit_FunctionDef(self, node) -> None:
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if ast.unparse(node.func) in ("quad", "integrate.quad",
+                                      "scipy.integrate.quad"):
+            self.callers.add(self.stack[-1])
+        self.generic_visit(node)
+
+
+def test_quadpack_has_one_seam():
+    """Every QUADPACK call goes through ``quadrature._quad``, so a panel
+    rule or a replacement kernel changes one function."""
+    found = set()
+    for path in _MODULES:
+        visitor = _QuadCallers()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"),
+                                filename=str(path)))
+        found |= {(_module_name(path), name) for name in visitor.callers}
+    assert found == {("levy_emm.levy_core.quadrature", "_quad")}, found
