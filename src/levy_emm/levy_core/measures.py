@@ -730,7 +730,9 @@ class GenericDensity(LevyMeasure):
 
     Without tail metadata no finite computation can decide whether an
     exponential moment converges, so the declarations are part of the
-    constructor contract.
+    constructor contract.  ``density_fn`` must be elementwise on arrays of
+    any shape: the quadrature kernel calls it once on a whole
+    ``(panels, 21)`` array of nodes.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]

@@ -9,21 +9,31 @@ Density integrals are split into five panels per the package-wide layout::
 with ``zw = ZERO_WINDOW``.  :func:`two_sided_integral` is the kernel.
 Callers give it the integrand on the inner cut as a function of the jump
 size, and each tail as a :class:`SidePlan` whose log-space part
-(:func:`exp_tail_integrand`) takes ``log ν`` from the kernel.  The kind of
-each panel picks its QUADPACK policy (Piessens et al. 1983):
+(:func:`exp_tail_integrand`) takes ``log ν`` from the kernel.  Every
+integrand is array-in, array-out: the rules below rest on QUADPACK's
+21-point Gauss–Kronrod rule ``qk21`` (Piessens et al. 1983), which
+:func:`_gk21` applies to many panels in one call of the integrand, with
+QUADPACK's nodes, weights and error estimate.  The kind of each panel
+picks its rule:
 
 * a tail that its decay hint calls divergent is a signed infinity without
-  any quadrature; a convergent one goes to QAGI, with a doubling-panel
-  classifier as fallback;
+  any quadrature.  A convergent one is summed over the doubling panels
+  ``[lo 2^k, lo 2^(k+1)]``, a chunk of panels per call, until three
+  panels in a row are negligible or the ratios of the last ones predict
+  the rest as a geometric series within the tolerance, which sums a
+  power-law tail exactly.  A panel that fails its error test is refined
+  by bisection, and a non-finite one is an overflow: the integral is a
+  signed infinity;
 * every bounded panel, ``[zw, 1]`` and the tail up to its last breakpoint,
-  is split at its breakpoints; each piece gets one 21-point Gauss–Kronrod
-  step in ``x``, kept when QUADPACK's own first-step test accepts it, and
-  otherwise QAGS in ``x = e^u``.  An infinite-variation density makes
-  ``[zw, 1]`` span eight decades of a power law; QAGS in ``x`` can then
-  extrapolate its subdivisions to the integral from 0, whereas in ``u``
-  the power law is a smooth exponential.  A smooth integrand (finite
-  activity) passes the first step with 21 evaluations and keeps the value
-  QAGS in ``x`` gives;
+  is split at its breakpoints.  Each piece gets one GK21 step in ``x``,
+  all in one call, kept when QUADPACK's own first-step test accepts it;
+  a piece that fails it is bisected adaptively in ``u = ln x``, all its
+  intervals evaluated together, until QAGS's stopping rule holds.  An
+  infinite-variation density makes ``[zw, 1]`` span eight decades of a
+  power law, which in ``u`` is a smooth exponential, and an adaptive rule
+  in ``x`` that extrapolated its subdivisions would reach for the
+  integral from 0.  A smooth integrand (finite activity) passes the first
+  step with 21 evaluations;
 * the window ``(-zw, zw)`` is a second-order series: the inner integrand
   is O(x^2) by contract, so ``g(zw)/zw^2`` times the window's second
   moment of ν leaves an error of relative order ``zw`` on the window's own
@@ -31,6 +41,11 @@ each panel picks its QUADPACK policy (Piessens et al. 1983):
   the integrand even.  That holds only while the panel beside it is
   integrated from ``zw``: a rule that extrapolated it to 0 would count
   ``(0, zw)`` twice.
+
+QUADPACK itself (``scipy.integrate.quad``) is called only at the origin,
+for the one-sided moments from 0: strict QAGS acceptance, since a
+non-integrable origin would otherwise pass its spurious finite part, with
+a halving-panel classifier as fallback.
 
 Image measures (:class:`~.measures.ExpJumpImage`,
 :class:`~.measures.LogJumpImage`, and an :class:`~.measures.ExpTilted`
@@ -42,10 +57,10 @@ changes, at ``ln 2``, ``e - 1`` and ``e^{-1} - 1``), so the base's own
 hints, panels and origin rule do the work.  A tilt ``e^{κy}`` of the
 image enters as ``κφ(t)`` in ``log ν``.
 
-:func:`one_sided_integral` applies the same three interval policies
-(origin, unbounded tail, bounded panel) to the moments ``∫ s^p dν`` of one
-side; the small-jump moments and tail masses, the monotonicity test and
-the simulation rates all go through it.
+:func:`one_sided_integral` applies the three interval policies (origin,
+unbounded tail, bounded panel) to the moments ``∫ s^p dν`` of one side;
+the small-jump moments and tail masses, the monotonicity test and the
+simulation rates all go through it.
 
 Exactly symmetric measures are integrated by folding the negative axis
 onto the positive one, so odd integrands cancel in IEEE arithmetic rather
@@ -91,8 +106,10 @@ __all__ = [
 INNER_CUT = 1.0
 #: half-width of the series window around the origin
 ZERO_WINDOW = 1e-8
-#: QUADPACK's subinterval limit for every adaptive call
+#: most intervals of one adaptive integral, in QUADPACK and in bisection
 MAX_SUBDIVISIONS = 200
+
+Fn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -142,8 +159,75 @@ def exp_entropy_term(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# QUADPACK wrapper
+# the 21-point Gauss–Kronrod rule over many panels at once
 # ---------------------------------------------------------------------------
+
+# QUADPACK's qk21: Kronrod abscissae on [0, 1] in decreasing order (the
+# entries 1, 3, ..., 9 are the 10-point Gauss nodes, the last the centre),
+# their Kronrod weights, and the Gauss weights of entries 1, 3, ..., 9
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980430046, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# qk21 adds the Gauss pairs first, then the other Kronrod pairs
+_GAUSS = [1, 3, 5, 7, 9]
+_KRONROD = _GAUSS + [0, 2, 4, 6, 8]
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
+
+def _gk21(f: Fn, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's ``qk21`` rule on the panels ``[a_i, b_i]``, in one call of
+    ``f`` on a ``(panels, 21)`` array of nodes; returns the value and the
+    error estimate of each panel.
+
+    The nodes, the weights, the ``resasc``/roundoff correction of the error
+    and the order of every sum are qk21's (``np.cumsum`` adds left to
+    right), so each panel rounds as QUADPACK's own first step does.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    centr = (0.5 * (a + b))[:, None]
+    hlgth = 0.5 * (b - a)
+    absc = hlgth[:, None] * _XGK[:10]
+    x = np.concatenate((centr, centr - absc, centr + absc), axis=1)
+    fv = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    with np.errstate(all="ignore"):
+        fc, f1, f2 = fv[:, 0], fv[:, 1:11], fv[:, 11:]
+        fsum = f1 + f2
+        fabs = np.abs(f1) + np.abs(f2)
+
+        def ordered_sum(first, terms):
+            return np.cumsum(np.column_stack((first, terms)), axis=1)[:, -1]
+
+        resg = np.cumsum(_WG * fsum[:, _GAUSS], axis=1)[:, -1]
+        resk = ordered_sum(_WGK[10] * fc, _WGK[_KRONROD] * fsum[:, _KRONROD])
+        resabs = ordered_sum(np.abs(_WGK[10] * fc),
+                             _WGK[_KRONROD] * fabs[:, _KRONROD])
+        reskh = resk * 0.5
+        dev = np.abs(f1 - reskh[:, None]) + np.abs(f2 - reskh[:, None])
+        resasc = ordered_sum(_WGK[10] * np.abs(fc - reskh), _WGK[:10] * dev)
+        dhlgth = np.abs(hlgth)
+        resabs, resasc = resabs * dhlgth, resasc * dhlgth
+        abserr = np.abs((resk - resg) * hlgth)
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+        abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
+        abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                          np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
+        return resk * hlgth, abserr
 
 
 def _tolerances(q: QuadratureSettings) -> Tuple[float, float]:
@@ -151,45 +235,173 @@ def _tolerances(q: QuadratureSettings) -> Tuple[float, float]:
     return q.abs_tol * 0.1, max(q.rel_tol * 0.1, 5e-14)
 
 
-def _quad(f: Callable[[float], float], a: float, b: float, q: QuadratureSettings,
-          epsabs: Optional[float] = None, sloppy: bool = True,
-          limit: int = MAX_SUBDIVISIONS) -> Tuple[float, float, bool]:
-    """One quad call; returns (value, error estimate, converged flag).
+def _bisect(f: Fn, a: float, b: float,
+            q: QuadratureSettings) -> Tuple[float, float]:
+    """``∫_a^b f`` for ``0 < a < b`` by adaptive GK21 bisection in
+    ``u = ln x``, with QAGS's stopping rule ``Σ err <= max(epsabs, epsrel
+    |Σ val|)``.
 
-    Never raises: callers decide whether a sloppy result is fatal, a reason
-    to fall back to panel classification, or acceptable.  ``sloppy=False``
-    refuses warned results outright — required wherever the integrand may
-    hide a non-integrable singularity, because the spurious "finite part"
-    QUADPACK extrapolates there can be large enough to pass the relative
-    error gate on its own scale.  ``limit=1`` is a single 21-point
-    Gauss–Kronrod step, which QUADPACK always reports as unconverged.
+    Each round halves, in one call of the integrand, every interval whose
+    error is above an equal share of that bound, the largest first while
+    there is room under ``MAX_SUBDIVISIONS`` intervals.  Raises
+    :class:`QuadratureFailure` on a non-finite value or when the intervals
+    run out.
+    """
+    epsabs, epsrel = _tolerances(q)
+
+    def g(u: np.ndarray) -> np.ndarray:
+        x = np.exp(u)
+        return f(x) * x
+
+    lo, hi = np.array([math.log(a)]), np.array([math.log(b)])
+    val, err = _gk21(g, lo, hi)
+    while True:
+        total, errsum = float(val.sum()), float(err.sum())
+        bound = max(epsabs, epsrel * abs(total))
+        if errsum <= bound:
+            return total, errsum
+        room = MAX_SUBDIVISIONS - len(val)
+        if room <= 0 or not np.all(np.isfinite(val)):
+            raise QuadratureFailure(
+                f"could not integrate the panel [{a:g}, {b:g}]")
+        split = np.flatnonzero(err > bound / len(val))
+        split = split[np.argsort(err[split])[::-1][:room]]
+        keep = np.ones(len(val), dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        v, e = _gk21(g, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[keep], v))
+        err = np.concatenate((err[keep], e))
+
+
+def _panel(f: Fn, a: float, b: float, q: QuadratureSettings,
+           pts: Sequence[float] = ()) -> Tuple[float, float]:
+    """``∫_a^b f`` over a bounded panel ``0 < a < b``, split at ``pts``.
+
+    Every piece gets one GK21 step in ``x``, all in one call of the
+    integrand, kept when it passes QUADPACK's first-step test ``err <=
+    max(epsabs, epsrel |val|)``; a piece that fails it is integrated by
+    :func:`_bisect` in ``u = ln x``, where a power singularity just left
+    of ``a`` is a smooth exponential.
+    """
+    epsabs, epsrel = _tolerances(q)
+    ends = np.array([a] + sorted(p for p in pts if a < p < b) + [b])
+    vals, errs = _gk21(f, ends[:-1], ends[1:])
+    total = err = 0.0
+    for lo, hi, val, e in zip(ends[:-1].tolist(), ends[1:].tolist(),
+                              vals.tolist(), errs.tolist()):
+        if not e <= max(epsabs, epsrel * abs(val)):
+            val, e = _bisect(f, lo, hi, q)
+        total, err = total + val, err + e
+    return total, err
+
+
+# ---------------------------------------------------------------------------
+# infinite tails on doubling panels
+# ---------------------------------------------------------------------------
+
+_TAIL_PANELS = 64
+#: doubling panels per integrand call; more only grows the node arrays
+_TAIL_CHUNK = 8
+_FLAT_LIMIT = 3
+
+
+def _tail_sum(f: Fn, lo: float, q: QuadratureSettings) -> Tuple[float, float]:
+    """``∫_lo^inf f`` over the panels ``[lo 2^k, lo 2^(k+1)]``, ``k < 64``.
+
+    Panels are evaluated a chunk per call of ``f`` and summed in order
+    until three in a row are negligible and none larger than the one
+    before, or until the last three ratios of consecutive panels, read as
+    a geometric series, bound the error of its remainder
+    ``piece r̄/(1 - r̄)`` by ``|piece| spread/(1 - r̄)^2 <= tol/2``.
+    Every summed panel that fails its error test is then refined by
+    :func:`_bisect`.  The tail converges by its decay hint, so a non-finite
+    panel is an overflow and the integral a signed infinity (error 0).
+    Raises :class:`QuadratureFailure` when neither rule stops the sum.
+    """
+    epsabs, epsrel = _tolerances(q)
+    ends = lo * 2.0 ** np.arange(_TAIL_PANELS + 1)
+
+    def panels():
+        for k in range(0, _TAIL_PANELS, _TAIL_CHUNK):
+            vals, errs = _gk21(f, ends[k:k + _TAIL_CHUNK],
+                               ends[k + 1:k + _TAIL_CHUNK + 1])
+            yield from zip(vals.tolist(), errs.tolist())
+
+    pieces, errs, ratios = [], [], []
+    total, flat, last_sign = 0.0, 0, 1.0
+    for piece, e in panels():
+        if not math.isfinite(piece):
+            sign = math.copysign(1.0, piece) if piece == piece else last_sign
+            return sign * math.inf, 0.0
+        prev = abs(pieces[-1]) if pieces else math.inf
+        if 0.0 < prev < math.inf and piece != 0.0:
+            ratios.append(abs(piece) / prev)
+        pieces.append(piece)
+        errs.append(e)
+        total += piece
+        if piece != 0.0:
+            last_sign = math.copysign(1.0, piece)
+        tol = max(epsabs, epsrel * abs(total))
+        # a rising piece is not negligible: the tail's mass may lie ahead
+        flat = flat + 1 if abs(piece) <= min(0.1 * tol, prev) else 0
+        if flat >= _FLAT_LIMIT:
+            remainder = (0.0, 0.0)
+            break
+        if len(ratios) >= 3:
+            r3 = ratios[-3:]
+            rbar = sum(r3) / 3.0
+            spread = max(abs(r - rbar) for r in r3)
+            bound = abs(piece) * spread / (1.0 - rbar) ** 2
+            if rbar < 1.0 and bound <= 0.5 * tol:
+                remainder = (piece * rbar / (1.0 - rbar), bound)
+                break
+    else:
+        raise QuadratureFailure(
+            f"tail integral not summed after {_TAIL_PANELS} panels")
+    total = err = 0.0
+    for k, (piece, e) in enumerate(zip(pieces, errs)):
+        if not e <= max(epsabs, epsrel * abs(piece)):
+            piece, e = _bisect(f, float(ends[k]), float(ends[k + 1]), q)
+        total, err = total + piece, err + e
+    return total + remainder[0], err + remainder[1]
+
+
+# ---------------------------------------------------------------------------
+# the origin: strict QUADPACK, halving panels as fallback
+# ---------------------------------------------------------------------------
+
+
+def _quad(f: Callable[[float], float], a: float, b: float,
+          q: QuadratureSettings, epsabs: Optional[float] = None
+          ) -> Tuple[float, float, bool]:
+    """One QAGS call; returns (value, error estimate, converged flag).
+
+    Never raises.  A result QUADPACK warned about is not converged: the
+    integrand may hide a non-integrable singularity, and the spurious
+    "finite part" QUADPACK extrapolates there can be large enough to pass
+    the relative error gate on its own scale.
     """
     abs_default, epsrel = _tolerances(q)
     with np.errstate(all="ignore"):
         res = integrate.quad(f, a, b, full_output=1,
                              epsabs=abs_default if epsabs is None else epsabs,
-                             epsrel=epsrel, limit=limit)
-    val, err = res[0], res[1]
-    ok = len(res) == 3 and math.isfinite(val)
-    if not ok and sloppy and math.isfinite(val):
-        # quad complained; accept anyway when its own error estimate is
-        # within an order of magnitude of the requested tolerance
-        ok = err <= 10.0 * max(q.abs_tol, abs(val) * q.rel_tol)
-    return val, err, ok
+                             epsrel=epsrel, limit=MAX_SUBDIVISIONS)
+    return res[0], res[1], len(res) == 3 and math.isfinite(res[0])
 
-
-# ---------------------------------------------------------------------------
-# divergence classification by doubling panels
-# ---------------------------------------------------------------------------
 
 _GROW_LIMIT = 4
-_FLAT_LIMIT = 3
+_ORIGIN_PANELS = 4096
 
 
-def _classify_geometric(piece_at: Callable[[int], float], q: QuadratureSettings,
-                        max_panels: int, what: str) -> Tuple[str, float]:
-    """Sum panel contributions ``piece_at(k)`` for geometrically scaled
-    panels and classify the series.
+def _classify_origin(f: Callable[[float], float], q: QuadratureSettings,
+                     start: float) -> Tuple[str, float]:
+    """Classify ``∫_0^start f`` by summing the halving panels
+    ``[start 2^-(k+1), start 2^-k]``, one QUADPACK call each.
 
     Returns ``("conv", value)`` or ``("div", signed_inf_sign)``.  Growth
     over several consecutive panels, a partial sum passing ``1/abs_tol``,
@@ -201,8 +413,9 @@ def _classify_geometric(piece_at: Callable[[int], float], q: QuadratureSettings,
     grow = flat = 0
     ratios = []
     last_sign = 1.0
-    for k in range(max_panels):
-        piece = piece_at(k)
+    for k in range(_ORIGIN_PANELS):
+        b = start * 2.0 ** (-k)
+        piece, _, _ = _quad(f, b / 2.0, b, q)
         if not math.isfinite(piece):
             return "div", math.copysign(1.0, piece) if piece == piece else last_sign
         total += piece
@@ -234,39 +447,13 @@ def _classify_geometric(piece_at: Callable[[int], float], q: QuadratureSettings,
                 if abs(remainder) <= max(q.abs_tol, abs(total) * q.rel_tol) * 0.5:
                     return "conv", total + remainder
         prev = piece
-    raise QuadratureFailure(f"could not classify {what} after {max_panels} panels")
-
-
-def _classify_tail(f: Callable[[float], float], q: QuadratureSettings,
-                   start: float = 1.0) -> Tuple[str, float]:
-    """Classify ``∫_start^inf f`` via panels [start*2^k, start*2^(k+1)]."""
-
-    def piece(k: int) -> float:
-        a, b = start * 2.0 ** k, start * 2.0 ** (k + 1)
-        val, _, _ = _quad(f, a, b, q)
-        return val
-
-    return _classify_geometric(piece, q, 64, "tail integral")
-
-
-def _classify_origin(f: Callable[[float], float], q: QuadratureSettings,
-                     start: float) -> Tuple[str, float]:
-    """Classify ``∫_0^start f`` via panels [start*2^-(k+1), start*2^-k]."""
-
-    def piece(k: int) -> float:
-        b = start * 2.0 ** (-k)
-        val, _, _ = _quad(f, b / 2.0, b, q)
-        return val
-
-    return _classify_geometric(piece, q, 4096, "integral near zero")
+    raise QuadratureFailure(
+        f"could not classify integral near zero after {_ORIGIN_PANELS} panels")
 
 
 # ---------------------------------------------------------------------------
 # tail integrands and image measures
 # ---------------------------------------------------------------------------
-
-Fn = Callable[[np.ndarray], np.ndarray]
-
 
 def exp_tail_integrand(kappa: float, *, power: int = 0,
                        prefactor: Optional[Fn] = None,
@@ -308,8 +495,9 @@ class _Pullback(NamedTuple):
 
     def log_abs_phi(self, t: np.ndarray) -> np.ndarray:
         """``log|φ(t)|``, finite where ``φ(t) = e^t - 1`` overflows."""
-        if self.phi is np.expm1 and t > 0:
-            return t + np.log(-np.expm1(-t))
+        if self.phi is np.expm1:
+            return np.where(t > 0, t + np.log(-np.expm1(-t)),
+                            np.log(np.abs(np.expm1(t))))
         return np.log(np.abs(self.phi(t)))
 
     def base_distance(self, side: int, s: float) -> float:
@@ -343,32 +531,6 @@ def _tail_upper_limit(nu: LevyMeasure, side: int) -> float:
     return math.inf
 
 
-def _panel(f: Callable[[float], float], a: float, b: float,
-           q: QuadratureSettings, pts: Sequence[float] = ()) -> Tuple[float, float]:
-    """``∫_a^b f`` over a bounded panel ``0 < a < b``, split at ``pts``.
-
-    Each piece gets one 21-point Gauss–Kronrod step in ``x``, accepted by
-    QUADPACK's own first-step test; a piece that fails it is integrated by
-    QAGS in ``x = e^u``.  A power singularity just left of ``a`` turns
-    into a smooth exponential there, where QAGS in ``x`` would extrapolate
-    its subdivisions towards the integral from 0.  Raises
-    :class:`QuadratureFailure` when a piece fails in both.
-    """
-    epsabs, epsrel = _tolerances(q)
-    ends = [a] + sorted(p for p in pts if a < p < b) + [b]
-    total = err = 0.0
-    for lo, hi in zip(ends, ends[1:]):
-        val, e, _ = _quad(f, lo, hi, q, limit=1)
-        if not e <= max(epsabs, epsrel * abs(val)):
-            val, e, ok = _quad(lambda u: f(math.exp(u)) * math.exp(u),
-                               math.log(lo), math.log(hi), q)
-            if not ok:
-                raise QuadratureFailure(
-                    f"could not integrate the panel [{lo:g}, {hi:g}]")
-        total, err = total + val, err + e
-    return total, err
-
-
 @lru_cache(maxsize=1024)
 def one_sided_integral(nu: LevyMeasure, side: int, power: int,
                        lo: float, hi: float,
@@ -379,12 +541,13 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
     The interval is clipped to the side's support (an image measure's is
     then pulled back onto its base) and its kind picks the policy: from
     the origin (``lo == 0``), strict QUADPACK acceptance with the
-    doubling-panel classifier as fallback, since a non-integrable origin
+    halving-panel classifier as fallback, since a non-integrable origin
     would otherwise pass its spurious finite part; out to infinity, the
-    tail-decay hint decides divergence and QAGI the value; a bounded panel
-    away from the origin, the panel rule of :func:`_panel`.  A divergent
-    integral comes back as ``inf``; a panel that fails raises
-    :class:`QuadratureFailure`.  Results are cached.
+    tail-decay hint decides divergence and the doubling panels of
+    :func:`_tail_sum` the value; a bounded panel away from the origin, the
+    panel rule of :func:`_panel`.  A divergent integral comes back as
+    ``inf``; a panel that fails raises :class:`QuadratureFailure`.
+    Results are cached.
     """
     end = _tail_upper_limit(nu, side)
     if min(hi, end) <= lo:
@@ -393,42 +556,38 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
     decay = nu.right_tail() if side > 0 else nu.left_tail()
     pb = _pullback(nu)
     if pb is None:
-        def f(s: float) -> float:
+        def f(s: np.ndarray) -> np.ndarray:
+            s = np.asarray(s, dtype=float)
             with np.errstate(all="ignore"):
-                d = np.asarray(nu.density(np.asarray(side * s, dtype=float)))
                 # s*s, not s**2: pow rounds differently, and c(κ) uses x^2 mass
-                v = float(math.prod((s,) * power) * d)
-            return v if math.isfinite(v) else 0.0
+                v = math.prod((s,) * power) * nu.density(side * s)
+            return np.where(np.isfinite(v), v, 0.0)
     else:
         base, moment = pb.base, exp_tail_integrand(0.0, power=power)
         lo = pb.base_distance(side, lo)
         hi = min(pb.base_distance(side, hi),
                  _tail_upper_limit(base, side) * (1.0 + 1e-12))
 
-        def f(s: float) -> float:
+        def f(s: np.ndarray) -> np.ndarray:
             t = side * np.asarray(s, dtype=float)
             with np.errstate(all="ignore"):
-                v = side ** power * float(moment(
-                    pb.phi(t), base.log_density(t), pb.tilt, pb.log_abs_phi(t)))
-            return v if math.isfinite(v) else 0.0
+                v = side ** power * moment(
+                    pb.phi(t), base.log_density(t), pb.tilt, pb.log_abs_phi(t))
+            return np.where(np.isfinite(v), v, 0.0)
 
     def piece(a: float, b: float) -> float:
         if a == 0.0:
-            val, _, ok = _quad(f, 0.0, b, q, epsabs=q.abs_tol * 1e-4,
-                               sloppy=False)
+            scalar = lambda s: float(f(s))
+            val, _, ok = _quad(scalar, 0.0, b, q, epsabs=q.abs_tol * 1e-4)
             if ok and val >= 0.0:
                 return val
-            status, val = _classify_origin(f, q, b)
-        elif math.isinf(b):
+            status, val = _classify_origin(scalar, q, b)
+            return math.inf if status == "div" else val
+        if math.isinf(b):
             if not decay.moment_finite(power, 0.0):
                 return math.inf
-            val, _, ok = _quad(f, a, b, q)
-            if ok:
-                return val
-            status, val = _classify_tail(f, q, a)
-        else:
-            return _panel(f, a, b, q)[0]
-        return math.inf if status == "div" else val
+            return _tail_sum(f, a, q)[0]
+        return _panel(f, a, b, q)[0]
 
     if lo == 0.0 and hi > INNER_CUT:
         # an image side can run from the base's origin into its tail
@@ -509,27 +668,26 @@ class SidePlan:
         return self.tail is None and self.weight is None
 
 
-def _density_product(nu: LevyMeasure, side: int, tail, weight
-                     ) -> Callable[[float], float]:
+def _density_product(nu: LevyMeasure, side: int, tail, weight) -> Fn:
     """``s -> tail(x, log ν(x)) + weight(x) ν(x)`` at ``x = side*s``."""
 
-    def f(s: float) -> float:
+    def f(s: np.ndarray) -> np.ndarray:
         x = side * np.asarray(s, dtype=float)
         with np.errstate(all="ignore"):
             if weight is None:
-                return float(tail(x, nu.log_density(x)))
+                return tail(x, nu.log_density(x))
             w = weight(x) * nu.density(x)
-            return float(w if tail is None else tail(x, nu.log_density(x)) + w)
+            return w if tail is None else tail(x, nu.log_density(x)) + w
 
     return f
 
 
-def _tail_value(nu: LevyMeasure, side: int, f: Optional[Callable[[float], float]],
+def _tail_value(nu: LevyMeasure, side: int, f: Optional[Fn],
                 converges: bool, div_sign: int, q: QuadratureSettings,
                 pts: Sequence[float]) -> Tuple[ExtReal, float]:
     """``∫`` over ``side*x > INNER_CUT``: bounded panels up to the last
-    breakpoint there, then the rest of the tail; a hinted divergence is a
-    signed infinity without quadrature."""
+    breakpoint there (or to the end of a bounded tail), then doubling
+    panels; a hinted divergence is a signed infinity without quadrature."""
     if f is None:
         return ExtReal.finite(0.0), 0.0
     if not converges:
@@ -537,17 +695,16 @@ def _tail_value(nu: LevyMeasure, side: int, f: Optional[Callable[[float], float]
     hi = _tail_upper_limit(nu, side)
     if hi <= INNER_CUT:
         return ExtReal.finite(0.0), 0.0
-    hi *= 1.0 + 1e-12
+    if math.isfinite(hi):
+        total, err = _panel(f, INNER_CUT, hi * (1.0 + 1e-12), q, pts)
+        return ExtReal.finite(total), err
     lo = max((p for p in pts if INNER_CUT < p < hi), default=INNER_CUT)
     total = err = 0.0
     if lo > INNER_CUT:
         total, err = _panel(f, INNER_CUT, lo, q, pts)
-    out, e, ok = _quad(f, lo, hi, q)
-    if not ok:
-        status, out = _classify_tail(f, q, lo)
-        if status == "div":
-            return (POS_INF if out > 0 else NEG_INF), 0.0
-        e = q.abs_tol
+    out, e = _tail_sum(f, lo, q)
+    if math.isinf(out):
+        return (POS_INF if out > 0 else NEG_INF), 0.0
     return ExtReal.finite(total + out), err + e
 
 
@@ -577,19 +734,23 @@ def _pulled_back(pb: _Pullback, q: QuadratureSettings, inner_g: Optional[Fn],
     and take ``inner_g``, the others take the image's side plans."""
     u_r, u_l = pb.base_distance(+1, INNER_CUT), pb.base_distance(-1, INNER_CUT)
 
-    def g(t, log_nu):
+    def g(t: np.ndarray, log_nu) -> np.ndarray:
         with np.errstate(all="ignore"):
             y = pb.phi(t)
             dens = np.exp(log_nu + pb.tilt * y if pb.tilt else log_nu)
-            if (t <= u_r) if t > 0 else (-t <= u_l):
-                return 0.0 if inner_g is None else inner_g(y) * dens
-            plan = right if t > 0 else left
-            val = 0.0
-            if plan.tail is not None:
-                val = plan.tail(y, log_nu, pb.tilt, pb.log_abs_phi(t))
-            if plan.weight is not None:
-                val = val + plan.weight(y) * dens
-        return val
+
+            def beyond(plan: SidePlan) -> np.ndarray:
+                val = 0.0
+                if plan.tail is not None:
+                    val = plan.tail(y, log_nu, pb.tilt, pb.log_abs_phi(t))
+                if plan.weight is not None:
+                    val = val + plan.weight(y) * dens
+                return val
+
+            inside = np.where(t > 0, t <= u_r, -t <= u_l)
+            val = np.where(t > 0, beyond(right), beyond(left))
+            return np.where(inside, 0.0 if inner_g is None
+                            else inner_g(y) * dens, val)
 
     def base_plan(plan: SidePlan, u: float) -> SidePlan:
         if (inner_g is None or u <= INNER_CUT) and (plan.empty or u == math.inf):

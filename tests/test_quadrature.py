@@ -486,3 +486,111 @@ class TestImageMeasures:
                           - (kappa * math.log1p(y) if y <= cut else 0.0))
             got = cumulant(LevyTriplet(0.0, 0.0, geo), kappa)
             assert math.isclose(got.value, want, rel_tol=1e-9), kappa
+
+
+def _qk21_cases():
+    """Integrands for the GK21 differential test: ``(id, f, a, b)``."""
+    return [
+        ("smooth", lambda x: np.sin(x) + x * x, 0.3, 2.1),
+        ("power_left_end", lambda x: (x + 1e-9) ** -0.9, 0.0, 0.5),
+        ("exp_decay", lambda x: np.exp(-50.0 * x), 0.0, 1.0),
+        ("narrow_bump", lambda x: np.exp(-((x - 0.37) / 0.01) ** 2), 0.0, 1.0),
+        ("constant", lambda x: np.full_like(x, 2.5), -1.0, 3.0),
+        ("zero", lambda x: np.zeros_like(x), 0.0, 1.0),
+    ]
+
+
+class TestVectorisedKernel:
+    """The GK21 rule against QUADPACK's own first step, power-law tails
+    summed through the geometric remainder, a far tail hump against
+    mpmath, and the number of density calls one cumulant costs."""
+
+    @pytest.mark.parametrize("f, a, b", [c[1:] for c in _qk21_cases()],
+                             ids=[c[0] for c in _qk21_cases()])
+    def test_gk21_matches_quadpack_first_step(self, f, a, b):
+        from levy_emm.levy_core import quadrature as quad_mod
+
+        val, err = quad_mod._gk21(f, np.array([a]), np.array([b]))
+        ref = integrate.quad(lambda x: float(f(np.asarray(x))), a, b,
+                             limit=1, full_output=1)
+        assert val[0] == pytest.approx(ref[0], rel=1e-14, abs=0.0)
+        assert err[0] == pytest.approx(ref[1], rel=1e-10, abs=0.0)
+        epsabs, epsrel = quad_mod._tolerances(DEFAULT_SETTINGS)
+        assert ((err[0] <= max(epsabs, epsrel * abs(val[0])))
+                == (ref[1] <= max(epsabs, epsrel * abs(ref[0]))))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.5, 1.9])
+    def test_power_law_tails(self, alpha):
+        from levy_emm.approximation import mass_gap
+
+        C = 1.7
+        nu = SymmetricAlphaStable(alpha, C)
+        assert tail_mass(nu) == pytest.approx(2.0 * C / alpha, rel=1e-12)
+        if alpha > 1.0:
+            assert one_sided_integral(nu, +1, 1, 1.0, math.inf) == \
+                pytest.approx(C / (alpha - 1.0), rel=1e-12)
+        p = PenaltyFamily.default_quadratic()
+        for n in (1, 8, 64):
+            with mpmath.workdps(30):
+                exact = 2 * C * (1 / mpmath.mpf(alpha) - mpmath.mpf(n) ** (
+                    -mpmath.mpf(alpha) / 2) / 2 * mpmath.gammainc(
+                        -mpmath.mpf(alpha) / 2, mpmath.mpf(1) / n))
+            assert mass_gap(nu, p, n, DEFAULT_SETTINGS) == pytest.approx(
+                float(exact), rel=1e-12), n
+
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+    def test_far_tail_hump(self, n):
+        """``x e^{x - x^2/n}`` peaks at ``x = n/2`` with width ``√n``: the
+        tempered 0.8-stable's ``c'(1)`` lives in that hump."""
+        t = perturbed_triplet(LevyTriplet(0.1, 0.0, SymmetricAlphaStable(0.8)),
+                              PenaltyFamily.default_quadratic(), n)
+        with mpmath.workdps(30):
+            h, w = mpmath.mpf(n) / 2, mpmath.sqrt(n)
+            # symmetric: c'(1) = b + 2 ∫_0^inf x^{-0.8} e^{-ρ_n(x)} sinh x dx
+            odd = lambda x: x ** mpmath.mpf(-0.8) * mpmath.sinh(x)
+            inner = mpmath.quad(odd, [0, 1])
+            cuts = sorted({mpmath.mpf(1), max(mpmath.mpf(2), h - 10 * w), h,
+                           h + 10 * w})
+            tail = mpmath.quad(lambda x: odd(x) * mpmath.exp(-x * x / n),
+                               cuts + [mpmath.inf])
+            exact = float(mpmath.mpf("0.1") + 2 * (inner + tail))
+        assert cumulant_derivative(t, 1.0).value == pytest.approx(exact,
+                                                                  rel=1e-10)
+        assert cumulant_derivative(t, -1.0).value == pytest.approx(-exact,
+                                                                   rel=1e-10)
+
+    @pytest.mark.parametrize("mean", [20.0, 30.0])
+    def test_far_jump_mass_is_not_skipped(self, mean):
+        """The first doubling panels of a far Gaussian jump law underflow
+        but rise: they are not negligible, the mass lies ahead."""
+        nu = JumpDiffusion(1.5, GaussianJumps(mean, 1.0))
+        kappa = 0.1
+        exact = 1.5 * math.expm1(kappa * mean + 0.5 * kappa * kappa)
+        assert cumulant(LevyTriplet(0.0, 0.0, nu), kappa).value == \
+            pytest.approx(exact, rel=1e-12)
+        assert tail_mass(nu) == pytest.approx(1.5, rel=1e-12)
+
+    def test_hump_overflow_is_infinite(self):
+        t = perturbed_triplet(LevyTriplet(0.1, 0.0, SymmetricAlphaStable(0.8)),
+                              PenaltyFamily.default_quadratic(), 4096)
+        assert cumulant_derivative(t, 1.0).is_pos_inf
+        assert cumulant_derivative(t, -1.0).is_neg_inf
+
+    def test_density_calls_per_cumulant(self, monkeypatch):
+        """Each call of the integrand evaluates whole panels: ``c`` and
+        ``c'`` of a tempered CGMY take a few dozen density calls, not one
+        per node."""
+        t = perturbed_triplet(LevyTriplet(0.01, 0.0, CGMY(0.5, 4.0, 7.0, 0.8)),
+                              PenaltyFamily.default_quadratic(), 2)
+        cumulant(t, 0.5), cumulant_derivative(t, 0.5)  # warm the caches
+        calls = []
+        for name in ("density", "log_density"):
+            original = getattr(CGMY, name)
+
+            def counted(self, x, original=original):
+                calls.append(name)
+                return original(self, x)
+
+            monkeypatch.setattr(CGMY, name, counted)
+        cumulant(t, 0.5), cumulant_derivative(t, 0.5)
+        assert 0 < len(calls) <= 40

@@ -4,9 +4,10 @@ No module imports another module's private (``_``-prefixed) name, not even
 inside a function, and only the quadrature layer calls into
 ``scipy.integrate``: every integral against a jump measure goes through
 ``levy_core/quadrature.py``, whose ``_quad`` is the one caller of
-``scipy.integrate.quad``.  That layer is also the only caller of a
-measure's ``density``/``log_density`` outside the measures themselves, so
-no integrand multiplies by a jump density on its own.
+``scipy.integrate.quad`` and is reached only from the origin policy.  That
+layer is also the only caller of a measure's ``density``/``log_density``
+outside the measures themselves, so no integrand multiplies by a jump
+density on its own.
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ def test_only_the_kernel_evaluates_densities(path):
         f"{_module_name(path)} evaluates a jump density on lines {calls}")
 
 
-class _QuadCallers(ast.NodeVisitor):
-    """Names of the innermost functions that call ``integrate.quad``
-    (``<module>`` for a call at module level)."""
+class _Callers(ast.NodeVisitor):
+    """Names of the functions that call one of ``callees`` (``<module>``
+    for a call at module level): the innermost enclosing function, or the
+    top-level one with ``outermost``."""
 
-    def __init__(self) -> None:
+    def __init__(self, callees, outermost: bool = False) -> None:
+        self.callees = callees
+        self.outermost = outermost
         self.stack = ["<module>"]
         self.callers = set()
 
@@ -98,19 +102,30 @@ class _QuadCallers(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Call(self, node: ast.Call) -> None:
-        if ast.unparse(node.func) in ("quad", "integrate.quad",
-                                      "scipy.integrate.quad"):
-            self.callers.add(self.stack[-1])
+        if ast.unparse(node.func) in self.callees:
+            self.callers.add(self.stack[min(1, len(self.stack) - 1)]
+                             if self.outermost else self.stack[-1])
         self.generic_visit(node)
+
+
+def _callers(path: Path, callees, outermost: bool = False) -> set:
+    visitor = _Callers(callees, outermost)
+    visitor.visit(ast.parse(path.read_text(encoding="utf-8"),
+                            filename=str(path)))
+    return visitor.callers
 
 
 def test_quadpack_has_one_seam():
     """Every QUADPACK call goes through ``quadrature._quad``, so a panel
     rule or a replacement kernel changes one function."""
-    found = set()
-    for path in _MODULES:
-        visitor = _QuadCallers()
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8"),
-                                filename=str(path)))
-        found |= {(_module_name(path), name) for name in visitor.callers}
+    found = {(_module_name(path), name) for path in _MODULES
+             for name in _callers(path, ("quad", "integrate.quad",
+                                         "scipy.integrate.quad"))}
     assert found == {("levy_emm.levy_core.quadrature", "_quad")}, found
+
+
+def test_quadpack_only_at_the_origin():
+    """Only the origin policy reaches QUADPACK: tails and bounded panels
+    are integrated by the vectorised Gauss–Kronrod rule."""
+    found = _callers(_QUADRATURE, ("_quad",), outermost=True)
+    assert found == {"one_sided_integral", "_classify_origin"}, found
