@@ -42,8 +42,9 @@ class NonIntegrableLevyMeasure(ValidationError):
 
 
 class QuadratureFailure(LevyEmmError):
-    """Numerical integration could not reach the requested tolerance,
-    and the integral could not be classified as divergent either."""
+    """Numerical integration could not reach the requested tolerance:
+    a panel's bisection ran out of intervals, or a geometric panel sum
+    neither converged nor, at the origin, settled into divergence."""
 
 
 class PsiUndefined(LevyEmmError):

@@ -2,50 +2,39 @@
 ``∫ g dν`` the package needs, and the only code that multiplies an
 integrand by a jump density.
 
-Density integrals are split into five panels per the package-wide layout::
+Density integrals are split into four panels per the package-wide layout::
 
-    (-inf, -1] | [-1, -zw] | (-zw, zw) | [zw, 1] | [1, inf)
+    (-inf, -1] | [-1, 0) | (0, 1] | [1, inf)
 
-with ``zw = ZERO_WINDOW``.  :func:`two_sided_integral` is the kernel.
-Callers give it the integrand on the inner cut as a function of the jump
-size, and each tail as a :class:`SidePlan` whose log-space part
-(:func:`exp_tail_integrand`) takes ``log ν`` from the kernel.  Every
-integrand is array-in, array-out: the rules below rest on QUADPACK's
-21-point Gauss–Kronrod rule ``qk21`` (Piessens et al. 1983), which
-:func:`_gk21` applies to many panels in one call of the integrand, with
-QUADPACK's nodes, weights and error estimate.  The kind of each panel
-picks its rule:
+:func:`two_sided_integral` is the kernel.  Callers give it the integrand
+on the inner cut as a function of the jump size, and each tail as a
+:class:`SidePlan` whose log-space part (:func:`exp_tail_integrand`) takes
+``log ν`` from the kernel.  Every integrand is array-in, array-out: the
+rules below rest on QUADPACK's 21-point Gauss–Kronrod rule ``qk21``
+(Piessens et al. 1983), which :func:`_gk21` applies to many panels in one
+call of the integrand, with QUADPACK's nodes, weights and error estimate.
+The kind of each panel picks its rule:
 
-* a tail that its decay hint calls divergent is a signed infinity without
-  any quadrature.  A convergent one is summed over the doubling panels
-  ``[lo 2^k, lo 2^(k+1)]``, a chunk of panels per call, until three
-  panels in a row are negligible or the ratios of the last ones predict
-  the rest as a geometric series within the tolerance, which sums a
-  power-law tail exactly.  A panel that fails its error test is refined
-  by bisection, and a non-finite one is an overflow: the integral is a
-  signed infinity;
-* every bounded panel, ``[zw, 1]`` and the tail up to its last breakpoint,
-  is split at its breakpoints.  Each piece gets one GK21 step in ``x``,
-  all in one call, kept when QUADPACK's own first-step test accepts it;
-  a piece that fails it is bisected adaptively in ``u = ln x``, all its
-  intervals evaluated together, until QAGS's stopping rule holds.  An
-  infinite-variation density makes ``[zw, 1]`` span eight decades of a
-  power law, which in ``u`` is a smooth exponential, and an adaptive rule
-  in ``x`` that extrapolated its subdivisions would reach for the
-  integral from 0.  A smooth integrand (finite activity) passes the first
-  step with 21 evaluations;
-* the window ``(-zw, zw)`` is a second-order series: the inner integrand
-  is O(x^2) by contract, so ``g(zw)/zw^2`` times the window's second
-  moment of ν leaves an error of relative order ``zw`` on the window's own
-  share, and of order ``zw^2`` for a symmetric measure, whose fold makes
-  the integrand even.  That holds only while the panel beside it is
-  integrated from ``zw``: a rule that extrapolated it to 0 would count
-  ``(0, zw)`` twice.
+* the two singular ends, out to infinity and down to the origin, are one
+  geometric panel sum (:func:`_geometric_sum`): doubling panels ``[lo
+  2^k, lo 2^(k+1)]`` for a tail, halving panels ``[b 2^-(k+1), b 2^-k]``
+  with GK21 in ``u = ln x`` for ``∫_0^b``, where a power law is smooth.
+  Panels are evaluated a chunk per call and summed until three in a row
+  are negligible or the ratios of the last ones predict the rest as a
+  geometric series, which sums a power law exactly; at the origin, ratios
+  that settle at 1 or above mean divergence.  A panel that fails its
+  error test is refined by bisection.  A tail that its decay hint calls
+  divergent is a signed infinity without any quadrature;
+* every bounded panel, ``(0, 1]`` down to its smallest breakpoint and the
+  tail up to its last one, is split at its breakpoints.  Each piece gets
+  one GK21 step in ``x``, all in one call, kept when QUADPACK's own
+  first-step test accepts it; a piece that fails it is bisected adaptively
+  in ``u = ln x``, all its intervals evaluated together, until QAGS's
+  stopping rule holds.  A smooth integrand (finite activity) passes the
+  first step with 21 evaluations.
 
-QUADPACK itself (``scipy.integrate.quad``) is called only at the origin,
-for the one-sided moments from 0: strict QAGS acceptance, since a
-non-integrable origin would otherwise pass its spurious finite part, with
-a halving-panel classifier as fallback.
+No integral calls QUADPACK itself: the origin's halving panels decide
+both the value and the divergence of the one-sided moments from 0.
 
 Image measures (:class:`~.measures.ExpJumpImage`,
 :class:`~.measures.LogJumpImage`, and an :class:`~.measures.ExpTilted`
@@ -54,13 +43,13 @@ pullback onto their base, ``∫ g dν_img = ∫ g(φ(t)) ν(dt)`` with
 ``φ = expm1`` or ``log1p``: each base point goes to the image's inner or
 tail integrand by ``|φ(t)| <= INNER_CUT`` (the base is split where that
 changes, at ``ln 2``, ``e - 1`` and ``e^{-1} - 1``), so the base's own
-hints, panels and origin rule do the work.  A tilt ``e^{κy}`` of the
+hints, panels and origin sum do the work.  A tilt ``e^{κy}`` of the
 image enters as ``κφ(t)`` in ``log ν``.
 
-:func:`one_sided_integral` applies the three interval policies (origin,
-unbounded tail, bounded panel) to the moments ``∫ s^p dν`` of one side;
-the small-jump moments and tail masses, the monotonicity test and the
-simulation rates all go through it.
+:func:`one_sided_integral` applies the two interval rules (geometric
+panels at a singular end, a bounded panel elsewhere) to the moments
+``∫ s^p dν`` of one side; the small-jump moments and tail masses, the
+monotonicity test and the simulation rates all go through it.
 
 Exactly symmetric measures are integrated by folding the negative axis
 onto the positive one, so odd integrands cancel in IEEE arithmetic rather
@@ -77,7 +66,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from ..errors import NonIntegrableLevyMeasure, QuadratureFailure
 from .extreal import ExtReal, NEG_INF, POS_INF
@@ -87,7 +75,6 @@ __all__ = [
     "QuadratureSettings",
     "DEFAULT_SETTINGS",
     "INNER_CUT",
-    "ZERO_WINDOW",
     "MAX_SUBDIVISIONS",
     "two_sided_integral",
     "SidePlan",
@@ -104,9 +91,7 @@ __all__ = [
 #: truncation ``h(x) = x 1_{|x| <= 1}``, the penalty families and the
 #: market conversion are all stated against 1
 INNER_CUT = 1.0
-#: half-width of the series window around the origin
-ZERO_WINDOW = 1e-8
-#: most intervals of one adaptive integral, in QUADPACK and in bisection
+#: most intervals of one adaptive bisection
 MAX_SUBDIVISIONS = 200
 
 Fn = Callable[[np.ndarray], np.ndarray]
@@ -236,10 +221,10 @@ def _tolerances(q: QuadratureSettings) -> Tuple[float, float]:
 
 
 def _bisect(f: Fn, a: float, b: float,
-            q: QuadratureSettings) -> Tuple[float, float]:
+            tol: Tuple[float, float]) -> Tuple[float, float]:
     """``∫_a^b f`` for ``0 < a < b`` by adaptive GK21 bisection in
     ``u = ln x``, with QAGS's stopping rule ``Σ err <= max(epsabs, epsrel
-    |Σ val|)``.
+    |Σ val|)`` for ``tol = (epsabs, epsrel)``.
 
     Each round halves, in one call of the integrand, every interval whose
     error is above an equal share of that bound, the largest first while
@@ -247,7 +232,7 @@ def _bisect(f: Fn, a: float, b: float,
     :class:`QuadratureFailure` on a non-finite value or when the intervals
     run out.
     """
-    epsabs, epsrel = _tolerances(q)
+    epsabs, epsrel = tol
 
     def g(u: np.ndarray) -> np.ndarray:
         x = np.exp(u)
@@ -295,45 +280,83 @@ def _panel(f: Fn, a: float, b: float, q: QuadratureSettings,
     for lo, hi, val, e in zip(ends[:-1].tolist(), ends[1:].tolist(),
                               vals.tolist(), errs.tolist()):
         if not e <= max(epsabs, epsrel * abs(val)):
-            val, e = _bisect(f, lo, hi, q)
+            val, e = _bisect(f, lo, hi, (epsabs, epsrel))
         total, err = total + val, err + e
     return total, err
 
 
 # ---------------------------------------------------------------------------
-# infinite tails on doubling panels
+# the singular ends: geometric panels towards infinity or the origin
 # ---------------------------------------------------------------------------
 
-_TAIL_PANELS = 64
-#: doubling panels per integrand call; more only grows the node arrays
-_TAIL_CHUNK = 8
+_PANELS = 64
+#: panels per integrand call: one call sums a finite-activity origin, which
+#: stops after about 12 halving panels; more only grows the node arrays
+_CHUNK = 16
 _FLAT_LIMIT = 3
+#: the origin's stopping test is relative: QUADPACK's relative floor, and
+#: an absolute floor (a factor of ``abs_tol``) far below the kernel's, so
+#: that a small inner integral, such as c(κ) near κ = 0, keeps its digits
+_ORIGIN_REL, _ORIGIN_ABS = 5e-14, 1e-8
+#: spread of the last three panel ratios below which they have settled
+_SETTLED = 1e-9
+#: spread at which the ratios are known to rounding: no later panel can
+#: bound the geometric remainder better
+_ROUNDOFF = 4.0 * _EPMACH
+_LN2 = math.log(2.0)
 
 
-def _tail_sum(f: Fn, lo: float, q: QuadratureSettings) -> Tuple[float, float]:
-    """``∫_lo^inf f`` over the panels ``[lo 2^k, lo 2^(k+1)]``, ``k < 64``.
+def _geometric_sum(f: Fn, a: float, b: float,
+                   q: QuadratureSettings) -> Tuple[float, float]:
+    """``∫_a^b f`` with ``b = inf`` over the doubling panels ``[a 2^k,
+    a 2^(k+1)]``, or with ``a = 0`` over the halving panels ``[b 2^-(k+1),
+    b 2^-k]``, ``k < 64``.
 
-    Panels are evaluated a chunk per call of ``f`` and summed in order
-    until three in a row are negligible and none larger than the one
-    before, or until the last three ratios of consecutive panels, read as
-    a geometric series, bound the error of its remainder
-    ``piece r̄/(1 - r̄)`` by ``|piece| spread/(1 - r̄)^2 <= tol/2``.
-    Every summed panel that fails its error test is then refined by
-    :func:`_bisect`.  The tail converges by its decay hint, so a non-finite
-    panel is an overflow and the integral a signed infinity (error 0).
-    Raises :class:`QuadratureFailure` when neither rule stops the sum.
+    Every panel ``[s, 2s]`` is GK21 on fixed nodes scaled by ``s``: in
+    ``x/s`` towards infinity, in ``u = ln(x/s)`` towards the origin, where
+    a power law is smooth.  A power law then gives panel ratios exact to
+    rounding.  Panels are evaluated a chunk per call of ``f`` and summed in
+    order until three in a row are negligible and none larger than the one
+    before, or until the last three ratios of consecutive panels, read as a
+    geometric series, bound the error of its remainder ``piece r/(1 - r)``
+    (``r`` the latest ratio) by ``|piece| spread/(1 - r̄)^2 <= tol/2`` or
+    have settled to rounding.  Panels that underflow to exactly 0 before
+    the first non-zero one are not negligible, since the mass may lie ahead
+    (64 of them are a zero integral).  A non-finite panel is an overflow: a
+    signed infinity with error 0.  Every summed panel that fails the
+    kernel's error test is then refined by :func:`_bisect`.
+
+    Towards infinity the sum stops on the kernel's tolerances; whether the
+    tail converges is its decay hint's call.  At the origin it stops on a
+    relative test, and ratios settled at ``r̄ >= 1`` mean divergence: a
+    signed infinity with an infinite error.  Raises
+    :class:`QuadratureFailure` when no rule stops the sum.
     """
-    epsabs, epsrel = _tolerances(q)
-    ends = lo * 2.0 ** np.arange(_TAIL_PANELS + 1)
+    tol = _tolerances(q)
+    origin = a == 0.0
+    if origin:
+        epsabs, epsrel = q.abs_tol * _ORIGIN_ABS, _ORIGIN_REL
+        starts = b * 0.5 ** np.arange(1, _PANELS + 1)
+        span = (0.0, _LN2)
+    else:
+        epsabs, epsrel = tol
+        starts = a * 2.0 ** np.arange(_PANELS)
+        span = (1.0, 2.0)
 
     def panels():
-        for k in range(0, _TAIL_PANELS, _TAIL_CHUNK):
-            vals, errs = _gk21(f, ends[k:k + _TAIL_CHUNK],
-                               ends[k + 1:k + _TAIL_CHUNK + 1])
+        for k in range(0, _PANELS, _CHUNK):
+            s = starts[k:k + _CHUNK, None]
+
+            def g(t: np.ndarray) -> np.ndarray:
+                x = s * (np.exp(t) if origin else t)
+                return f(x) * (x if origin else s)
+
+            vals, errs = _gk21(g, np.full(len(s), span[0]),
+                               np.full(len(s), span[1]))
             yield from zip(vals.tolist(), errs.tolist())
 
     pieces, errs, ratios = [], [], []
-    total, flat, last_sign = 0.0, 0, 1.0
+    total, flat, last_sign, seen = 0.0, 0, 1.0, False
     for piece, e in panels():
         if not math.isfinite(piece):
             sign = math.copysign(1.0, piece) if piece == piece else last_sign
@@ -345,10 +368,11 @@ def _tail_sum(f: Fn, lo: float, q: QuadratureSettings) -> Tuple[float, float]:
         errs.append(e)
         total += piece
         if piece != 0.0:
-            last_sign = math.copysign(1.0, piece)
-        tol = max(epsabs, epsrel * abs(total))
+            last_sign, seen = math.copysign(1.0, piece), True
+        bound_tol = max(epsabs, epsrel * abs(total))
         # a rising piece is not negligible: the tail's mass may lie ahead
-        flat = flat + 1 if abs(piece) <= min(0.1 * tol, prev) else 0
+        small = abs(piece) <= min(0.1 * bound_tol, prev)
+        flat = flat + 1 if seen and small else 0
         if flat >= _FLAT_LIMIT:
             remainder = (0.0, 0.0)
             break
@@ -356,99 +380,27 @@ def _tail_sum(f: Fn, lo: float, q: QuadratureSettings) -> Tuple[float, float]:
             r3 = ratios[-3:]
             rbar = sum(r3) / 3.0
             spread = max(abs(r - rbar) for r in r3)
+            if rbar >= 1.0:
+                if origin and spread <= _SETTLED:
+                    return last_sign * math.inf, math.inf
+                continue
             bound = abs(piece) * spread / (1.0 - rbar) ** 2
-            if rbar < 1.0 and bound <= 0.5 * tol:
-                remainder = (piece * rbar / (1.0 - rbar), bound)
+            if bound <= 0.5 * bound_tol or spread <= _ROUNDOFF:
+                # the latest ratio: a drifting one is nearest its limit
+                r = r3[-1]
+                remainder = (piece * r / (1.0 - r), bound)
                 break
     else:
+        if not seen:
+            return 0.0, 0.0
         raise QuadratureFailure(
-            f"tail integral not summed after {_TAIL_PANELS} panels")
+            f"integral over [{a:g}, {b:g}] not summed after {_PANELS} panels")
     total = err = 0.0
-    for k, (piece, e) in enumerate(zip(pieces, errs)):
-        if not e <= max(epsabs, epsrel * abs(piece)):
-            piece, e = _bisect(f, float(ends[k]), float(ends[k + 1]), q)
+    for s, piece, e in zip(starts.tolist(), pieces, errs):
+        if not e <= max(tol[0], tol[1] * abs(piece)):
+            piece, e = _bisect(f, s, 2.0 * s, tol)
         total, err = total + piece, err + e
     return total + remainder[0], err + remainder[1]
-
-
-# ---------------------------------------------------------------------------
-# the origin: strict QUADPACK, halving panels as fallback
-# ---------------------------------------------------------------------------
-
-
-def _quad(f: Callable[[float], float], a: float, b: float,
-          q: QuadratureSettings, epsabs: Optional[float] = None
-          ) -> Tuple[float, float, bool]:
-    """One QAGS call; returns (value, error estimate, converged flag).
-
-    Never raises.  A result QUADPACK warned about is not converged: the
-    integrand may hide a non-integrable singularity, and the spurious
-    "finite part" QUADPACK extrapolates there can be large enough to pass
-    the relative error gate on its own scale.
-    """
-    abs_default, epsrel = _tolerances(q)
-    with np.errstate(all="ignore"):
-        res = integrate.quad(f, a, b, full_output=1,
-                             epsabs=abs_default if epsabs is None else epsabs,
-                             epsrel=epsrel, limit=MAX_SUBDIVISIONS)
-    return res[0], res[1], len(res) == 3 and math.isfinite(res[0])
-
-
-_GROW_LIMIT = 4
-_ORIGIN_PANELS = 4096
-
-
-def _classify_origin(f: Callable[[float], float], q: QuadratureSettings,
-                     start: float) -> Tuple[str, float]:
-    """Classify ``∫_0^start f`` by summing the halving panels
-    ``[start 2^-(k+1), start 2^-k]``, one QUADPACK call each.
-
-    Returns ``("conv", value)`` or ``("div", signed_inf_sign)``.  Growth
-    over several consecutive panels, a partial sum passing ``1/abs_tol``,
-    or a non-finite panel all mean divergence; steadily shrinking panels
-    are summed with a geometric remainder estimate.
-    """
-    total = 0.0
-    prev = None
-    grow = flat = 0
-    ratios = []
-    last_sign = 1.0
-    for k in range(_ORIGIN_PANELS):
-        b = start * 2.0 ** (-k)
-        piece, _, _ = _quad(f, b / 2.0, b, q)
-        if not math.isfinite(piece):
-            return "div", math.copysign(1.0, piece) if piece == piece else last_sign
-        total += piece
-        if piece != 0.0:
-            last_sign = math.copysign(1.0, piece)
-        if abs(total) > 1.0 / q.abs_tol:
-            return "div", math.copysign(1.0, total)
-        if prev is not None:
-            if abs(piece) > abs(prev) * (1.0 + 1e-9) and abs(piece) > q.abs_tol:
-                grow += 1
-            else:
-                grow = 0
-            if abs(prev) > 0 and abs(piece) > 0:
-                ratios.append(abs(piece) / abs(prev))
-            if grow >= _GROW_LIMIT:
-                return "div", last_sign
-        if abs(piece) <= max(q.abs_tol * 1e-2, abs(total) * q.rel_tol * 1e-2):
-            flat += 1
-            if flat >= _FLAT_LIMIT:
-                return "conv", total
-        else:
-            flat = 0
-        # geometric extrapolation once the ratio has stabilised below one
-        if len(ratios) >= 3:
-            r3 = ratios[-3:]
-            rbar = sum(r3) / 3.0
-            if rbar < 1.0 and max(abs(r - rbar) for r in r3) < 0.02 * (1.0 - rbar):
-                remainder = piece * rbar / (1.0 - rbar)
-                if abs(remainder) <= max(q.abs_tol, abs(total) * q.rel_tol) * 0.5:
-                    return "conv", total + remainder
-        prev = piece
-    raise QuadratureFailure(
-        f"could not classify integral near zero after {_ORIGIN_PANELS} panels")
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +491,13 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
     an image of one, over jump distances ``s`` on one side.
 
     The interval is clipped to the side's support (an image measure's is
-    then pulled back onto its base) and its kind picks the policy: from
-    the origin (``lo == 0``), strict QUADPACK acceptance with the
-    halving-panel classifier as fallback, since a non-integrable origin
-    would otherwise pass its spurious finite part; out to infinity, the
-    tail-decay hint decides divergence and the doubling panels of
-    :func:`_tail_sum` the value; a bounded panel away from the origin, the
-    panel rule of :func:`_panel`.  A divergent integral comes back as
-    ``inf``; a panel that fails raises :class:`QuadratureFailure`.
-    Results are cached.
+    then pulled back onto its base) and its kind picks the rule: from the
+    origin (``lo == 0``), the halving panels of :func:`_geometric_sum`,
+    whose settled ratios decide a divergence there; out to infinity, the
+    tail-decay hint decides divergence and the doubling panels of the same
+    sum the value; a bounded panel away from the origin, the panel rule of
+    :func:`_panel`.  A divergent integral comes back as ``inf``; a panel
+    that fails raises :class:`QuadratureFailure`.  Results are cached.
     """
     end = _tail_upper_limit(nu, side)
     if min(hi, end) <= lo:
@@ -576,17 +526,10 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
             return np.where(np.isfinite(v), v, 0.0)
 
     def piece(a: float, b: float) -> float:
-        if a == 0.0:
-            scalar = lambda s: float(f(s))
-            val, _, ok = _quad(scalar, 0.0, b, q, epsabs=q.abs_tol * 1e-4)
-            if ok and val >= 0.0:
-                return val
-            status, val = _classify_origin(scalar, q, b)
-            return math.inf if status == "div" else val
-        if math.isinf(b):
-            if not decay.moment_finite(power, 0.0):
-                return math.inf
-            return _tail_sum(f, a, q)[0]
+        if math.isinf(b) and not decay.moment_finite(power, 0.0):
+            return math.inf
+        if a == 0.0 or math.isinf(b):
+            return _geometric_sum(f, a, b, q)[0]
         return _panel(f, a, b, q)[0]
 
     if lo == 0.0 and hi > INNER_CUT:
@@ -600,36 +543,19 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
 # ---------------------------------------------------------------------------
 
 
-def _one_sided_x2_mass(nu: LevyMeasure, side: int, r: float,
-                       q: QuadratureSettings) -> float:
-    """``∫_{0 < side*x <= r} x^2 ν(dx)`` for a density measure."""
-    val = one_sided_integral(nu, side, 2, 0.0, r, q)
-    if math.isinf(val):
-        raise NonIntegrableLevyMeasure(
-            "x^2 is not integrable near zero against this measure")
-    if val < 0.0:
-        raise QuadratureFailure("small-jump variation integration failed")
-    return val
-
-
 def small_jump_variation(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """``∫_{0 < |x| <= INNER_CUT} x^2 ν(dx)``; raises if infinite."""
     atoms = nu.atoms()
     if atoms is not None:
         return math.fsum(m * p * p for p, m in atoms if abs(p) <= INNER_CUT)
-    if nu.is_symmetric():
-        return 2.0 * _one_sided_x2_mass(nu, +1, INNER_CUT, q)
-    return (_one_sided_x2_mass(nu, +1, INNER_CUT, q)
-            + _one_sided_x2_mass(nu, -1, INNER_CUT, q))
-
-
-def _one_sided_tail_mass(nu: LevyMeasure, side: int, q: QuadratureSettings) -> float:
-    val = one_sided_integral(nu, side, 0, INNER_CUT, math.inf, q)
-    if math.isinf(val):
-        raise NonIntegrableLevyMeasure("infinite jump mass beyond the inner cut")
-    if val < 0.0:
-        raise QuadratureFailure("tail mass integration failed")
-    return val
+    vals = [one_sided_integral(nu, side, 2, 0.0, INNER_CUT, q)
+            for side in ((+1,) if nu.is_symmetric() else (+1, -1))]
+    if math.inf in vals:
+        raise NonIntegrableLevyMeasure(
+            "x^2 is not integrable near zero against this measure")
+    if min(vals) < 0.0:
+        raise QuadratureFailure("small-jump variation integration failed")
+    return 2.0 * vals[0] if len(vals) == 1 else vals[0] + vals[1]
 
 
 def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -637,9 +563,13 @@ def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> floa
     atoms = nu.atoms()
     if atoms is not None:
         return math.fsum(m for p, m in atoms if abs(p) > INNER_CUT)
-    if nu.is_symmetric():
-        return 2.0 * _one_sided_tail_mass(nu, +1, q)
-    return _one_sided_tail_mass(nu, +1, q) + _one_sided_tail_mass(nu, -1, q)
+    vals = [one_sided_integral(nu, side, 0, INNER_CUT, math.inf, q)
+            for side in ((+1,) if nu.is_symmetric() else (+1, -1))]
+    if math.inf in vals:
+        raise NonIntegrableLevyMeasure("infinite jump mass beyond the inner cut")
+    if min(vals) < 0.0:
+        raise QuadratureFailure("tail mass integration failed")
+    return 2.0 * vals[0] if len(vals) == 1 else vals[0] + vals[1]
 
 
 # ---------------------------------------------------------------------------
@@ -699,31 +629,31 @@ def _tail_value(nu: LevyMeasure, side: int, f: Optional[Fn],
         total, err = _panel(f, INNER_CUT, hi * (1.0 + 1e-12), q, pts)
         return ExtReal.finite(total), err
     lo = max((p for p in pts if INNER_CUT < p < hi), default=INNER_CUT)
-    total = err = 0.0
-    if lo > INNER_CUT:
-        total, err = _panel(f, INNER_CUT, lo, q, pts)
-    out, e = _tail_sum(f, lo, q)
-    if math.isinf(out):
-        return (POS_INF if out > 0 else NEG_INF), 0.0
-    return ExtReal.finite(total + out), err + e
+    total, err = _geometric_sum(f, lo, math.inf, q)
+    if lo > INNER_CUT and math.isfinite(total):
+        v, e = _panel(f, INNER_CUT, lo, q, pts)
+        total, err = total + v, err + e
+    return ExtReal.finite(total), err
 
 
 def _inner_value(nu: LevyMeasure, side: int, inner_g, q: QuadratureSettings,
-                 pts: Sequence[float]) -> Tuple[float, float]:
-    """Integral over ``0 < side*x <= INNER_CUT``: the panel ``[zw, 1]``
-    plus the series window ``(0, zw)``."""
+                 pts: Sequence[float]) -> Tuple[ExtReal, float]:
+    """Integral over ``0 < side*x <= INNER_CUT``: bounded panels down to
+    the smallest breakpoint, then the halving panels of
+    :func:`_geometric_sum` from there to the origin.  An overflow is a
+    signed infinity; a sum that diverges at the origin raises."""
     if inner_g is None:
-        return 0.0, 0.0
-    zw = ZERO_WINDOW
-    val, err = _panel(_density_product(nu, side, None, inner_g), zw,
-                      INNER_CUT, q, pts)
-    # series window: the integrand is O(x^2) by contract, so approximate it
-    # by (g(x)/x^2 at the window edge) * one-sided second moment of ν
-    g_edge = float(np.asarray(inner_g(np.asarray(side * zw, dtype=float))))
-    core = 0.0
-    if g_edge != 0.0:
-        core = (g_edge / (zw * zw)) * _one_sided_x2_mass(nu, side, zw, q)
-    return val + core, err
+        return ExtReal.finite(0.0), 0.0
+    f = _density_product(nu, side, None, inner_g)
+    cut = min((p for p in pts if 0.0 < p < INNER_CUT), default=INNER_CUT)
+    val, err = _geometric_sum(f, 0.0, cut, q)
+    if math.isinf(err):
+        raise NonIntegrableLevyMeasure(
+            "the inner integral diverges at the origin")
+    if cut < INNER_CUT and math.isfinite(val):
+        v, e = _panel(f, cut, INNER_CUT, q, pts)
+        val, err = val + v, err + e
+    return ExtReal.finite(val), err
 
 
 def _pulled_back(pb: _Pullback, q: QuadratureSettings, inner_g: Optional[Fn],
@@ -802,7 +732,7 @@ def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
             folded_inner = lambda x: gi(x) + gi(-x)
         t, terr = _tail_value(nu, +1, folded_tail, True, 1, q, pts)
         inner, ierr = _inner_value(nu, +1, folded_inner, q, pts)
-        return t + ExtReal.finite(inner), terr + ierr
+        return t + inner, terr + ierr
 
     tr, er = _tail_value(nu, +1, tail(+1, right), right.converges,
                          right.div_sign, q, pts)
@@ -813,4 +743,4 @@ def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
         return total, 0.0
     ir, eir = _inner_value(nu, +1, inner_g, q, pts)
     il, eil = _inner_value(nu, -1, inner_g, q, pts)
-    return total + ExtReal.finite(ir + il), er + el + eir + eil
+    return total + ir + il, er + el + eir + eil

@@ -337,10 +337,24 @@ def _cgmy_oracle(C, G, M, Y, kappa):
         return float(c_right + c_left), float(cp_right - cp_left)
 
 
+def _one_sided_power(alpha, rate):
+    """One-sided density ``x^{-1-α} e^{-rate x}`` on (0, inf)."""
+    from levy_emm import GenericDensity, TailDecay
+
+    def dens(x):
+        x = np.asarray(x, dtype=float)
+        ax = np.where(x > 0, x, 1.0)
+        return np.where(x > 0, ax ** (-1.0 - alpha) * np.exp(-rate * ax), 0.0)
+
+    right = (TailDecay.exponential(rate, -1.0 - alpha) if rate
+             else TailDecay.polynomial(-1.0 - alpha))
+    return GenericDensity(dens, right=right, left=TailDecay.bounded(1.0),
+                          positive_jumps=True, negative_jumps=False)
+
+
 class TestInfiniteVariationOrigin:
-    """The panel beside the series window is integrated from the window's
-    edge, not from 0, so ``(0, zw)`` is counted once; checked against
-    oracles that share no code with the kernel."""
+    """Integrals from the origin are summed over halving panels down to 0;
+    checked against oracles that share no code with the kernel."""
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.1, 1.5, 1.7, 1.9, 1.99])
     def test_stable_inner_integrals_match_the_series(self, alpha):
@@ -376,6 +390,36 @@ class TestInfiniteVariationOrigin:
                                 rel_tol=1e-12), kappa
             assert math.isclose(cumulant_derivative(lin, kappa).value,
                                 want_cp, rel_tol=1e-12), kappa
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.99, 1.999, 1.9999])
+    def test_near_critical_moments_match_mpmath(self, alpha):
+        # ∫_0^1 s^2 s^{-1-α} e^{-s} ds = γ(2 - α, 1): each halving panel
+        # shrinks by only 2^{α-2}, so the sum rests on its remainder
+        got = one_sided_integral(_one_sided_power(alpha, 1.0), +1, 2, 0.0, 1.0)
+        with mpmath.workdps(30):
+            want = float(mpmath.gammainc(2 - mpmath.mpf(alpha), 0, 1))
+        assert math.isclose(got, want, rel_tol=1e-11), (got, want)
+
+    @pytest.mark.parametrize("power, alpha", [(1, 1.0), (1, 1.5), (1, 2.0),
+                                              (2, 2.0), (2, 2.0001),
+                                              (2, 2.5)])
+    def test_divergent_moments_are_infinite(self, power, alpha):
+        nu = _one_sided_power(alpha, 1.0)
+        assert one_sided_integral(nu, +1, power, 0.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.9, 1.99])
+    def test_one_sided_inner_integral_matches_the_series(self, alpha):
+        # an asymmetric measure is not folded: the origin's share of the
+        # inner c integral is not helped by cancellation
+        nu = _one_sided_power(alpha, 0.0)
+        none = SidePlan(None, True)
+        for kappa in (-3.0, 3.0):
+            got, _ = two_sided_integral(
+                nu, DEFAULT_SETTINGS, right=none, left=none,
+                inner_g=lambda x: expm1_minus_x(kappa * x))
+            want = float(_stable_inner_series(alpha, kappa, 2))
+            assert math.isclose(got.value, want, rel_tol=1e-12), (
+                kappa, got, want)
 
 
 _LN2 = math.log(2.0)
@@ -559,16 +603,58 @@ class TestVectorisedKernel:
         assert cumulant_derivative(t, -1.0).value == pytest.approx(-exact,
                                                                    rel=1e-10)
 
-    @pytest.mark.parametrize("mean", [20.0, 30.0])
+    @pytest.mark.parametrize("mean", [20.0, 30.0, 60.0, 200.0])
     def test_far_jump_mass_is_not_skipped(self, mean):
         """The first doubling panels of a far Gaussian jump law underflow
-        but rise: they are not negligible, the mass lies ahead."""
+        but rise: they are not negligible, the mass lies ahead.  Beyond a
+        mean of about 47 the first three underflow to exactly 0."""
         nu = JumpDiffusion(1.5, GaussianJumps(mean, 1.0))
         kappa = 0.1
         exact = 1.5 * math.expm1(kappa * mean + 0.5 * kappa * kappa)
         assert cumulant(LevyTriplet(0.0, 0.0, nu), kappa).value == \
             pytest.approx(exact, rel=1e-12)
         assert tail_mass(nu) == pytest.approx(1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("mean, std", [(0.0, 0.003), (-0.05, 0.0015)])
+    def test_narrow_jump_law_at_the_origin(self, mean, std):
+        """A jump law this narrow underflows to exactly 0 on the first
+        halving panels below 1: they are not negligible, the mass lies
+        ahead of them, towards the origin."""
+        nu = JumpDiffusion(1.0, GaussianJumps(mean, std))
+        for kappa in (1.0, -2.0, 5.0):
+            exact = (math.expm1(kappa * mean + 0.5 * kappa * kappa * std * std)
+                     - kappa * mean)
+            assert cumulant(LevyTriplet(0.0, 0.0, nu), kappa).value == \
+                pytest.approx(exact, rel=1e-12), kappa
+        assert small_jump_variation(nu) == pytest.approx(mean * mean
+                                                         + std * std, rel=1e-12)
+
+    @pytest.mark.parametrize("nu, exact", [
+        (JumpDiffusion(1.0, GaussianJumps(0.0, 1e6)),
+         math.erfc(1.0 / (1e6 * math.sqrt(2.0)))),
+        (JumpDiffusion(1.0, DoubleExponentialJumps(0.5, 1e-10, 1e-10)),
+         math.exp(-1e-10)),
+    ])
+    def test_flat_convergent_tail_is_finite(self, nu, exact):
+        """Doubling panels of a density that is nearly flat out to 1e6 or
+        further have ratios settled near 2; the decay hint, not the
+        ratios, decides that such a tail converges."""
+        assert tail_mass(nu) == pytest.approx(exact, rel=1e-12)
+
+    def test_inner_overflow_is_infinite(self):
+        """``e^{κx}`` overflows on the inner cut of a measure with no
+        tails: a signed infinity, not a divergence at the origin."""
+        from levy_emm import GenericDensity, TailDecay
+        nu = GenericDensity(
+            lambda x: np.where(np.abs(np.asarray(x)) <= 1.0, 1.0, 0.0),
+            right=TailDecay.bounded(1.0), left=TailDecay.bounded(1.0))
+        t = LevyTriplet(0.0, 0.0, nu)
+        assert cumulant(t, 5.0).value == pytest.approx(
+            2.0 * math.sinh(5.0) / 5.0 - 2.0, rel=1e-12)
+        assert cumulant(t, 800.0).is_pos_inf
+        assert cumulant(t, -800.0).is_pos_inf
+        assert cumulant_derivative(t, 800.0).is_pos_inf
+        assert cumulant_derivative(t, -800.0).is_neg_inf
 
     def test_hump_overflow_is_infinite(self):
         t = perturbed_triplet(LevyTriplet(0.1, 0.0, SymmetricAlphaStable(0.8)),

@@ -1,13 +1,11 @@
 """Module boundaries of the package, read from the source.
 
 No module imports another module's private (``_``-prefixed) name, not even
-inside a function, and only the quadrature layer calls into
-``scipy.integrate``: every integral against a jump measure goes through
-``levy_core/quadrature.py``, whose ``_quad`` is the one caller of
-``scipy.integrate.quad`` and is reached only from the origin policy.  That
-layer is also the only caller of a measure's ``density``/``log_density``
-outside the measures themselves, so no integrand multiplies by a jump
-density on its own.
+inside a function, and no module imports ``scipy.integrate``: every
+integral against a jump measure goes through the package's own kernel in
+``levy_core/quadrature.py``.  That layer is also the only caller of a
+measure's ``density``/``log_density`` outside the measures themselves, so
+no integrand multiplies by a jump density on its own.
 """
 
 from __future__ import annotations
@@ -63,12 +61,11 @@ def test_no_private_cross_module_imports(path):
 
 @pytest.mark.parametrize("path", _MODULES,
                          ids=[_module_name(p) for p in _MODULES])
-def test_only_quadrature_imports_scipy_integrate(path):
+def test_no_module_imports_scipy_integrate(path):
     uses = [(module, name) for module, name in _imports(path)
             if module.startswith("scipy.integrate")
             or (module == "scipy" and name == "integrate")]
-    assert path == _QUADRATURE or not uses, (
-        f"{_module_name(path)} imports scipy.integrate: {uses}")
+    assert not uses, f"{_module_name(path)} imports scipy.integrate: {uses}"
 
 
 @pytest.mark.parametrize("path", _MODULES,
@@ -81,51 +78,3 @@ def test_only_the_kernel_evaluates_densities(path):
                     and node.func.attr in ("density", "log_density")})
     assert path in (_QUADRATURE, _MEASURES) or not calls, (
         f"{_module_name(path)} evaluates a jump density on lines {calls}")
-
-
-class _Callers(ast.NodeVisitor):
-    """Names of the functions that call one of ``callees`` (``<module>``
-    for a call at module level): the innermost enclosing function, or the
-    top-level one with ``outermost``."""
-
-    def __init__(self, callees, outermost: bool = False) -> None:
-        self.callees = callees
-        self.outermost = outermost
-        self.stack = ["<module>"]
-        self.callers = set()
-
-    def visit_FunctionDef(self, node) -> None:
-        self.stack.append(node.name)
-        self.generic_visit(node)
-        self.stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if ast.unparse(node.func) in self.callees:
-            self.callers.add(self.stack[min(1, len(self.stack) - 1)]
-                             if self.outermost else self.stack[-1])
-        self.generic_visit(node)
-
-
-def _callers(path: Path, callees, outermost: bool = False) -> set:
-    visitor = _Callers(callees, outermost)
-    visitor.visit(ast.parse(path.read_text(encoding="utf-8"),
-                            filename=str(path)))
-    return visitor.callers
-
-
-def test_quadpack_has_one_seam():
-    """Every QUADPACK call goes through ``quadrature._quad``, so a panel
-    rule or a replacement kernel changes one function."""
-    found = {(_module_name(path), name) for path in _MODULES
-             for name in _callers(path, ("quad", "integrate.quad",
-                                         "scipy.integrate.quad"))}
-    assert found == {("levy_emm.levy_core.quadrature", "_quad")}, found
-
-
-def test_quadpack_only_at_the_origin():
-    """Only the origin policy reaches QUADPACK: tails and bounded panels
-    are integrated by the vectorised Gauss–Kronrod rule."""
-    found = _callers(_QUADRATURE, ("_quad",), outermost=True)
-    assert found == {"one_sided_integral", "_classify_origin"}, found
