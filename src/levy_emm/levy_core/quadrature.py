@@ -10,10 +10,11 @@ Density integrals are split into four panels per the package-wide layout::
 on the inner cut as a function of the jump size, and each tail as a
 :class:`SidePlan` whose log-space part (:func:`exp_tail_integrand`) takes
 ``log ν`` from the kernel.  Every integrand is array-in, array-out: the
-rules below rest on QUADPACK's 21-point Gauss–Kronrod rule ``qk21``
-(Piessens et al. 1983), which :func:`_gk21` applies to many panels in one
-call of the integrand, with QUADPACK's nodes, weights and error estimate.
-The kind of each panel picks its rule:
+rules below rest on the 21-point Gauss–Kronrod rule of :func:`_gk21`,
+which applies to many panels in one call of the integrand with the nodes,
+weights and error estimate of QUADPACK's ``qk21`` (Piessens et al. 1983).
+Its sums are matrix products, so it agrees with ``qk21`` to rel 1e-14, not
+bit for bit.  The kind of each panel picks its rule:
 
 * the two singular ends, out to infinity and down to the origin, are one
   geometric panel sum (:func:`_geometric_sum`): doubling panels ``[lo
@@ -168,9 +169,14 @@ _WG = np.array([
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
-# qk21 adds the Gauss pairs first, then the other Kronrod pairs
-_GAUSS = [1, 3, 5, 7, 9]
-_KRONROD = _GAUSS + [0, 2, 4, 6, 8]
+# the 21 nodes on [-1, 1] in the order centre, left, right; the columns of
+# _W21 are their Kronrod weights and their Gauss weights, which are 0 off
+# the Gauss nodes (entries 2, 4, ..., 20)
+_XN21 = np.concatenate(([0.0], -_XGK[:10], _XGK[:10]))
+_WK21 = np.concatenate((_WGK[10:], _WGK[:10], _WGK[:10]))
+_WG21 = np.zeros(21)
+_WG21[2:11:2] = _WG21[12::2] = _WG
+_W21 = np.column_stack((_WK21, _WG21))
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 
@@ -180,39 +186,25 @@ def _gk21(f: Fn, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``f`` on a ``(panels, 21)`` array of nodes; returns the value and the
     error estimate of each panel.
 
-    The nodes, the weights, the ``resasc``/roundoff correction of the error
-    and the order of every sum are qk21's (``np.cumsum`` adds left to
-    right), so each panel rounds as QUADPACK's own first step does.
+    The nodes, the weights and the ``resasc``/roundoff correction of the
+    error are qk21's; the sums are matrix products, so a panel agrees with
+    QUADPACK's own first step to rounding (rel 1e-14), not bit for bit.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    centr = (0.5 * (a + b))[:, None]
-    hlgth = 0.5 * (b - a)
-    absc = hlgth[:, None] * _XGK[:10]
-    x = np.concatenate((centr, centr - absc, centr + absc), axis=1)
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = centre[:, None] + half[:, None] * _XN21
     fv = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
     with np.errstate(all="ignore"):
-        fc, f1, f2 = fv[:, 0], fv[:, 1:11], fv[:, 11:]
-        fsum = f1 + f2
-        fabs = np.abs(f1) + np.abs(f2)
-
-        def ordered_sum(first, terms):
-            return np.cumsum(np.column_stack((first, terms)), axis=1)[:, -1]
-
-        resg = np.cumsum(_WG * fsum[:, _GAUSS], axis=1)[:, -1]
-        resk = ordered_sum(_WGK[10] * fc, _WGK[_KRONROD] * fsum[:, _KRONROD])
-        resabs = ordered_sum(np.abs(_WGK[10] * fc),
-                             _WGK[_KRONROD] * fabs[:, _KRONROD])
-        reskh = resk * 0.5
-        dev = np.abs(f1 - reskh[:, None]) + np.abs(f2 - reskh[:, None])
-        resasc = ordered_sum(_WGK[10] * np.abs(fc - reskh), _WGK[:10] * dev)
-        dhlgth = np.abs(hlgth)
-        resabs, resasc = resabs * dhlgth, resasc * dhlgth
-        abserr = np.abs((resk - resg) * hlgth)
+        resk, resg = (fv @ _W21).T
+        dhlgth = np.abs(half)
+        resabs = (np.abs(fv) @ _WK21) * dhlgth
+        resasc = (np.abs(fv - 0.5 * resk[:, None]) @ _WK21) * dhlgth
+        abserr = np.abs((resk - resg) * half)
         scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
         abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
         abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
                           np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
-        return resk * hlgth, abserr
+        return resk * half, abserr
 
 
 def _tolerances(q: QuadratureSettings) -> Tuple[float, float]:
@@ -355,15 +347,17 @@ def _geometric_sum(f: Fn, a: float, b: float,
                                np.full(len(s), span[1]))
             yield from zip(vals.tolist(), errs.tolist())
 
-    pieces, errs, ratios = [], [], []
+    pieces, errs = [], []
     total, flat, last_sign, seen = 0.0, 0, 1.0, False
+    # the last three ratios of consecutive non-zero panels, oldest first
+    prev, r1, r2, r3, n_ratios = math.inf, 0.0, 0.0, 0.0, 0
     for piece, e in panels():
         if not math.isfinite(piece):
             sign = math.copysign(1.0, piece) if piece == piece else last_sign
             return sign * math.inf, 0.0
-        prev = abs(pieces[-1]) if pieces else math.inf
+        size = abs(piece)
         if 0.0 < prev < math.inf and piece != 0.0:
-            ratios.append(abs(piece) / prev)
+            r1, r2, r3, n_ratios = r2, r3, size / prev, n_ratios + 1
         pieces.append(piece)
         errs.append(e)
         total += piece
@@ -371,24 +365,22 @@ def _geometric_sum(f: Fn, a: float, b: float,
             last_sign, seen = math.copysign(1.0, piece), True
         bound_tol = max(epsabs, epsrel * abs(total))
         # a rising piece is not negligible: the tail's mass may lie ahead
-        small = abs(piece) <= min(0.1 * bound_tol, prev)
-        flat = flat + 1 if seen and small else 0
+        small = size <= 0.1 * bound_tol and size <= prev
+        flat, prev = (flat + 1 if seen and small else 0), size
         if flat >= _FLAT_LIMIT:
             remainder = (0.0, 0.0)
             break
-        if len(ratios) >= 3:
-            r3 = ratios[-3:]
-            rbar = sum(r3) / 3.0
-            spread = max(abs(r - rbar) for r in r3)
+        if n_ratios >= 3:
+            rbar = (r1 + r2 + r3) / 3.0
+            spread = max(abs(r1 - rbar), abs(r2 - rbar), abs(r3 - rbar))
             if rbar >= 1.0:
                 if origin and spread <= _SETTLED:
                     return last_sign * math.inf, math.inf
                 continue
-            bound = abs(piece) * spread / (1.0 - rbar) ** 2
+            bound = size * spread / (1.0 - rbar) ** 2
             if bound <= 0.5 * bound_tol or spread <= _ROUNDOFF:
                 # the latest ratio: a drifting one is nearest its limit
-                r = r3[-1]
-                remainder = (piece * r / (1.0 - r), bound)
+                remainder = (piece * r3 / (1.0 - r3), bound)
                 break
     else:
         if not seen:
@@ -397,7 +389,7 @@ def _geometric_sum(f: Fn, a: float, b: float,
             f"integral over [{a:g}, {b:g}] not summed after {_PANELS} panels")
     total = err = 0.0
     for s, piece, e in zip(starts.tolist(), pieces, errs):
-        if not e <= max(tol[0], tol[1] * abs(piece)):
+        if not (e <= tol[0] or e <= tol[1] * abs(piece)):
             piece, e = _bisect(f, s, 2.0 * s, tol)
         total, err = total + piece, err + e
     return total + remainder[0], err + remainder[1]

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 from levy_emm import (
     CGMY,
@@ -18,6 +20,12 @@ from levy_emm import (
     VarianceGamma,
     zero_measure,
 )
+
+# CI selects the "ci" profile (HYPOTHESIS_PROFILE=ci): the same examples on
+# every run, so a verdict does not depend on the draw.  Local runs keep the
+# default profile's random exploration.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

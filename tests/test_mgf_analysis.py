@@ -379,6 +379,10 @@ class TestSearchIncreasingRoot:
     # a root within 1e-12 of an open end, and a candidate set without 0
     @example((-6.0, 3.0, "open", "open", 3.0 - 1e-12, 1.0, 0.0, False))
     @example((-5.0, -0.5, "closed", "open", -0.5 + 1e-13, 1.0, 1.0, False))
+    # a subnormal root: f(0) = a (0 - r) rounds to -0.0, an exact zero of
+    # the computed f at the start and at a closed end
+    @example((-math.inf, 1.0, "inf", "closed", 5e-324, 0.5, 0.0, False))
+    @example((0.0, 1.0, "closed", "closed", 5e-324, 0.5, 0.0, False))
     def test_bracket_or_endpoint_verdict(self, problem):
         lo, hi, lo_kind, hi_kind, r, a, b, blow_up = problem
         calls = []
@@ -396,6 +400,10 @@ class TestSearchIncreasingRoot:
             return (lo < x < hi or (x == lo and lo_kind == "closed")
                     or (x == hi and hi_kind == "closed"))
 
+        # the search sees the computed f, whose zero may round away from r
+        def exact_zero(x):
+            return f(x).value == 0.0
+
         has_root = in_domain(r) and not (blow_up and r in (lo, hi))
         found = search_increasing_root(f, lo, hi, lo_kind == "closed",
                                        hi_kind == "closed")
@@ -405,7 +413,8 @@ class TestSearchIncreasingRoot:
         if found.side == 0:
             assert has_root
             assert in_domain(found.lo) and in_domain(found.hi)
-            assert found.lo <= r <= found.hi
+            assert (found.lo <= r <= found.hi or exact_zero(found.lo)
+                    or exact_zero(found.hi))
             assert f(found.lo).value <= 0.0 <= f(found.hi).value
             return
         end = hi if found.side > 0 else lo
@@ -419,7 +428,8 @@ class TestSearchIncreasingRoot:
             assert len(calls) <= 2
             assert found.end_value.value == f(end).value
             if has_root:
-                assert r == end and found.end_value.value == 0.0
+                assert r == end or exact_zero(end)
+                assert found.end_value.value == 0.0
 
     def test_zero_at_start_costs_one_evaluation(self):
         calls = []

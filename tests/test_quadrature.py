@@ -544,10 +544,121 @@ def _qk21_cases():
     ]
 
 
+def _batch_cases():
+    """Integrands for the batched GK21 test: ``(id, f)``."""
+    return [
+        ("mixed_sign", lambda x: np.sin(3.0 * x) + 0.2),
+        ("zero", lambda x: np.zeros_like(x)),
+        ("constant", lambda x: np.full_like(x, -1.5)),
+        ("scalar", lambda x: 2.5),
+    ]
+
+
+#: ``_geometric_sum`` cases: ``(id, f, a, b)`` and where the sum stops,
+#: one panel per call: panels summed, value, remainder, panels refined
+_STOP_CASES = [
+    ("power_tail", lambda x: x ** -1.8, 1.0, math.inf,
+     (4, 1.25, 0.1360235255150195, 0)),
+    ("drifting_tail", lambda x: x ** -1.8 * (1.0 + 1.0 / x), 1.0, math.inf,
+     (24, 1.8055555555552514, 2.0755540348638135e-06, 0)),
+    ("gauss_tail", lambda x: np.exp(-0.5 * x * x), 1.0, math.inf,
+     (4, 0.3976897454233514, 0.0, 0)),
+    ("fast_tail", lambda x: np.exp(-10.0 * x * x), 1.0, math.inf,
+     (4, 2.1703132536943314e-06, 0.0, 0)),
+    ("far_gauss", lambda x: np.exp(-0.5 * (x - 30.0) ** 2), 1.0, math.inf,
+     (9, 2.506628274630998, 0.0, 2)),
+    ("far_hump", lambda x: np.exp(x - x * x / 256.0 - 1.8 * np.log(x)),
+     1.0, math.inf, (10, 2.906337052534001e+25, 0.0, 4)),
+    ("origin_power", lambda x: x ** 0.5, 0.0, 1.0,
+     (4, 0.6666666666666666, 0.01041666666666663, 0)),
+    ("origin_near_critical", lambda x: x ** -0.9999, 0.0, 1.0,
+     (4, 9999.999999973084, 9997.227795577735, 0)),
+    ("origin_diverges", lambda x: x ** -1.5, 0.0, 1.0,
+     (4, math.inf, math.inf, 0)),
+    ("origin_diverges_drifting", lambda x: x ** -1.5 * (1.0 + x), 0.0, 1.0,
+     (32, math.inf, math.inf, 0)),
+]
+
+
+def _geometric_stop(monkeypatch, f, a, b):
+    """``_geometric_sum`` of ``f`` over ``[a, b]``, one panel per call of
+    ``f``: ``(panels summed, value, remainder, panels refined)``, where the
+    remainder is the value less its summed (and refined) panels."""
+    from levy_emm.levy_core import quadrature as quad_mod
+
+    gk21, bisect = quad_mod._gk21, quad_mod._bisect
+    scanned, refined, refining = [], {}, []
+
+    def recorded_gk21(g, lo, hi):
+        val, err = gk21(g, lo, hi)
+        if not refining:
+            scanned.append(float(val[0]))
+        return val, err
+
+    def recorded_bisect(g, lo, hi, tol):
+        refining.append(lo)
+        refined[lo] = bisect(g, lo, hi, tol)
+        refining.pop()
+        return refined[lo]
+
+    monkeypatch.setattr(quad_mod, "_CHUNK", 1)
+    monkeypatch.setattr(quad_mod, "_gk21", recorded_gk21)
+    monkeypatch.setattr(quad_mod, "_bisect", recorded_bisect)
+    value, _ = quad_mod._geometric_sum(f, a, b, DEFAULT_SETTINGS)
+    total = 0.0
+    for k, piece in enumerate(scanned):
+        start = b * 0.5 ** (k + 1) if a == 0.0 else a * 2.0 ** k
+        total += refined.get(start, (piece,))[0]
+    return len(scanned), value, value - total, len(refined)
+
+
 class TestVectorisedKernel:
-    """The GK21 rule against QUADPACK's own first step, power-law tails
-    summed through the geometric remainder, a far tail hump against
-    mpmath, and the number of density calls one cumulant costs."""
+    """The GK21 rule against QUADPACK's own first step, one panel and many
+    at once; the geometric sum's stop; power-law tails summed through the
+    geometric remainder, a far tail hump against mpmath, and the number of
+    density calls one cumulant costs."""
+
+    @pytest.mark.parametrize("f", [c[1] for c in _batch_cases()],
+                             ids=[c[0] for c in _batch_cases()])
+    def test_gk21_batch_matches_single_panels(self, f):
+        """Values to rounding; errors, which read the rounding of ``resk -
+        resg``, to the single-panel test's tolerance."""
+        from levy_emm.levy_core import quadrature as quad_mod
+
+        a = np.linspace(-2.0, 5.0, 16)
+        b = a + np.geomspace(1e-3, 2.0, 16)
+        vals, errs = quad_mod._gk21(f, a, b)
+        epsabs, epsrel = quad_mod._tolerances(DEFAULT_SETTINGS)
+        for lo, hi, val, err in zip(a, b, vals, errs):
+            one_val, one_err = quad_mod._gk21(f, np.array([lo]),
+                                              np.array([hi]))
+            assert val == pytest.approx(one_val[0], rel=1e-15, abs=0.0)
+            assert err == pytest.approx(one_err[0], rel=1e-10, abs=0.0)
+            assert ((err <= max(epsabs, epsrel * abs(val)))
+                    == (one_err[0] <= max(epsabs, epsrel * abs(one_val[0]))))
+            ref = integrate.quad(lambda x: float(f(np.asarray(x))), lo, hi,
+                                 limit=1, full_output=1)
+            assert val == pytest.approx(ref[0], rel=1e-14, abs=0.0)
+            assert err == pytest.approx(ref[1], rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("f, a, b, stop", [c[1:] for c in _STOP_CASES],
+                             ids=[c[0] for c in _STOP_CASES])
+    def test_geometric_sum_stop(self, monkeypatch, f, a, b, stop):
+        """Where the panel scan stops, what it adds as the remainder of a
+        geometric series and which panels it refines.  The numbers are
+        those of the scan that kept its ratios in a list and summed each
+        panel in qk21's order.  Values agree to the kernel's ``rel_tol``,
+        which the near-critical remainder ``r/(1 - r)`` needs: its ratio is
+        ``2^-0.0001``."""
+        n, value, remainder, refined = _geometric_stop(monkeypatch, f, a, b)
+        want_n, want_value, want_remainder, want_refined = stop
+        assert (n, refined) == (want_n, want_refined)
+        assert value == pytest.approx(want_value, rel=1e-11, abs=0.0)
+        if math.isinf(want_value):
+            assert remainder == want_remainder
+        else:
+            assert remainder == pytest.approx(
+                want_remainder, rel=1e-11, abs=1e-14 * abs(want_value))
 
     @pytest.mark.parametrize("f, a, b", [c[1:] for c in _qk21_cases()],
                              ids=[c[0] for c in _qk21_cases()])
