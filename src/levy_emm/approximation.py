@@ -22,7 +22,7 @@ from .esscher import solve_linear_emm
 from .levy_core.measures import FiniteAtomic, LevyMeasure, Tempered
 from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
                                    QuadratureSettings, SidePlan,
-                                   exp_entropy_term, exp_tail_integrand,
+                                   exp_entropy_term, exp_integrand,
                                    two_sided_integral)
 from .levy_core.triplets import LevyTriplet, TripletLike, as_validated
 from .mgf_analysis import minimize_mgf
@@ -189,7 +189,7 @@ def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int,
     def pre(x: np.ndarray) -> np.ndarray:
         return -np.expm1(-p.rho_at(n, x))
 
-    tail = exp_tail_integrand(0.0, prefactor=pre)
+    tail = exp_integrand(0.0, prefactor=pre)
     right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
     left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
     val, _ = two_sided_integral(nu, q, inner_g=None, right=right, left=left)
@@ -217,7 +217,7 @@ def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
     def log_w(x: np.ndarray) -> np.ndarray:
         return -p.rho_at(n, x)
 
-    plan = SidePlan(exp_tail_integrand(kappa, prefactor=pre, log_weight=log_w),
+    plan = SidePlan(exp_integrand(kappa, prefactor=pre, log_weight=log_w),
                     True)
     val, _ = two_sided_integral(nu, q, inner_g=None, right=plan, left=plan)
     return val.value
@@ -240,18 +240,16 @@ def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
             m * float(exp_entropy_term(np.asarray(u_of(pos))))
             for pos, m in atoms))
     else:
-        def entropy(x: np.ndarray) -> np.ndarray:
-            return exp_entropy_term(u_of(x))
+        def log_w(x: np.ndarray) -> np.ndarray:
+            return -p.rho_at(n, x)
 
-        def inner(x: np.ndarray) -> np.ndarray:
-            return exp_entropy_term(kappa * x)
-
-        right = SidePlan(None, nu.right_tail().moment_finite(0, 0.0),
-                         weight=entropy)
-        left = SidePlan(None, nu.left_tail().moment_finite(0, 0.0),
-                        weight=entropy)
-        val, _ = two_sided_integral(nu, q, inner_g=inner, right=right,
-                                    left=left)
+        # the penalty vanishes inside the cut
+        tail = exp_integrand(kappa, factor=exp_entropy_term, log_weight=log_w)
+        right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
+        left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
+        val, _ = two_sided_integral(
+            nu, q, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
+            right=right, left=left)
         jump_part = val.value
     return horizon * (vt.sigma2 * kappa * kappa / 2.0 + jump_part)
 
@@ -327,7 +325,7 @@ def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
     vt = as_validated(t, q)
     mp = minimize_mgf(vt, horizon, q)  # raises for monotone (arbitrage) inputs
     kappa_limit = mp.kappa0
-    entropy_limit = -math.log(mp.phi_at_min) + 0.0
+    entropy_limit = -mp.log_phi_at_min + 0.0
 
     steps = []
     failures = []

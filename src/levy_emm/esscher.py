@@ -21,7 +21,7 @@ from .errors import KappaOutsideI
 from .levy_core.extreal import ExtReal
 from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
                                    QuadratureSettings, SidePlan,
-                                   two_sided_integral)
+                                   exp_integrand, two_sided_integral)
 from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
                                  as_validated, cumulant, cumulant_derivative,
                                  geometric_to_linear, is_monotone)
@@ -58,12 +58,8 @@ def _tilt_drift_correction(vt, kappa: float, q: QuadratureSettings) -> float:
             return float(math.fsum(m * p * np.expm1(kappa * p)
                                    for p, m in atoms if abs(p) <= INNER_CUT))
 
-    def inner(x):
-        with np.errstate(over="ignore"):
-            return x * np.expm1(kappa * x)
-
     val, _ = two_sided_integral(
-        nu, q, inner_g=inner,
+        nu, q, inner_g=exp_integrand(kappa, factor=np.expm1, power=1),
         right=SidePlan(None, True), left=SidePlan(None, True))
     return val.value
 
@@ -207,7 +203,7 @@ def solve_linear_emm(t: TripletLike, horizon: float,
         return EsscherResult(
             EsscherStatus.EMM_EXISTS, k0, ent, ent, _tilted(vt, k0, q), ps,
             f"tilt parameter located ({ps.case.value})")
-    inf_ent = _clamped(-math.log(ps.minimum.phi_at_min))
+    inf_ent = _clamped(-ps.minimum.log_phi_at_min)
     return EsscherResult(
         EsscherStatus.NO_EMM, None, None, inf_ent, None, ps,
         ps.diagnostic + "; infimum entropy approached but not attained")

@@ -7,7 +7,7 @@ from .measures import (CGMY, DoubleExponentialJumps, ExpJumpImage, ExpTilted,
                        SymmetricAlphaStable, TailDecay, Tempered,
                        VarianceGamma, zero_measure)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                         exp_tail_integrand, small_jump_variation, tail_mass)
+                         exp_integrand, small_jump_variation, tail_mass)
 from .triplets import (LevyTriplet, Monotonicity, ValidatedTriplet,
                        as_validated, cumulant, cumulant_derivative,
                        geometric_to_linear, is_monotone,
@@ -25,5 +25,5 @@ __all__ = [
     "LevyTriplet", "ValidatedTriplet", "validate_triplet", "as_validated",
     "cumulant", "cumulant_derivative", "mgf", "mgf_derivative",
     "Monotonicity", "is_monotone", "geometric_to_linear", "linear_to_geometric",
-    "exp_tail_integrand",
+    "exp_integrand",
 ]

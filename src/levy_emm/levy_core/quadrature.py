@@ -1,20 +1,32 @@
 """Integration against jump measures: one kernel for every integral
-``∫ g dν`` the package needs, and the only code that multiplies an
-integrand by a jump density.
+``∫ g dν`` the package needs, and the only code that evaluates a jump
+density.
 
 Density integrals are split into four panels per the package-wide layout::
 
     (-inf, -1] | [-1, 0) | (0, 1] | [1, inf)
 
-:func:`two_sided_integral` is the kernel.  Callers give it the integrand
-on the inner cut as a function of the jump size, and each tail as a
-:class:`SidePlan` whose log-space part (:func:`exp_tail_integrand`) takes
-``log ν`` from the kernel.  Every integrand is array-in, array-out: the
-rules below rest on the 21-point Gauss–Kronrod rule of :func:`_gk21`,
-which applies to many panels in one call of the integrand with the nodes,
-weights and error estimate of QUADPACK's ``qk21`` (Piessens et al. 1983).
-Its sums are matrix products, so it agrees with ``qk21`` to rel 1e-14, not
-bit for bit.  The kind of each panel picks its rule:
+:func:`two_sided_integral` is the kernel.  Every integrand is given to it
+in parts, one for the inner cut and one for each tail, and every part has
+the same contract: the kernel calls it with the jump size ``x``, the
+density ``ν(x)`` and ``log ν(x)``, and the part returns its own product
+with the density; the kernel multiplies nothing.  :func:`exp_integrand`
+builds every part the package uses.  It takes ``e^u ν`` in log space and
+the factors ``e^u - 1``, ``e^u - 1 - u`` and ``e^u (u - 1) + 1`` as
+``factor(u) ν`` where ``u <= 1`` and as ``e^{u + log ν}`` plus the
+polynomial part beyond, so a density that underflows never meets a factor
+that overflows and a small ``u`` keeps its digits.  Each region reads the
+density its own way: a tail takes ``log ν`` from ``log_density`` and ``ν``
+as its exponential; an inner panel takes ``ν`` from ``density``, so the
+origin keeps the density's own digits, and ``log ν`` as its logarithm,
+from ``log_density`` only where ``ν`` underflows.
+
+Every part is array-in, array-out: the rules below rest on the 21-point
+Gauss–Kronrod rule of :func:`_gk21`, which applies to many panels in one
+call of the integrand with the nodes, weights and error estimate of
+QUADPACK's ``qk21`` (Piessens et al. 1983).  Its sums are matrix
+products, so it agrees with ``qk21`` to rel 1e-14, not bit for bit.  The
+kind of each panel picks its rule:
 
 * the two singular ends, out to infinity and down to the origin, are one
   geometric panel sum (:func:`_geometric_sum`): doubling panels ``[lo
@@ -44,8 +56,10 @@ pullback onto their base, ``∫ g dν_img = ∫ g(φ(t)) ν(dt)`` with
 ``φ = expm1`` or ``log1p``: each base point goes to the image's inner or
 tail integrand by ``|φ(t)| <= INNER_CUT`` (the base is split where that
 changes, at ``ln 2``, ``e - 1`` and ``e^{-1} - 1``), so the base's own
-hints, panels and origin sum do the work.  A tilt ``e^{κy}`` of the
-image enters as ``κφ(t)`` in ``log ν``.
+hints, panels and origin sum do the work.  Every part then gets the
+base's ``ν`` and ``log ν`` with two more arguments: the image's own tilt,
+which joins κ before it multiplies a price jump that can overflow, and
+``log|φ(t)|``.
 
 :func:`one_sided_integral` applies the two interval rules (geometric
 panels at a singular end, a bounded panel elsewhere) to the moments
@@ -79,7 +93,7 @@ __all__ = [
     "MAX_SUBDIVISIONS",
     "two_sided_integral",
     "SidePlan",
-    "exp_tail_integrand",
+    "exp_integrand",
     "one_sided_integral",
     "small_jump_variation",
     "tail_mass",
@@ -96,6 +110,9 @@ INNER_CUT = 1.0
 MAX_SUBDIVISIONS = 200
 
 Fn = Callable[[np.ndarray], np.ndarray]
+#: an integrand part: ``(x, ν(x), log ν(x)) -> g(x) ν(x)``, and for an image
+#: measure also ``(..., tilt, log|x|)`` (see :func:`exp_integrand`)
+Part = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -193,8 +210,10 @@ def _gk21(f: Fn, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     x = centre[:, None] + half[:, None] * _XN21
-    fv = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    # an integrand that overflows makes an infinite panel, one that forms
+    # an invalid value a NaN panel: the callers judge both
     with np.errstate(all="ignore"):
+        fv = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
         resk, resg = (fv @ _W21).T
         dhlgth = np.abs(half)
         resabs = (np.abs(fv) @ _WK21) * dhlgth
@@ -314,8 +333,9 @@ def _geometric_sum(f: Fn, a: float, b: float,
     (``r`` the latest ratio) by ``|piece| spread/(1 - r̄)^2 <= tol/2`` or
     have settled to rounding.  Panels that underflow to exactly 0 before
     the first non-zero one are not negligible, since the mass may lie ahead
-    (64 of them are a zero integral).  A non-finite panel is an overflow: a
-    signed infinity with error 0.  Every summed panel that fails the
+    (64 of them are a zero integral).  An infinite panel is an overflow: a
+    signed infinity with error 0; a NaN panel raises, since no part forms
+    ``inf * 0``.  Every summed panel that fails the
     kernel's error test is then refined by :func:`_bisect`.
 
     Towards infinity the sum stops on the kernel's tolerances; whether the
@@ -353,8 +373,10 @@ def _geometric_sum(f: Fn, a: float, b: float,
     prev, r1, r2, r3, n_ratios = math.inf, 0.0, 0.0, 0.0, 0
     for piece, e in panels():
         if not math.isfinite(piece):
-            sign = math.copysign(1.0, piece) if piece == piece else last_sign
-            return sign * math.inf, 0.0
+            if piece != piece:
+                raise QuadratureFailure(
+                    f"integral over [{a:g}, {b:g}] has a NaN panel")
+            return piece, 0.0
         size = abs(piece)
         if 0.0 < prev < math.inf and piece != 0.0:
             r1, r2, r3, n_ratios = r2, r3, size / prev, n_ratios + 1
@@ -396,32 +418,70 @@ def _geometric_sum(f: Fn, a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# tail integrands and image measures
+# integrand parts and image measures
 # ---------------------------------------------------------------------------
 
-def exp_tail_integrand(kappa: float, *, power: int = 0,
-                       prefactor: Optional[Fn] = None,
-                       log_weight: Optional[Fn] = None):
-    """Tail integrand ``(x, log ν(x)) -> x^power p(x) e^{κx + w(x)} ν(x)``.
+#: the factors ``F(u) = e^u a(u) + p(u)`` a part may take, as ``(log a,
+#: p)`` with ``log a = None`` for ``a = 1``
+_EXP_SPLITS = {
+    np.expm1: (None, lambda u: -1.0),
+    expm1_minus_x: (None, lambda u: -1.0 - u),
+    exp_entropy_term: (lambda u: np.log(u - 1.0), lambda u: 1.0),
+}
 
-    The kernel supplies the jump size and ``log ν``; the exponential
-    factors are assembled in log space, so a density that underflows never
-    meets a tilt that overflows.  For image measures the kernel also passes
-    ``tilt``, the image's own tilt (added to κ), and ``log_abs_x``, with
-    which the power is taken in log space: a price jump ``x = e^t - 1``
-    overflows long before ``x^power ν`` does.
+
+def _times_density(factor: Fn, u: np.ndarray, nu: np.ndarray,
+                   log_nu: np.ndarray) -> np.ndarray:
+    """``factor(u) ν``: the product itself where ``u <= 1``, ``e^{u +
+    log ν} a(u) + p(u) ν`` beyond, where ``e^u`` may overflow and ``ν``
+    underflow."""
+    if not u.max() > 1.0:
+        return factor(u) * nu
+    log_a, p = _EXP_SPLITS[factor]
+    expo = u + log_nu
+    big = np.exp(expo if log_a is None else expo + log_a(u)) + p(u) * nu
+    return big if u.min() > 1.0 else np.where(u > 1.0, big, factor(u) * nu)
+
+
+def exp_integrand(kappa: float, *, factor: Optional[Fn] = None,
+                  power: int = 0, prefactor: Optional[Fn] = None,
+                  log_weight: Optional[Fn] = None):
+    """Integrand part ``(x, ν, log ν) -> x^power p(x) F(u) ν`` with ``u =
+    κx + w(x)``, where ``F = exp`` or ``factor``: ``np.expm1``,
+    :func:`expm1_minus_x` or :func:`exp_entropy_term`.
+
+    ``F = exp`` is taken in log space, ``e^{u + log ν}``.  A factor is
+    ``factor(u) ν`` where ``u <= 1``, which keeps the digits of a small
+    ``u`` and of the density, and ``e^{u + log ν} a(u) + p(u) ν`` for
+    ``factor = e^u a + p`` beyond: a density that underflows never meets a
+    factor that overflows.  For image measures the kernel also passes
+    ``tilt``, the image's own tilt, and ``log_abs_x``.  With ``F = exp``
+    the tilt joins κ before it multiplies ``x`` and the power is taken in
+    log space: a price jump ``x = e^t - 1`` overflows long before ``x^power
+    ν`` does.  With a factor the tilt goes into ``ν``, and ``x`` must be
+    finite.
     """
 
-    def f(x, log_nu, tilt=0.0, log_abs_x=None):
-        k = kappa + tilt
+    def f(x, nu, log_nu, tilt=0.0, log_abs_x=None):
         with np.errstate(all="ignore"):
-            expo = k * x + log_nu if k else log_nu
-            if log_weight is not None:
-                expo = expo + log_weight(x)
-            if log_abs_x is not None and power:
-                val = np.exp(expo + power * log_abs_x) * np.sign(x) ** power
+            w = None if log_weight is None else log_weight(x)
+            if factor is not None:
+                u = kappa * x if w is None else kappa * x + w
+                if tilt:
+                    log_nu = log_nu + tilt * x
+                    nu = np.exp(log_nu)
+                val = _times_density(factor, u, nu, log_nu)
+                if power:
+                    val = val * x ** power
             else:
-                val = np.exp(expo) * x ** power if power else np.exp(expo)
+                k = kappa + tilt
+                expo = k * x + log_nu if k else log_nu
+                if w is not None:
+                    expo = expo + w
+                if log_abs_x is not None and power:
+                    val = np.exp(expo + power * log_abs_x) * np.sign(x) ** power
+                else:
+                    val = np.exp(expo) * x ** power if power else np.exp(expo)
             if prefactor is not None:
                 val = val * prefactor(x)
         return val
@@ -505,7 +565,7 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
                 v = math.prod((s,) * power) * nu.density(side * s)
             return np.where(np.isfinite(v), v, 0.0)
     else:
-        base, moment = pb.base, exp_tail_integrand(0.0, power=power)
+        base, moment = pb.base, exp_integrand(0.0, power=power)
         lo = pb.base_distance(side, lo)
         hi = min(pb.base_distance(side, hi),
                  _tail_upper_limit(base, side) * (1.0 + 1e-12))
@@ -513,8 +573,9 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
         def f(s: np.ndarray) -> np.ndarray:
             t = side * np.asarray(s, dtype=float)
             with np.errstate(all="ignore"):
-                v = side ** power * moment(
-                    pb.phi(t), base.log_density(t), pb.tilt, pb.log_abs_phi(t))
+                log_nu = base.log_density(t)
+                v = side ** power * moment(pb.phi(t), np.exp(log_nu), log_nu,
+                                           pb.tilt, pb.log_abs_phi(t))
             return np.where(np.isfinite(v), v, 0.0)
 
     def piece(a: float, b: float) -> float:
@@ -573,50 +634,56 @@ def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> floa
 class SidePlan:
     """Tail plan for one side of a structured integral.
 
-    Beyond the inner cut the integrand at jump sizes ``x`` is
-    ``tail(x, log ν(x)) + weight(x) ν(x)``, either part optional: ``tail``
-    (see :func:`exp_tail_integrand`) works in log space, ``weight``
-    multiplies the density itself.  ``converges`` is decided by the caller
+    ``tail`` is the integrand part beyond the inner cut, called as
+    ``tail(x, ν(x), log ν(x))`` (see :func:`exp_integrand`), or None where
+    the integrand vanishes there.  ``converges`` is decided by the caller
     from tail-decay hints; a divergent side contributes ``div_sign * inf``.
     """
 
-    tail: Optional[Callable[..., np.ndarray]]
+    tail: Optional[Part]
     converges: bool
     div_sign: int = 1
-    weight: Optional[Fn] = None
-
-    @property
-    def empty(self) -> bool:
-        return self.tail is None and self.weight is None
 
 
-def _density_product(nu: LevyMeasure, side: int, tail, weight) -> Fn:
-    """``s -> tail(x, log ν(x)) + weight(x) ν(x)`` at ``x = side*s``."""
+def _density_product(nu: LevyMeasure, side: int, part: Part,
+                     inner: bool) -> Fn:
+    """``s -> part(x, ν(x), log ν(x))`` at ``x = side*s``.
+
+    Inside the cut ``ν`` is the density itself, so the origin keeps its
+    digits, and ``log ν`` its logarithm, taken from ``log_density`` only
+    where ``ν`` underflows; beyond the cut ``log ν`` is ``log_density`` and
+    ``ν`` its exponential.
+    """
 
     def f(s: np.ndarray) -> np.ndarray:
         x = side * np.asarray(s, dtype=float)
-        with np.errstate(all="ignore"):
-            if weight is None:
-                return tail(x, nu.log_density(x))
-            w = weight(x) * nu.density(x)
-            return w if tail is None else tail(x, nu.log_density(x)) + w
+        if inner:
+            lin = nu.density(x)
+            log_lin = np.log(lin)
+            if lin.min() < _UFLOW:
+                log_lin = np.where(lin < _UFLOW, nu.log_density(x), log_lin)
+        else:
+            log_lin = nu.log_density(x)
+            lin = np.exp(log_lin)
+        return part(x, lin, log_lin)
 
     return f
 
 
-def _tail_value(nu: LevyMeasure, side: int, f: Optional[Fn],
+def _tail_value(nu: LevyMeasure, side: int, part: Optional[Part],
                 converges: bool, div_sign: int, q: QuadratureSettings,
                 pts: Sequence[float]) -> Tuple[ExtReal, float]:
     """``∫`` over ``side*x > INNER_CUT``: bounded panels up to the last
     breakpoint there (or to the end of a bounded tail), then doubling
     panels; a hinted divergence is a signed infinity without quadrature."""
-    if f is None:
+    if part is None:
         return ExtReal.finite(0.0), 0.0
     if not converges:
         return (POS_INF if div_sign > 0 else NEG_INF), 0.0
     hi = _tail_upper_limit(nu, side)
     if hi <= INNER_CUT:
         return ExtReal.finite(0.0), 0.0
+    f = _density_product(nu, side, part, inner=False)
     if math.isfinite(hi):
         total, err = _panel(f, INNER_CUT, hi * (1.0 + 1e-12), q, pts)
         return ExtReal.finite(total), err
@@ -628,15 +695,16 @@ def _tail_value(nu: LevyMeasure, side: int, f: Optional[Fn],
     return ExtReal.finite(total), err
 
 
-def _inner_value(nu: LevyMeasure, side: int, inner_g, q: QuadratureSettings,
+def _inner_value(nu: LevyMeasure, side: int, part: Optional[Part],
+                 q: QuadratureSettings,
                  pts: Sequence[float]) -> Tuple[ExtReal, float]:
     """Integral over ``0 < side*x <= INNER_CUT``: bounded panels down to
     the smallest breakpoint, then the halving panels of
     :func:`_geometric_sum` from there to the origin.  An overflow is a
     signed infinity; a sum that diverges at the origin raises."""
-    if inner_g is None:
+    if part is None:
         return ExtReal.finite(0.0), 0.0
-    f = _density_product(nu, side, None, inner_g)
+    f = _density_product(nu, side, part, inner=True)
     cut = min((p for p in pts if 0.0 < p < INNER_CUT), default=INNER_CUT)
     val, err = _geometric_sum(f, 0.0, cut, q)
     if math.isinf(err):
@@ -648,87 +716,79 @@ def _inner_value(nu: LevyMeasure, side: int, inner_g, q: QuadratureSettings,
     return ExtReal.finite(val), err
 
 
-def _pulled_back(pb: _Pullback, q: QuadratureSettings, inner_g: Optional[Fn],
-                 right: SidePlan, left: SidePlan,
+def _pulled_back(pb: _Pullback, q: QuadratureSettings,
+                 inner_g: Optional[Part], right: SidePlan, left: SidePlan,
                  breakpoints: Sequence[float]) -> Tuple[ExtReal, float]:
     """:func:`two_sided_integral` of an image measure as one over its base:
     base points within ``u`` of the origin map into the image's inner cut
-    and take ``inner_g``, the others take the image's side plans."""
+    and take ``inner_g``, the others take the image's side plans; every
+    part gets the base's density with the image's tilt and ``log|φ|``."""
     u_r, u_l = pb.base_distance(+1, INNER_CUT), pb.base_distance(-1, INNER_CUT)
 
-    def g(t: np.ndarray, log_nu) -> np.ndarray:
+    def g(t: np.ndarray, nu: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            y = pb.phi(t)
-            dens = np.exp(log_nu + pb.tilt * y if pb.tilt else log_nu)
+            args = (pb.phi(t), nu, log_nu, pb.tilt, pb.log_abs_phi(t))
 
-            def beyond(plan: SidePlan) -> np.ndarray:
-                val = 0.0
-                if plan.tail is not None:
-                    val = plan.tail(y, log_nu, pb.tilt, pb.log_abs_phi(t))
-                if plan.weight is not None:
-                    val = val + plan.weight(y) * dens
-                return val
+            def value(part: Optional[Part]):
+                return 0.0 if part is None else part(*args)
 
             inside = np.where(t > 0, t <= u_r, -t <= u_l)
-            val = np.where(t > 0, beyond(right), beyond(left))
-            return np.where(inside, 0.0 if inner_g is None
-                            else inner_g(y) * dens, val)
+            val = np.where(t > 0, value(right.tail), value(left.tail))
+            return np.where(inside, value(inner_g), val)
 
     def base_plan(plan: SidePlan, u: float) -> SidePlan:
-        if (inner_g is None or u <= INNER_CUT) and (plan.empty or u == math.inf):
+        if ((inner_g is None or u <= INNER_CUT)
+                and (plan.tail is None or u == math.inf)):
             return SidePlan(None, True)  # nothing to integrate beyond the cut
         return SidePlan(g, plan.converges, plan.div_sign)
 
     pts = [u_r, u_l] + [pb.base_distance(side, abs(b))
                         for b in breakpoints for side in (+1, -1)]
-    return two_sided_integral(pb.base, q, inner_g=lambda t: g(t, 0.0),
+    return two_sided_integral(pb.base, q, inner_g=g,
                               right=base_plan(right, u_r),
                               left=base_plan(left, u_l),
                               breakpoints=pts)
 
 
 def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
-                       inner_g: Optional[Fn],
+                       inner_g: Optional[Part],
                        right: SidePlan, left: SidePlan,
                        breakpoints: Sequence[float] = ()) -> Tuple[ExtReal, float]:
     """Structured integral of ``g dν`` for a *density* measure or an image
     of one.
 
-    ``inner_g`` is the raw integrand on ``|x| <= INNER_CUT``, ``O(x^2)`` at
-    the origin (or None when it vanishes there); the tail integrands live
-    in the side plans.  Image measures are integrated against their base
-    by pullback.  Purely atomic measures never reach this function, their
-    sums are exact.
+    ``inner_g`` is the integrand part on ``|x| <= INNER_CUT``, ``O(x^2)``
+    at the origin (or None when it vanishes there); the tail parts live in
+    the side plans.  Every part is called as ``part(x, ν(x), log ν(x))``
+    and returns its own product with the density (see
+    :func:`exp_integrand`).  Image measures are integrated against their
+    base by pullback.  Purely atomic measures never reach this function,
+    their sums are exact.
     """
     pb = _pullback(nu)
     if pb is not None:
         return _pulled_back(pb, q, inner_g, right, left, breakpoints)
     pts = [abs(b) for b in breakpoints]
 
-    def tail(side: int, plan: SidePlan):
-        return (None if plan.empty
-                else _density_product(nu, side, plan.tail, plan.weight))
-
-    if (nu.is_symmetric() and right.empty == left.empty
+    if (nu.is_symmetric() and (right.tail is None) == (left.tail is None)
             and right.converges and left.converges):
-        # fold x -> -x: odd parts cancel exactly; a side that diverges on
-        # its own is not folded, so two opposite divergent tails surface as
-        # "undefined" instead of cancelling
-        folded_tail = None
-        if not right.empty:
-            rf, lf = tail(+1, right), tail(-1, left)
-            folded_tail = lambda s: rf(s) + lf(s)
-        folded_inner = None
+        # fold x -> -x, where ν(-x) = ν(x): odd parts cancel exactly; a side
+        # that diverges on its own is not folded, so two opposite divergent
+        # tails surface as "undefined" instead of cancelling
+        folded_tail = folded_inner = None
+        if right.tail is not None:
+            rt, lt = right.tail, left.tail
+            folded_tail = lambda x, n, ln: rt(x, n, ln) + lt(-x, n, ln)
         if inner_g is not None:
             gi = inner_g
-            folded_inner = lambda x: gi(x) + gi(-x)
+            folded_inner = lambda x, n, ln: gi(x, n, ln) + gi(-x, n, ln)
         t, terr = _tail_value(nu, +1, folded_tail, True, 1, q, pts)
         inner, ierr = _inner_value(nu, +1, folded_inner, q, pts)
         return t + inner, terr + ierr
 
-    tr, er = _tail_value(nu, +1, tail(+1, right), right.converges,
+    tr, er = _tail_value(nu, +1, right.tail, right.converges,
                          right.div_sign, q, pts)
-    tl, el = _tail_value(nu, -1, tail(-1, left), left.converges,
+    tl, el = _tail_value(nu, -1, left.tail, left.converges,
                          left.div_sign, q, pts)
     total = tr + tl
     if not total.is_finite:

@@ -30,7 +30,7 @@ from .extreal import ExtReal, NEG_INF, POS_INF
 from .measures import (ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage,
                        zero_measure)
 from .quadrature import (DEFAULT_SETTINGS, INNER_CUT, QuadratureSettings,
-                         SidePlan, exp_tail_integrand, expm1_minus_x,
+                         SidePlan, exp_integrand, expm1_minus_x,
                          one_sided_integral, small_jump_variation, tail_mass,
                          two_sided_integral)
 
@@ -129,10 +129,6 @@ def as_validated(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Va
 # ---------------------------------------------------------------------------
 
 
-def _minus_one(x: np.ndarray) -> float:
-    return -1.0
-
-
 def _atoms_cumulant_jumps(atoms, kappa: float) -> float:
     total = []
     with np.errstate(over="ignore"):
@@ -165,10 +161,10 @@ def cumulant(t: TripletLike, kappa: float,
     right_ok = nu.right_tail().moment_finite(0, kappa)
     left_ok = nu.left_tail().moment_finite(0, -kappa)
     # e^{κx} - 1 is positive wherever it diverges, on either side
-    tail = exp_tail_integrand(kappa)
-    right = SidePlan(tail, right_ok, +1, weight=_minus_one)
-    left = SidePlan(tail, left_ok, +1, weight=_minus_one)
-    inner = lambda x: expm1_minus_x(kappa * x)
+    tail = exp_integrand(kappa, factor=np.expm1)
+    right = SidePlan(tail, right_ok, +1)
+    left = SidePlan(tail, left_ok, +1)
+    inner = exp_integrand(kappa, factor=expm1_minus_x)
     jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left)
     return ExtReal.finite(base) + jumps
 
@@ -201,13 +197,13 @@ def cumulant_derivative(t: TripletLike, kappa: float,
 
     right_ok = nu.right_tail().moment_finite(1, kappa)
     left_ok = nu.left_tail().moment_finite(1, -kappa)
-    tail = exp_tail_integrand(kappa, power=1)
+    tail = exp_integrand(kappa, power=1)
     right = SidePlan(tail, right_ok, +1)
     left = SidePlan(tail, left_ok, -1)
     if kappa == 0.0:
         inner = None  # x e^{0x} - h(x) vanishes identically inside the cut
     else:
-        inner = lambda x: x * np.expm1(kappa * x)
+        inner = exp_integrand(kappa, factor=np.expm1, power=1)
     jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left)
     return ExtReal.finite(base) + jumps
 
@@ -305,6 +301,10 @@ def is_monotone(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Mon
 _LN2 = math.log(2.0)
 
 
+def _up_to_ln2(x: np.ndarray) -> np.ndarray:
+    return np.where(x <= _LN2, 1.0, 0.0)
+
+
 def _conversion_drift_integral(nu: LevyMeasure, q: QuadratureSettings) -> float:
     """``∫ [ (e^x - 1) 1_{|e^x-1|<=1} - h(x) ] ν(dx)``.
 
@@ -327,22 +327,18 @@ def _conversion_drift_integral(nu: LevyMeasure, q: QuadratureSettings) -> float:
     if nu.is_zero:
         return 0.0
 
-    def inner(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # on [-1, 1]: (e^x - 1) 1_{x <= ln2} - x, series-safe near zero
-        comp = np.where(x <= _LN2, expm1_minus_x(x), -x)
-        return comp
-
-    # right tail (x > 1): integrand vanishes; left tail (x < -1): e^x - 1,
-    # bounded, so always convergent
+    # on [-1, ln 2]: e^x - 1 - x, series-safe near zero; on (ln 2, 1]: -x,
+    # a first moment; below -1: e^x - 1, bounded, so always convergent;
+    # above 1 the integrand vanishes
     val, _ = two_sided_integral(
         nu, q,
-        inner_g=inner,
+        inner_g=exp_integrand(1.0, factor=expm1_minus_x,
+                              prefactor=_up_to_ln2),
         right=SidePlan(None, True),
-        left=SidePlan(exp_tail_integrand(1.0), True, weight=_minus_one),
+        left=SidePlan(exp_integrand(1.0, factor=np.expm1), True),
         breakpoints=(_LN2,),
     )
-    return val.value
+    return val.value - one_sided_integral(nu, +1, 1, _LN2, INNER_CUT, q)
 
 
 def geometric_to_linear(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> LevyTriplet:

@@ -147,8 +147,14 @@ class MinimumPoint:
 
     kappa0: float
     case: MinimumCase
-    phi_at_min: float
+    #: ``log φ_T(κ0) = T min(c(κ0), 0)``, which stays finite where ``φ_T``
+    #: underflows
+    log_phi_at_min: float
     interval: ExpMomentInterval
+
+    @property
+    def phi_at_min(self) -> float:
+        return math.exp(self.log_phi_at_min)
 
     def describe(self) -> dict:
         return {"kappa0": self.kappa0, "case": self.case.value,
@@ -248,7 +254,7 @@ def _minimum(vt, horizon: float, iv: ExpMomentInterval,
     to which ``c'`` keeps one sign.  Also returns ``c'`` at that end when
     the search evaluated it there (``None`` otherwise)."""
     if iv.is_degenerate:
-        return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 1.0, iv), None
+        return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 0.0, iv), None
 
     def m_of(k: float) -> ExtReal:
         return cumulant_derivative(vt, k, q)
@@ -266,7 +272,7 @@ def _minimum(vt, horizon: float, iv: ExpMomentInterval,
                                   xtol=_KAPPA_TOL, rtol=4 * 2.3e-16,
                                   maxiter=300))
     c_min = min(cumulant(vt, kappa0, q).value, 0.0)
-    mp = MinimumPoint(kappa0, case, math.exp(horizon * c_min), iv)
+    mp = MinimumPoint(kappa0, case, horizon * c_min, iv)
     return mp, found.end_value
 
 

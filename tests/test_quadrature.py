@@ -365,10 +365,10 @@ class TestInfiniteVariationOrigin:
         for kappa in np.linspace(-3.0, 3.0, 13):
             c_in, _ = two_sided_integral(
                 nu, DEFAULT_SETTINGS, right=none, left=none,
-                inner_g=lambda x: expm1_minus_x(kappa * x))
+                inner_g=lambda x, nu, log_nu: expm1_minus_x(kappa * x) * nu)
             cp_in, _ = two_sided_integral(
                 nu, DEFAULT_SETTINGS, right=none, left=none,
-                inner_g=lambda x: x * np.expm1(kappa * x))
+                inner_g=lambda x, nu, log_nu: x * np.expm1(kappa * x) * nu)
             # the left side is the right side at -κ, with x -> -x
             want_c = float(_stable_inner_series(alpha, kappa, 2)
                            + _stable_inner_series(alpha, -kappa, 2))
@@ -416,7 +416,7 @@ class TestInfiniteVariationOrigin:
         for kappa in (-3.0, 3.0):
             got, _ = two_sided_integral(
                 nu, DEFAULT_SETTINGS, right=none, left=none,
-                inner_g=lambda x: expm1_minus_x(kappa * x))
+                inner_g=lambda x, nu, log_nu: expm1_minus_x(kappa * x) * nu)
             want = float(_stable_inner_series(alpha, kappa, 2))
             assert math.isclose(got.value, want, rel_tol=1e-12), (
                 kappa, got, want)

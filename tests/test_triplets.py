@@ -526,49 +526,57 @@ class TestConversions:
 
 class TestTailIntegrandHelper:
     def test_matches_naive_formula_at_moderate_arguments(self, vg):
-        from levy_emm.levy_core import exp_tail_integrand
+        from levy_emm.levy_core import exp_integrand
 
         nu = vg.nu
-        f = exp_tail_integrand(2.0, prefactor=lambda x: x * x)
-        for s in (1.0, 2.5, 4.0):
-            x = np.asarray(s)
-            naive = s * s * math.exp(2.0 * s) * float(nu.density(x))
-            assert math.isclose(float(f(x, nu.log_density(x))), naive,
-                                rel_tol=1e-12)
 
-        g = exp_tail_integrand(2.0, log_weight=lambda x: -x * x)
+        def at(x):
+            x = np.asarray(x)
+            return x, nu.density(x), nu.log_density(x)
+
+        f = exp_integrand(2.0, prefactor=lambda x: x * x)
+        for s in (1.0, 2.5, 4.0):
+            naive = s * s * math.exp(2.0 * s) * float(nu.density(np.asarray(s)))
+            assert math.isclose(float(f(*at(s))), naive, rel_tol=1e-12)
+
+        g = exp_integrand(2.0, log_weight=lambda x: -x * x)
         for s in (1.0, 3.0):
-            x = np.asarray(-s)
-            naive = math.exp(2.0 * -s - s * s) * float(nu.density(x))
-            assert math.isclose(float(g(x, nu.log_density(x))), naive,
-                                rel_tol=1e-12)
+            naive = (math.exp(2.0 * -s - s * s)
+                     * float(nu.density(np.asarray(-s))))
+            assert math.isclose(float(g(*at(-s))), naive, rel_tol=1e-12)
 
         # image measures: the kernel adds the image's tilt and takes the
         # power in log space, where the price jump itself may overflow
-        h = exp_tail_integrand(-0.5, power=1)
-        x = np.asarray(3.0)
+        h = exp_integrand(-0.5, power=1)
         assert math.isclose(
-            float(h(x, nu.log_density(x), tilt=0.25,
-                    log_abs_x=math.log(3.0))),
-            3.0 * math.exp(-0.25 * 3.0) * float(nu.density(x)), rel_tol=1e-12)
+            float(h(*at(3.0), tilt=0.25, log_abs_x=math.log(3.0))),
+            3.0 * math.exp(-0.25 * 3.0) * float(nu.density(np.asarray(3.0))),
+            rel_tol=1e-12)
         t = 800.0  # e^t - 1 overflows; x e^{-x} e^{-t} is still a number
-        assert float(h(np.asarray(math.inf), -t, log_abs_x=t)) == 0.0
+        x, dens, log_dens = np.asarray(math.inf), np.asarray(0.0), -t
+        assert float(h(x, dens, log_dens, log_abs_x=t)) == 0.0
         assert math.isclose(
-            float(exp_tail_integrand(0.0, power=1)(np.asarray(math.inf), -t,
-                                                   log_abs_x=t)), 1.0)
+            float(exp_integrand(0.0, power=1)(x, dens, log_dens,
+                                              log_abs_x=t)), 1.0)
 
     def test_no_nan_when_density_underflows(self, vg):
-        from levy_emm.levy_core import exp_tail_integrand
+        from levy_emm.levy_core import exp_integrand
+        from levy_emm.levy_core.quadrature import (exp_entropy_term,
+                                                   expm1_minus_x)
 
         nu = vg.nu
         s = 9000.0
         with np.errstate(all="ignore"):
             naive = math.inf * float(nu.density(np.asarray(s)))  # 0 * inf
         assert math.isnan(naive)
-        f = exp_tail_integrand(8.9)
         x = np.asarray(s)
-        val = float(f(x, nu.log_density(x)))
-        assert val == 0.0
+        dens, log_dens = nu.density(x), nu.log_density(x)
+        assert float(exp_integrand(8.9)(x, dens, log_dens)) == 0.0
+        # a factor whose exponential overflows meets the underflowed density
+        # in log space, as do its polynomial part and the entropy's e^u u
+        for factor in (np.expm1, expm1_minus_x, exp_entropy_term):
+            f = exp_integrand(8.9, factor=factor)
+            assert float(f(x, dens, log_dens)) == 0.0, factor
 
 
 class TestSettingsPropagation:
