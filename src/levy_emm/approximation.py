@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -181,11 +181,6 @@ def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int,
 def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int,
              q: QuadratureSettings) -> float:
     """``∫ (1 - e^{-ρ_n}) dν`` — the jump mass the tempering removes."""
-    atoms = nu.atoms()
-    if atoms is not None:
-        return float(math.fsum(
-            -m * math.expm1(-float(p.rho_at(n, pos))) for pos, m in atoms))
-
     def pre(x: np.ndarray) -> np.ndarray:
         return -np.expm1(-p.rho_at(n, x))
 
@@ -202,15 +197,6 @@ def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
                          kappa: float, q: QuadratureSettings) -> float:
     """``∫ ρ_n e^{κx - ρ_n} dν`` — the tempered mean of the penalty under
     the tilted perturbed measure."""
-    atoms = nu.atoms()
-    if atoms is not None:
-        total = []
-        for pos, m in atoms:
-            r = float(p.rho_at(n, pos))
-            if r != 0.0:
-                total.append(m * r * math.exp(kappa * pos - r))
-        return float(math.fsum(total))
-
     def pre(x: np.ndarray) -> np.ndarray:
         return p.rho_at(n, x)
 
@@ -231,27 +217,17 @@ def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
     """
     nu = vt.nu
 
-    def u_of(x: np.ndarray) -> np.ndarray:
-        return kappa * x - p.rho_at(n, x)
+    def log_w(x: np.ndarray) -> np.ndarray:
+        return -p.rho_at(n, x)
 
-    atoms = nu.atoms()
-    if atoms is not None:
-        jump_part = float(math.fsum(
-            m * float(exp_entropy_term(np.asarray(u_of(pos))))
-            for pos, m in atoms))
-    else:
-        def log_w(x: np.ndarray) -> np.ndarray:
-            return -p.rho_at(n, x)
-
-        # the penalty vanishes inside the cut
-        tail = exp_integrand(kappa, factor=exp_entropy_term, log_weight=log_w)
-        right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
-        left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
-        val, _ = two_sided_integral(
-            nu, q, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
-            right=right, left=left)
-        jump_part = val.value
-    return horizon * (vt.sigma2 * kappa * kappa / 2.0 + jump_part)
+    # the penalty vanishes inside the cut
+    tail = exp_integrand(kappa, factor=exp_entropy_term, log_weight=log_w)
+    right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
+    left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
+    val, _ = two_sided_integral(
+        nu, q, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
+        right=right, left=left)
+    return horizon * (vt.sigma2 * kappa * kappa / 2.0 + val.value)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .approximation import PenaltyFamily, approx_sequence, check_penalty
 from .errors import ArbitrageMarketError, LevyEmmError, ValidationError
 from .esscher import (ARBITRAGE_VERDICT, EsscherStatus, esscher_entropy,
                       memm_report, solve_linear_emm)
-from .levy_core.quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from .levy_core.quadrature import QuadratureSettings
 from .levy_core.triplets import geometric_to_linear, linear_to_geometric
 from .mc_oracle import (SimConfig, entropy_estimate, martingale_defect,
                         pathwise_log_zn, sample_terminal)

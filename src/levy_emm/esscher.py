@@ -10,7 +10,6 @@ for the linear and geometric markets, and a consolidated report.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,9 +18,9 @@ from scipy.optimize import brentq
 
 from .errors import KappaOutsideI
 from .levy_core.extreal import ExtReal
-from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
-                                   QuadratureSettings, SidePlan,
-                                   exp_integrand, two_sided_integral)
+from .levy_core.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
+                                   SidePlan, exp_integrand,
+                                   two_sided_integral)
 from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
                                  as_validated, cumulant, cumulant_derivative,
                                  geometric_to_linear, is_monotone)
@@ -51,15 +50,8 @@ ARBITRAGE_VERDICT = ("arbitrage market: monotone prices admit no equivalent "
 def _tilt_drift_correction(vt, kappa: float, q: QuadratureSettings) -> float:
     """``∫_{|x|<=1} x (e^{κx} - 1) ν(dx)`` — the compensator shift that the
     truncation function picks up under tilting."""
-    nu = vt.nu
-    atoms = nu.atoms()
-    if atoms is not None:
-        with np.errstate(over="ignore"):
-            return float(math.fsum(m * p * np.expm1(kappa * p)
-                                   for p, m in atoms if abs(p) <= INNER_CUT))
-
     val, _ = two_sided_integral(
-        nu, q, inner_g=exp_integrand(kappa, factor=np.expm1, power=1),
+        vt.nu, q, inner_g=exp_integrand(kappa, factor=np.expm1, power=1),
         right=SidePlan(None, True), left=SidePlan(None, True))
     return val.value
 

@@ -1,6 +1,6 @@
 """Integration against jump measures: one kernel for every integral
 ``∫ g dν`` the package needs, and the only code that evaluates a jump
-density.
+density or sums over atoms.
 
 Density integrals are split into four panels per the package-wide layout::
 
@@ -61,10 +61,17 @@ base's ``ν`` and ``log ν`` with two more arguments: the image's own tilt,
 which joins κ before it multiplies a price jump that can overflow, and
 ``log|φ(t)|``.
 
+Purely atomic measures (:class:`~.measures.FiniteAtomic`, and a tilt,
+tempering or image of one) take the same parts: the kernel calls each
+part once on the atoms of its region, ``|x| <= INNER_CUT`` for the inner
+part and ``x > INNER_CUT`` or ``x < -INNER_CUT`` for a tail, with each
+atom's mass as ``ν``, and sums the terms exactly by ``math.fsum``.
+
 :func:`one_sided_integral` applies the two interval rules (geometric
 panels at a singular end, a bounded panel elsewhere) to the moments
-``∫ s^p dν`` of one side; the small-jump moments and tail masses, the
-monotonicity test and the simulation rates all go through it.
+``∫ s^p dν`` of one side, and sums atoms over ``lo < s <= hi``; the
+small-jump moments and tail masses, the monotonicity test and the
+simulation rates all go through it.
 
 Exactly symmetric measures are integrated by folding the negative axis
 onto the positive one, so odd integrands cancel in IEEE arithmetic rather
@@ -539,18 +546,25 @@ def _tail_upper_limit(nu: LevyMeasure, side: int) -> float:
 def one_sided_integral(nu: LevyMeasure, side: int, power: int,
                        lo: float, hi: float,
                        q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """``∫_{lo < s < hi} s^power ν(side*s) ds`` for a density measure or
-    an image of one, over jump distances ``s`` on one side.
+    """``∫_{lo < s < hi} s^power ν(side*s) ds`` over jump distances ``s``
+    on one side.
 
-    The interval is clipped to the side's support (an image measure's is
-    then pulled back onto its base) and its kind picks the rule: from the
-    origin (``lo == 0``), the halving panels of :func:`_geometric_sum`,
-    whose settled ratios decide a divergence there; out to infinity, the
-    tail-decay hint decides divergence and the doubling panels of the same
-    sum the value; a bounded panel away from the origin, the panel rule of
-    :func:`_panel`.  A divergent integral comes back as ``inf``; a panel
-    that fails raises :class:`QuadratureFailure`.  Results are cached.
+    Atoms are summed exactly over the half-open ``lo < s <= hi``, the
+    convention of ``h(x) = x 1_{|x| <= INNER_CUT}``.  For a density measure
+    or an image of one, the interval is clipped to the side's support (an
+    image measure's is then pulled back onto its base) and its kind picks
+    the rule: from the origin (``lo == 0``), the halving panels of
+    :func:`_geometric_sum`, whose settled ratios decide a divergence there;
+    out to infinity, the tail-decay hint decides divergence and the
+    doubling panels of the same sum the value; a bounded panel away from
+    the origin, the panel rule of :func:`_panel`.  A divergent integral
+    comes back as ``inf``; a panel that fails raises
+    :class:`QuadratureFailure`.  Results are cached.
     """
+    atoms = nu.atoms()
+    if atoms is not None:
+        return math.fsum(math.prod((side * x,) * power, start=m)
+                         for x, m in atoms if lo < side * x <= hi)
     end = _tail_upper_limit(nu, side)
     if min(hi, end) <= lo:
         return 0.0
@@ -598,9 +612,6 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
 
 def small_jump_variation(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """``∫_{0 < |x| <= INNER_CUT} x^2 ν(dx)``; raises if infinite."""
-    atoms = nu.atoms()
-    if atoms is not None:
-        return math.fsum(m * p * p for p, m in atoms if abs(p) <= INNER_CUT)
     vals = [one_sided_integral(nu, side, 2, 0.0, INNER_CUT, q)
             for side in ((+1,) if nu.is_symmetric() else (+1, -1))]
     if math.inf in vals:
@@ -613,9 +624,6 @@ def small_jump_variation(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTIN
 
 def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """``ν({|x| > INNER_CUT})``."""
-    atoms = nu.atoms()
-    if atoms is not None:
-        return math.fsum(m for p, m in atoms if abs(p) > INNER_CUT)
     vals = [one_sided_integral(nu, side, 0, INNER_CUT, math.inf, q)
             for side in ((+1,) if nu.is_symmetric() else (+1, -1))]
     if math.inf in vals:
@@ -628,6 +636,22 @@ def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> floa
 # ---------------------------------------------------------------------------
 # two-sided integrals: the kernel
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _atom_regions(atoms: Tuple[Tuple[float, float], ...]):
+    """Read-only ``(x, ν, log ν)`` arrays, ``ν`` the masses, of the atoms
+    in each region: ``|x| <= INNER_CUT``, ``x > INNER_CUT`` and ``x <
+    -INNER_CUT``."""
+    x, m = np.array(atoms, dtype=float).reshape(-1, 2).T
+    with np.errstate(divide="ignore"):
+        xml = np.array([x, m, np.log(m)])
+    regions = []
+    for keep in (np.abs(x) <= INNER_CUT, x > INNER_CUT, x < -INNER_CUT):
+        rows = xml[:, keep]
+        rows.flags.writeable = False
+        regions.append(tuple(rows))
+    return tuple(regions)
 
 
 @dataclass(frozen=True)
@@ -754,17 +778,27 @@ def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
                        inner_g: Optional[Part],
                        right: SidePlan, left: SidePlan,
                        breakpoints: Sequence[float] = ()) -> Tuple[ExtReal, float]:
-    """Structured integral of ``g dν`` for a *density* measure or an image
-    of one.
+    """Structured integral of ``g dν`` for a purely atomic measure, a
+    density measure or an image of one.
 
     ``inner_g`` is the integrand part on ``|x| <= INNER_CUT``, ``O(x^2)``
     at the origin (or None when it vanishes there); the tail parts live in
     the side plans.  Every part is called as ``part(x, ν(x), log ν(x))``
     and returns its own product with the density (see
-    :func:`exp_integrand`).  Image measures are integrated against their
-    base by pullback.  Purely atomic measures never reach this function,
-    their sums are exact.
+    :func:`exp_integrand`).  Atoms are summed exactly by ``math.fsum``,
+    each part called once on its region's atoms with their masses for
+    ``ν``; a finite sum needs no decay hint, so ``SidePlan.converges`` does
+    not apply, and its error is 0.  Image measures are integrated against
+    their base by pullback.
     """
+    atoms = nu.atoms()
+    if atoms is not None:
+        terms = []
+        for part, (x, m, log_m) in zip((inner_g, right.tail, left.tail),
+                                       _atom_regions(atoms)):
+            if part is not None and x.size:
+                terms.extend(part(x, m, log_m).tolist())
+        return ExtReal.finite(math.fsum(terms)), 0.0
     pb = _pullback(nu)
     if pb is not None:
         return _pulled_back(pb, q, inner_g, right, left, breakpoints)

@@ -129,18 +129,6 @@ def as_validated(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Va
 # ---------------------------------------------------------------------------
 
 
-def _atoms_cumulant_jumps(atoms, kappa: float) -> float:
-    total = []
-    with np.errstate(over="ignore"):
-        for p, m in atoms:
-            u = kappa * p
-            if abs(p) <= INNER_CUT:
-                total.append(m * float(expm1_minus_x(np.asarray(u))))
-            else:
-                total.append(m * float(np.expm1(u)))
-    return math.fsum(total)
-
-
 def cumulant(t: TripletLike, kappa: float,
              q: QuadratureSettings = DEFAULT_SETTINGS) -> ExtReal:
     """``c(κ)`` per unit time, as an extended real (``+inf`` outside the
@@ -151,13 +139,6 @@ def cumulant(t: TripletLike, kappa: float,
         return ExtReal.finite(0.0)
     base = vt.b * kappa + 0.5 * vt.sigma2 * kappa * kappa
     nu = vt.nu
-    if nu.is_zero:
-        return ExtReal.finite(base)
-
-    atoms = nu.atoms()
-    if atoms is not None:
-        return ExtReal.finite(base + _atoms_cumulant_jumps(atoms, kappa))
-
     right_ok = nu.right_tail().moment_finite(0, kappa)
     left_ok = nu.left_tail().moment_finite(0, -kappa)
     # e^{κx} - 1 is positive wherever it diverges, on either side
@@ -180,21 +161,6 @@ def cumulant_derivative(t: TripletLike, kappa: float,
     kappa = float(kappa)
     base = vt.b + vt.sigma2 * kappa
     nu = vt.nu
-    if nu.is_zero:
-        return ExtReal.finite(base)
-
-    atoms = nu.atoms()
-    if atoms is not None:
-        parts = []
-        with np.errstate(over="ignore"):
-            for p, m in atoms:
-                if abs(p) <= INNER_CUT:
-                    val = p * float(np.expm1(kappa * p))  # x(e^{κx}-1) = xe^{κx}-h
-                else:
-                    val = p * float(np.exp(kappa * p))
-                parts.append(m * val)
-        return ExtReal.finite(base + math.fsum(parts))
-
     right_ok = nu.right_tail().moment_finite(1, kappa)
     left_ok = nu.left_tail().moment_finite(1, -kappa)
     tail = exp_integrand(kappa, power=1)
@@ -252,16 +218,6 @@ class Monotonicity(enum.Enum):
     NOT_MONOTONE = "not_monotone"
 
 
-def _small_jump_first_variation(nu: LevyMeasure, side: int,
-                                q: QuadratureSettings) -> float:
-    """``∫_{0 < side*x <= 1} |x| ν(dx)``, possibly ``inf``."""
-    atoms = nu.atoms()
-    if atoms is not None:
-        return math.fsum(m * abs(p) for p, m in atoms
-                         if abs(p) <= INNER_CUT and p * side > 0)
-    return one_sided_integral(nu, side, 1, 0.0, INNER_CUT, q)
-
-
 def is_monotone(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Monotonicity:
     """Classify the paths as a.s. increasing, a.s. decreasing, or neither.
 
@@ -284,7 +240,8 @@ def is_monotone(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Mon
             return Monotonicity.DECREASING
         return Monotonicity.NOT_MONOTONE
     side = +1 if pos else -1
-    fv = _small_jump_first_variation(nu, side, q)
+    # first variation of the small jumps, ∫_{0 < side*x <= 1} |x| ν(dx)
+    fv = one_sided_integral(nu, side, 1, 0.0, INNER_CUT, q)
     if math.isinf(fv):
         # infinite variation in the small jumps: paths oscillate
         return Monotonicity.NOT_MONOTONE
@@ -311,22 +268,6 @@ def _conversion_drift_integral(nu: LevyMeasure, q: QuadratureSettings) -> float:
     The integrand is x²/2 + O(x³) at the origin, equals ``e^x - 1`` below
     -1, ``-x`` on (ln 2, 1], and vanishes above 1.
     """
-
-    def g_full(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        price = np.expm1(x)
-        keep_price = np.where(np.abs(price) <= 1.0, price, 0.0)
-        keep_log = np.where(np.abs(x) <= INNER_CUT, x, 0.0)
-        return keep_price - keep_log
-
-    atoms = nu.atoms()
-    if atoms is not None:
-        positions = np.array([p for p, _ in atoms])
-        masses = np.array([m for _, m in atoms])
-        return float(math.fsum(masses * np.asarray(g_full(positions))))
-    if nu.is_zero:
-        return 0.0
-
     # on [-1, ln 2]: e^x - 1 - x, series-safe near zero; on (ln 2, 1]: -x,
     # a first moment; below -1: e^x - 1, bounded, so always convergent;
     # above 1 the integrand vanishes

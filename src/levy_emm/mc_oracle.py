@@ -27,9 +27,8 @@ from scipy.special import exp1
 from .approximation import PenaltyFamily, mass_gap
 from .errors import (DegenerateWeights, MissingJumpRecords,
                      QuadratureFailure, UnsupportedMeasure, ValidationError)
-from .levy_core.measures import (CGMY, DoubleExponentialJumps, FiniteAtomic,
-                                 GaussianJumps, JumpDiffusion, LevyMeasure,
-                                 SymmetricAlphaStable, Tempered,
+from .levy_core.measures import (CGMY, GaussianJumps, JumpDiffusion,
+                                 LevyMeasure, SymmetricAlphaStable, Tempered,
                                  VarianceGamma)
 from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
                                    QuadratureSettings, one_sided_integral)
@@ -273,10 +272,6 @@ def _thinned_rate(nu: Tempered, eps: float, q: QuadratureSettings) -> float:
 def _truncated_mean(nu: LevyMeasure, lo: float, q: QuadratureSettings) -> float:
     """``∫_{lo<|x|<=1} x ν(dx)`` — the compensator of the sampled jumps
     that fall inside the truncation ball."""
-    atoms = nu.atoms()
-    if atoms is not None:
-        return float(math.fsum(p * m for p, m in atoms
-                               if lo < abs(p) <= INNER_CUT))
     if nu.is_symmetric():
         return 0.0
     return (_side_integral(nu, +1, 1, lo, INNER_CUT, q)
@@ -285,8 +280,6 @@ def _truncated_mean(nu: LevyMeasure, lo: float, q: QuadratureSettings) -> float:
 
 def _small_variance(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> float:
     """``∫_{|x|<=eps} x² ν(dx)`` for the Gaussian remainder."""
-    if nu.atoms() is not None:
-        return 0.0
     return (one_sided_integral(nu, +1, 2, 0.0, eps, q)
             + one_sided_integral(nu, -1, 2, 0.0, eps, q))
 

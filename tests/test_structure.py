@@ -5,7 +5,9 @@ inside a function, and no module imports ``scipy.integrate``: every
 integral against a jump measure goes through the package's own kernel in
 ``levy_core/quadrature.py``.  That layer is also the only caller of a
 measure's ``density``/``log_density`` outside the measures themselves, so
-no integrand multiplies by a jump density on its own.
+no integrand multiplies by a jump density on its own, and the only caller
+of ``math.fsum``, so no module sums an integrand over a measure's atoms on
+its own.  No module keeps an import it does not use.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import pytest
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "levy_emm"
 _MODULES = sorted(_PACKAGE.rglob("*.py"))
+#: a package's ``__init__`` imports names to re-export them
+_NOT_INIT = [p for p in _MODULES if p.name != "__init__.py"]
 _QUADRATURE = _PACKAGE / "levy_core" / "quadrature.py"
 _MEASURES = _PACKAGE / "levy_core" / "measures.py"
 
@@ -78,3 +82,45 @@ def test_only_the_kernel_evaluates_densities(path):
                     and node.func.attr in ("density", "log_density")})
     assert path in (_QUADRATURE, _MEASURES) or not calls, (
         f"{_module_name(path)} evaluates a jump density on lines {calls}")
+
+
+@pytest.mark.parametrize("path", _MODULES,
+                         ids=[_module_name(p) for p in _MODULES])
+def test_only_the_kernel_sums_atoms(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    # ``math.fsum``, or a ``from math import fsum``
+    uses = sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Attribute) and node.attr == "fsum")
+                   or (isinstance(node, ast.alias) and node.name == "fsum")})
+    assert path == _QUADRATURE or not uses, (
+        f"{_module_name(path)} uses math.fsum on lines {uses}")
+
+
+def _exported(tree: ast.Module) -> set:
+    """The names listed in the module's ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            return {e.value for e in node.value.elts
+                    if isinstance(e, ast.Constant)}
+    return set()
+
+
+@pytest.mark.parametrize("path", _NOT_INIT,
+                         ids=[_module_name(p) for p in _NOT_INIT])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in bound.items()
+                    if name not in used | _exported(tree))
+    assert not unused, f"{_module_name(path)} never uses {unused}"

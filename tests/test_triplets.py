@@ -17,6 +17,7 @@ from scipy import integrate
 
 from levy_emm import (
     CGMY,
+    DEFAULT_SETTINGS,
     DoubleExponentialJumps,
     ExpJumpImage,
     FiniteAtomic,
@@ -25,20 +26,26 @@ from levy_emm import (
     LevyTriplet,
     LogJumpImage,
     Monotonicity,
+    PenaltyFamily,
     QuadratureSettings,
     TailDecay,
     ValidatedTriplet,
+    approx_sequence,
     as_validated,
     cumulant,
     cumulant_derivative,
+    esscher_transform,
     geometric_to_linear,
     is_monotone,
     linear_to_geometric,
     mgf,
     mgf_derivative,
+    small_jump_variation,
+    tail_mass,
     validate_triplet,
     zero_measure,
 )
+from levy_emm.approximation import mass_gap
 from levy_emm.errors import (
     JumpBelowMinusOne,
     NegativeVariance,
@@ -48,6 +55,42 @@ from levy_emm.errors import (
 )
 
 KAPPAS = (-1.5, -0.3, 0.0, 0.4, 2.0)
+
+# atomic measures with atoms on the boundaries of the integrand regions:
+# the inner cut at |x| = 1 (inside) and just beyond it, the market
+# conversion's price cut at ln 2 (inside) and its mirror ln 1/2, and atoms
+# well beyond the cut on either side
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+_EDGE_ATOMS = {
+    "at-plus-minus-1": ((1.0, 0.4), (-1.0, 0.3)),
+    "just-beyond-1": ((_ABOVE_ONE, 0.5), (-_ABOVE_ONE, 0.2), (0.5, 0.1)),
+    "ln2-and-ln-half": ((math.log(2.0), 0.7), (math.log(0.5), 0.4)),
+    "beyond-the-cut": ((2.5, 0.1), (-3.0, 0.2), (0.8, 0.5)),
+    "mixed": ((1.0, 0.3), (_ABOVE_ONE, 0.3), (math.log(2.0), 0.5),
+              (-1.0, 0.25), (-1.7, 0.2)),
+}
+_EDGE_B, _EDGE_SIGMA2 = 0.05, 0.04
+_EDGE_KAPPAS = (-2.3, -0.4, 0.7, 1.9)
+edge_atoms = pytest.mark.parametrize("atoms", list(_EDGE_ATOMS.values()),
+                                     ids=list(_EDGE_ATOMS))
+
+
+def _terms(atoms, term):
+    """``term(x, m)`` of every atom, evaluated at 40 digits."""
+    with mp.workdps(40):
+        return [float(term(mp.mpf(x), mp.mpf(m))) for x, m in atoms]
+
+
+def _assert_sum(got, terms):
+    """``got`` equals ``fsum(terms)`` to rel 1e-13 of the terms' size."""
+    want = math.fsum(terms)
+    scale = math.fsum(abs(t) for t in terms)
+    assert abs(got - want) <= 1e-13 * scale, (got, want)
+
+
+def _h(x):
+    """The truncation ``h(x) = x 1_{|x| <= 1}``."""
+    return x if abs(x) <= 1 else 0
 
 
 def _kou_pdf(x):
@@ -190,6 +233,83 @@ class TestFiniteAtomic:
         for k in KAPPAS:
             assert math.isclose(cumulant(t, k).value, oracle(k),
                                 rel_tol=1e-12, abs_tol=1e-15)
+
+
+    @edge_atoms
+    def test_edge_cumulant_and_derivative(self, atoms):
+        t = LevyTriplet(_EDGE_B, _EDGE_SIGMA2, FiniteAtomic(atoms))
+        for k in _EDGE_KAPPAS:
+            base = [_EDGE_B * k, 0.5 * _EDGE_SIGMA2 * k * k]
+            jumps = _terms(atoms, lambda x, m: m * (
+                mp.expm1(k * x) - k * _h(x)))
+            _assert_sum(cumulant(t, k).value, base + jumps)
+            base = [_EDGE_B, _EDGE_SIGMA2 * k]
+            jumps = _terms(atoms, lambda x, m: m * (
+                x * mp.exp(k * x) - _h(x)))
+            _assert_sum(cumulant_derivative(t, k).value, base + jumps)
+
+    @edge_atoms
+    def test_edge_small_jump_variation_and_tail_mass(self, atoms):
+        nu = FiniteAtomic(atoms)
+        _assert_sum(small_jump_variation(nu),
+                    [m * x * x for x, m in atoms if abs(x) <= 1.0])
+        _assert_sum(tail_mass(nu), [m for x, m in atoms if abs(x) > 1.0])
+
+    @edge_atoms
+    def test_edge_conversion_drift(self, atoms):
+        # (e^x - 1) 1{|e^x - 1| <= 1} - h(x): the price cut keeps x = ln 2
+        t = LevyTriplet(_EDGE_B, _EDGE_SIGMA2, FiniteAtomic(atoms))
+
+        def term(x, m):
+            price = mp.expm1(x)
+            return m * ((price if abs(price) <= 1 else 0) - _h(x))
+
+        _assert_sum(geometric_to_linear(t).b,
+                    [_EDGE_B, 0.5 * _EDGE_SIGMA2] + _terms(atoms, term))
+
+    @edge_atoms
+    def test_edge_esscher_drift(self, atoms):
+        t = LevyTriplet(_EDGE_B, _EDGE_SIGMA2, FiniteAtomic(atoms))
+        for k in _EDGE_KAPPAS:
+            shift = _terms(atoms, lambda x, m: m * x * mp.expm1(k * x)
+                              if abs(x) <= 1 else 0)
+            _assert_sum(esscher_transform(t, k).b,
+                        [_EDGE_B, _EDGE_SIGMA2 * k] + shift)
+
+    @staticmethod
+    def _rho(n, x):
+        """The default quadratic penalty ``x^2/n`` beyond the cut."""
+        return x * x / n if abs(x) > 1 else 0
+
+    @edge_atoms
+    def test_edge_mass_gap(self, atoms):
+        p = PenaltyFamily.default_quadratic()
+        for n in (1, 4):
+            gap = _terms(atoms, lambda x, m: -m * mp.expm1(-self._rho(n, x)))
+            _assert_sum(mass_gap(FiniteAtomic(atoms), p, n, DEFAULT_SETTINGS),
+                        gap)
+
+    @edge_atoms
+    def test_edge_approx_step(self, atoms):
+        t = LevyTriplet(_EDGE_B, _EDGE_SIGMA2, FiniteAtomic(atoms))
+        n, horizon = 2, 1.5
+        trace = approx_sequence(t, horizon, PenaltyFamily.default_quadratic(),
+                                n_schedule=(n,))
+        (step,) = trace.steps
+        k = step.kappa_n
+
+        def corr(x, m):
+            r = self._rho(n, x)
+            return horizon * m * (-mp.expm1(-r) - r * mp.exp(k * x - r))
+
+        def entropy(x, m):
+            u = k * x - self._rho(n, x)
+            return horizon * m * (mp.exp(u) * (u - 1) + 1)
+
+        _assert_sum(step.correction_n, _terms(atoms, corr))
+        _assert_sum(step.entropy_vs_P,
+                    [horizon * _EDGE_SIGMA2 * k * k / 2]
+                    + _terms(atoms, entropy))
 
 
 class TestJumpDiffusion:
