@@ -44,7 +44,8 @@ class NonIntegrableLevyMeasure(ValidationError):
 class QuadratureFailure(LevyEmmError):
     """Numerical integration could not reach the requested tolerance:
     a panel's bisection ran out of intervals, or a geometric panel sum
-    neither converged nor, at the origin, settled into divergence."""
+    neither converged nor, at the origin, settled into divergence; or a
+    tilt overflowed a finite drift or atom mass."""
 
 
 class PsiUndefined(LevyEmmError):

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import KappaOutsideI
+from .errors import KappaOutsideI, QuadratureFailure
 from .levy_core.extreal import ExtReal
 from .levy_core.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
                                    SidePlan, exp_integrand,
@@ -53,6 +53,9 @@ def _tilt_drift_correction(vt, kappa: float, q: QuadratureSettings) -> float:
     val, _ = two_sided_integral(
         vt.nu, q, inner_g=exp_integrand(kappa, factor=np.expm1, power=1),
         right=SidePlan(None, True), left=SidePlan(None, True))
+    if not val.is_finite:
+        raise QuadratureFailure(
+            f"the tilt drift correction overflows at kappa={kappa}")
     return val.value
 
 

@@ -20,7 +20,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..errors import KappaOutsideI, UnsupportedMeasure, ValidationError
+from ..errors import (KappaOutsideI, QuadratureFailure, UnsupportedMeasure,
+                      ValidationError)
 
 __all__ = [
     "TailDecay",
@@ -255,17 +256,20 @@ class FiniteAtomic(LevyMeasure):
                 raise ValidationError(f"atom mass must be positive finite, got {mass}")
             norm.append((pos, mass))
         object.__setattr__(self, "atom_list", tuple(norm))
+        # built once: every cumulant asks for both tails
+        sup = max((p for p, _ in norm if p > 0), default=0.0)
+        inf = min((p for p, _ in norm if p < 0), default=0.0)
+        object.__setattr__(self, "_tails", (TailDecay.bounded(sup),
+                                            TailDecay.bounded(-inf)))
 
     def atoms(self) -> Tuple[Tuple[float, float], ...]:
         return self.atom_list
 
     def right_tail(self) -> TailDecay:
-        sup = max((p for p, _ in self.atom_list if p > 0), default=0.0)
-        return TailDecay.bounded(sup)
+        return self._tails[0]
 
     def left_tail(self) -> TailDecay:
-        inf = min((p for p, _ in self.atom_list if p < 0), default=0.0)
-        return TailDecay.bounded(-inf)
+        return self._tails[1]
 
     def is_symmetric(self) -> bool:
         table = sorted(self.atom_list)
@@ -288,7 +292,13 @@ class FiniteAtomic(LevyMeasure):
     def tilted(self, kappa: float) -> "FiniteAtomic":
         if kappa == 0.0:
             return self
-        return FiniteAtomic(tuple((p, m * math.exp(kappa * p)) for p, m in self.atom_list))
+        try:
+            return FiniteAtomic(tuple((p, m * math.exp(kappa * p))
+                                      for p, m in self.atom_list))
+        except (OverflowError, ValidationError):  # a mass left the floats
+            raise QuadratureFailure(
+                f"atom masses overflow or underflow at the tilt kappa={kappa}"
+            ) from None
 
     def describe(self) -> dict:
         return {"type": "finite_atomic", "atoms": [[p, m] for p, m in self.atom_list]}

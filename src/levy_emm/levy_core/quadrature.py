@@ -1,4 +1,4 @@
-"""Integration against jump measures: one kernel for every integral
+"""Integration against jump measures: one region rule for every integral
 ``∫ g dν`` the package needs, and the only code that evaluates a jump
 density or sums over atoms.
 
@@ -6,78 +6,80 @@ Density integrals are split into four panels per the package-wide layout::
 
     (-inf, -1] | [-1, 0) | (0, 1] | [1, inf)
 
-:func:`two_sided_integral` is the kernel.  Every integrand is given to it
-in parts, one for the inner cut and one for each tail, and every part has
-the same contract: the kernel calls it with the jump size ``x``, the
-density ``ν(x)`` and ``log ν(x)``, and the part returns its own product
-with the density; the kernel multiplies nothing.  :func:`exp_integrand`
-builds every part the package uses.  It takes ``e^u ν`` in log space and
-the factors ``e^u - 1``, ``e^u - 1 - u`` and ``e^u (u - 1) + 1`` as
-``factor(u) ν`` where ``u <= 1`` and as ``e^{u + log ν}`` plus the
-polynomial part beyond, so a density that underflows never meets a factor
-that overflows and a small ``u`` keeps its digits.  Each region reads the
-density its own way: a tail takes ``log ν`` from ``log_density`` and ``ν``
-as its exponential; an inner panel takes ``ν`` from ``density``, so the
-origin keeps the density's own digits, and ``log ν`` as its logarithm,
-from ``log_density`` only where ``ν`` underflows.
+Every integral goes through one private rule, :func:`_region`: ``∫ part
+dν`` over the jump sizes ``lo < side*x <= hi`` of one side.
+:func:`two_sided_integral`, the kernel, is that rule over each side's tail
+``side*x > INNER_CUT`` and over the inner cut ``0 < |x| <= INNER_CUT``,
+with one integrand part for the inner cut and one for each tail.
+:func:`one_sided_integral` is one region with the part ``x^p ν``: the
+small-jump moments and tail masses, the monotonicity test, the market
+conversion and the simulation rates all go through it.
 
-Every part is array-in, array-out: the rules below rest on the 21-point
+Every part has the same contract: the rule calls it with the jump size
+``x``, the density ``ν(x)`` and ``log ν(x)``, and the part returns its own
+product with the density; the rule multiplies nothing.
+:func:`exp_integrand` builds every part the package uses.  It takes ``e^u
+ν`` in log space and the factors ``e^u - 1``, ``e^u - 1 - u`` and ``e^u (u
+- 1) + 1`` as ``factor(u) ν`` where ``u <= 1`` and as ``e^{u + log ν}``
+plus the polynomial part beyond, so a density that underflows never meets
+a factor that overflows and a small ``u`` keeps its digits.  The rule
+reads the density one way on each side of the cut: beyond it ``log ν``
+comes from ``log_density`` and ``ν`` is its exponential; inside it ``ν``
+comes from ``density``, so the origin keeps the density's own digits, and
+``log ν`` is its logarithm, from ``log_density`` only where ``ν``
+underflows.
+
+Every part is array-in, array-out: the rule rests on the 21-point
 Gauss–Kronrod rule of :func:`_gk21`, which applies to many panels in one
 call of the integrand with the nodes, weights and error estimate of
 QUADPACK's ``qk21`` (Piessens et al. 1983).  Its sums are matrix
-products, so it agrees with ``qk21`` to rel 1e-14, not bit for bit.  The
-kind of each panel picks its rule:
+products, so it agrees with ``qk21`` to rel 1e-14, not bit for bit.  A
+region is clipped to its side's support and cut at ``INNER_CUT`` and at
+the caller's breakpoints; the kind of each piece picks its rule:
 
-* the two singular ends, out to infinity and down to the origin, are one
-  geometric panel sum (:func:`_geometric_sum`): doubling panels ``[lo
-  2^k, lo 2^(k+1)]`` for a tail, halving panels ``[b 2^-(k+1), b 2^-k]``
-  with GK21 in ``u = ln x`` for ``∫_0^b``, where a power law is smooth.
-  Panels are evaluated a chunk per call and summed until three in a row
-  are negligible or the ratios of the last ones predict the rest as a
-  geometric series, which sums a power law exactly; at the origin, ratios
-  that settle at 1 or above mean divergence.  A panel that fails its
-  error test is refined by bisection.  A tail that its decay hint calls
-  divergent is a signed infinity without any quadrature;
-* every bounded panel, ``(0, 1]`` down to its smallest breakpoint and the
-  tail up to its last one, is split at its breakpoints.  Each piece gets
-  one GK21 step in ``x``, all in one call, kept when QUADPACK's own
-  first-step test accepts it; a piece that fails it is bisected adaptively
-  in ``u = ln x``, all its intervals evaluated together, until QAGS's
-  stopping rule holds.  A smooth integrand (finite activity) passes the
-  first step with 21 evaluations.
+* the two singular ends, from the last cut out to infinity and from the
+  origin up to the first cut, are one geometric panel sum
+  (:func:`_geometric_sum`): doubling panels ``[lo 2^k, lo 2^(k+1)]`` for
+  a tail, halving panels ``[b 2^-(k+1), b 2^-k]`` with GK21 in ``u = ln
+  x`` for ``∫_0^b``, where a power law is smooth.  Panels are evaluated a
+  chunk per call and summed until three in a row are negligible or the
+  ratios of the last ones predict the rest as a geometric series, which
+  sums a power law exactly; at the origin, ratios that settle at 1 or
+  above mean divergence, an infinite error the caller judges.  A panel
+  that fails its error test is refined by bisection.  A tail that its
+  decay hint calls divergent is a signed infinity without any quadrature;
+* every bounded piece between the cuts gets one GK21 step in ``x``, all
+  in one call, kept when QUADPACK's own first-step test accepts it; a
+  piece that fails it is bisected adaptively in ``u = ln x``, all its
+  intervals evaluated together, until QAGS's stopping rule holds.  A
+  smooth integrand (finite activity) passes the first step with 21
+  evaluations.
 
-No integral calls QUADPACK itself: the origin's halving panels decide
-both the value and the divergence of the one-sided moments from 0.
+No integral calls QUADPACK itself, and a density that is not finite on a
+panel raises :class:`~levy_emm.errors.QuadratureFailure` wherever it is
+integrated.
 
 Image measures (:class:`~.measures.ExpJumpImage`,
 :class:`~.measures.LogJumpImage`, and an :class:`~.measures.ExpTilted`
 over either) have no density of their own.  They are integrated by
-pullback onto their base, ``∫ g dν_img = ∫ g(φ(t)) ν(dt)`` with
-``φ = expm1`` or ``log1p``: each base point goes to the image's inner or
-tail integrand by ``|φ(t)| <= INNER_CUT`` (the base is split where that
-changes, at ``ln 2``, ``e - 1`` and ``e^{-1} - 1``), so the base's own
-hints, panels and origin sum do the work.  Every part then gets the
-base's ``ν`` and ``log ν`` with two more arguments: the image's own tilt,
-which joins κ before it multiplies a price jump that can overflow, and
-``log|φ(t)|``.
+pullback onto their base, ``∫ g dν_img = ∫ g(φ(t)) ν(dt)`` with ``φ =
+expm1`` or ``log1p``: the rule maps a region's ends and breakpoints onto
+base distances, so each base point meets only the part of its own image
+region, and the base's own hints, panels and origin sum do the work.
+The part then gets the base's ``ν`` and ``log ν`` with two more
+arguments: the image's own tilt, which joins κ before it multiplies a
+price jump that can overflow, and ``log|φ(t)|``.
 
 Purely atomic measures (:class:`~.measures.FiniteAtomic`, and a tilt,
-tempering or image of one) take the same parts: the kernel calls each
-part once on the atoms of its region, ``|x| <= INNER_CUT`` for the inner
-part and ``x > INNER_CUT`` or ``x < -INNER_CUT`` for a tail, with each
-atom's mass as ``ν``, and sums the terms exactly by ``math.fsum``.
+tempering or image of one) take the same parts: the rule calls the part
+once on the atoms of its region, with each atom's mass as ``ν``, and sums
+the terms exactly by ``math.fsum``.
 
-:func:`one_sided_integral` applies the two interval rules (geometric
-panels at a singular end, a bounded panel elsewhere) to the moments
-``∫ s^p dν`` of one side, and sums atoms over ``lo < s <= hi``; the
-small-jump moments and tail masses, the monotonicity test and the
-simulation rates all go through it.
-
-Exactly symmetric measures are integrated by folding the negative axis
-onto the positive one, so odd integrands cancel in IEEE arithmetic rather
-than to quadrature tolerance.  That exactness is what downstream code
-relies on to report "the mean is zero" for symmetric models without a
-fudge factor.
+Exactly symmetric measures, and images of them, are integrated by
+folding the negative (base) axis onto the positive one, so odd integrands
+cancel in IEEE arithmetic rather than to quadrature tolerance.  That
+exactness is what downstream code relies on to report "the mean is zero"
+for symmetric models without a fudge factor.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import NonIntegrableLevyMeasure, QuadratureFailure
-from .extreal import ExtReal, NEG_INF, POS_INF
+from .extreal import ExtReal
 from .measures import ExpJumpImage, ExpTilted, LevyMeasure, LogJumpImage
 
 __all__ = [
@@ -457,16 +459,18 @@ def exp_integrand(kappa: float, *, factor: Optional[Fn] = None,
     κx + w(x)``, where ``F = exp`` or ``factor``: ``np.expm1``,
     :func:`expm1_minus_x` or :func:`exp_entropy_term`.
 
-    ``F = exp`` is taken in log space, ``e^{u + log ν}``.  A factor is
-    ``factor(u) ν`` where ``u <= 1``, which keeps the digits of a small
-    ``u`` and of the density, and ``e^{u + log ν} a(u) + p(u) ν`` for
-    ``factor = e^u a + p`` beyond: a density that underflows never meets a
-    factor that overflows.  For image measures the kernel also passes
-    ``tilt``, the image's own tilt, and ``log_abs_x``.  With ``F = exp``
-    the tilt joins κ before it multiplies ``x`` and the power is taken in
-    log space: a price jump ``x = e^t - 1`` overflows long before ``x^power
-    ν`` does.  With a factor the tilt goes into ``ν``, and ``x`` must be
-    finite.
+    ``F = exp`` is taken in log space, ``e^{u + log ν}``, except for a
+    plain moment (``u = 0``), which is ``x^power ν`` with the ``ν`` the
+    kernel passes, so it keeps the density's own digits inside the cut.
+    A factor is ``factor(u) ν`` where ``u <= 1``, which keeps the digits
+    of a small ``u`` and of the density, and ``e^{u + log ν} a(u) + p(u)
+    ν`` for ``factor = e^u a + p`` beyond: a density that underflows never
+    meets a factor that overflows.  For image measures the kernel also
+    passes ``tilt``, the image's own tilt, and ``log_abs_x``.  With ``F =
+    exp`` the tilt joins κ before it multiplies ``x`` and the power is
+    taken in log space: a price jump ``x = e^t - 1`` overflows long before
+    ``x^power ν`` does.  With a factor the tilt goes into ``ν``, and ``x``
+    must be finite.
     """
 
     def f(x, nu, log_nu, tilt=0.0, log_abs_x=None):
@@ -488,7 +492,10 @@ def exp_integrand(kappa: float, *, factor: Optional[Fn] = None,
                 if log_abs_x is not None and power:
                     val = np.exp(expo + power * log_abs_x) * np.sign(x) ** power
                 else:
-                    val = np.exp(expo) * x ** power if power else np.exp(expo)
+                    # a plain moment takes ν as the kernel passed it
+                    val = nu if not k and w is None else np.exp(expo)
+                    if power:
+                        val = val * x ** power
             if prefactor is not None:
                 val = val * prefactor(x)
         return val
@@ -517,6 +524,19 @@ class _Pullback(NamedTuple):
             u = abs(float(self.inverse(side * s)))
         return math.inf if u != u else u  # beyond the image's support
 
+    def wrap(self, part: Optional[Part]) -> Optional[Part]:
+        """``part`` over base points: ``t -> part(φ(t), ν, log ν, tilt,
+        log|φ(t)|)``."""
+        if part is None:
+            return None
+
+        def f(t: np.ndarray, nu: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
+            with np.errstate(all="ignore"):
+                return part(self.phi(t), nu, log_nu, self.tilt,
+                            self.log_abs_phi(t))
+
+        return f
+
 
 def _pullback(nu: LevyMeasure) -> Optional[_Pullback]:
     tilt = 0.0
@@ -531,78 +551,147 @@ def _pullback(nu: LevyMeasure) -> Optional[_Pullback]:
 
 
 # ---------------------------------------------------------------------------
-# one-sided integrals over jump distances
+# the region rule
 # ---------------------------------------------------------------------------
 
 
-def _tail_upper_limit(nu: LevyMeasure, side: int) -> float:
-    decay = nu.right_tail() if side > 0 else nu.left_tail()
-    if decay.kind == "bounded" and math.isfinite(decay.cutoff):
-        return decay.cutoff
-    return math.inf
+@lru_cache(maxsize=256)
+def _atom_region(atoms: Tuple[Tuple[float, float], ...], sides: Tuple[int, ...],
+                 lo: float, hi: float):
+    """Read-only ``(x, ν, log ν)`` arrays, ``ν`` the masses, of the atoms
+    with ``lo < side*x <= hi`` on one of ``sides`` (``lo >= 0``, so on at
+    most one)."""
+    rows = np.array([(x, m, math.log(m) if m else -math.inf)
+                     for x, m in atoms for side in sides if lo < side * x <= hi],
+                    dtype=float).reshape(-1, 3).T
+    rows.flags.writeable = False
+    return tuple(rows)
+
+
+def _density_product(nu: LevyMeasure, side: int, part: Part,
+                     inner: bool) -> Fn:
+    """``s -> part(x, ν(x), log ν(x))`` at ``x = side*s``.
+
+    Inside the cut ``ν`` is the density itself, so the origin keeps its
+    digits, and ``log ν`` its logarithm, taken from ``log_density`` only
+    where ``ν`` underflows; beyond the cut ``log ν`` is ``log_density`` and
+    ``ν`` its exponential.
+    """
+
+    def f(s: np.ndarray) -> np.ndarray:
+        x = side * np.asarray(s, dtype=float)
+        if inner:
+            lin = nu.density(x)
+            log_lin = np.log(lin)
+            if lin.min() < _UFLOW:
+                log_lin = np.where(lin < _UFLOW, nu.log_density(x), log_lin)
+        else:
+            log_lin = nu.log_density(x)
+            lin = np.exp(log_lin)
+        return part(x, lin, log_lin)
+
+    return f
+
+
+def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[Part],
+            lo: float, hi: float, q: QuadratureSettings,
+            pts: Sequence[float] = (), diverges: int = 0,
+            start: float = 0.0) -> Tuple[float, float]:
+    """``start + ∫ part dν`` over ``lo < side*x <= hi`` for each side in
+    ``sides``, each side's sum added to ``start`` in turn; the one rule of
+    every integral, returned as ``(value, error)``.
+
+    Atoms: ``part`` is called once on the region's atoms, their masses as
+    ``ν``, and the terms are summed exactly by ``math.fsum`` with error 0.
+    A density: the region is clipped to the side's support and cut at
+    ``INNER_CUT`` and at the breakpoints ``pts``.  From the origin to the
+    first cut it is the halving panels of :func:`_geometric_sum`, from the
+    last cut to infinity its doubling panels (``diverges``, the sign of a
+    divergence the caller read from a tail hint, makes that a signed
+    infinity without quadrature), and between the cuts bounded
+    :func:`_panel` pieces.  The density is read as
+    :func:`_density_product` reads it, linear inside the cut.  The sum
+    stops at the first infinite piece: an overflow has error 0, a
+    divergence at the origin an infinite error, for the caller to judge.
+    An image measure's region is mapped onto its base, where each base
+    point meets the part as ``part(φ(t), ν, log ν, tilt, log|φ(t)|)``.
+    """
+    if part is None:
+        return start, 0.0
+    atoms = nu.atoms()
+    if atoms is not None:
+        x, m, log_m = _atom_region(atoms, sides, lo, hi)
+        if x.size:
+            start += math.fsum(part(x, m, log_m).tolist())
+        return start, 0.0
+    if diverges and hi == math.inf:
+        return start + diverges * math.inf, 0.0
+    pb = _pullback(nu)
+    if pb is not None:
+        nu, part = pb.base, pb.wrap(part)
+    total, err = start, 0.0
+    for side in sides:
+        a, b, cuts = lo, hi, pts
+        if pb is not None:
+            a, b = pb.base_distance(side, lo), pb.base_distance(side, hi)
+            cuts = [pb.base_distance(side, p) for p in pts]
+        decay = nu.right_tail() if side > 0 else nu.left_tail()
+        end = decay.cutoff if decay.kind == "bounded" else math.inf
+        if min(b, end) <= a:
+            continue
+        b = min(b, end * (1.0 + 1e-12))
+        knots = [a, *sorted(c for c in {INNER_CUT, *cuts} if a < c < b), b]
+        inner = _density_product(nu, side, part, inner=True)
+        outer = _density_product(nu, side, part, inner=False)
+        # the bounded panels lie between the cuts, off the singular ends
+        bounded = knots[(a == 0.0):len(knots) - (b == math.inf)]
+
+        def pieces():
+            if a == 0.0:
+                yield _geometric_sum(inner, 0.0, knots[1], q)
+            if b == math.inf:
+                yield _geometric_sum(outer, knots[-2], math.inf, q)
+            for f, ends in ((inner, [k for k in bounded if k <= INNER_CUT]),
+                            (outer, [k for k in bounded if k >= INNER_CUT])):
+                if len(ends) > 1:
+                    yield _panel(f, ends[0], ends[-1], q, ends[1:-1])
+
+        side_total = 0.0
+        for v, e in pieces():
+            side_total, err = side_total + v, err + e
+            if not math.isfinite(side_total):
+                break
+        total += side_total
+        if not math.isfinite(total):
+            break
+    return total, err
+
+
+# ---------------------------------------------------------------------------
+# one-sided integrals over jump distances
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=1024)
 def one_sided_integral(nu: LevyMeasure, side: int, power: int,
                        lo: float, hi: float,
                        q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """``∫_{lo < s < hi} s^power ν(side*s) ds`` over jump distances ``s``
-    on one side.
+    """``∫_{lo < s <= hi} s^power ν(side*s) ds`` over jump distances ``s``
+    on one side: the region rule of :func:`_region` on the part ``x^power
+    ν``.
 
     Atoms are summed exactly over the half-open ``lo < s <= hi``, the
-    convention of ``h(x) = x 1_{|x| <= INNER_CUT}``.  For a density measure
-    or an image of one, the interval is clipped to the side's support (an
-    image measure's is then pulled back onto its base) and its kind picks
-    the rule: from the origin (``lo == 0``), the halving panels of
-    :func:`_geometric_sum`, whose settled ratios decide a divergence there;
-    out to infinity, the tail-decay hint decides divergence and the
-    doubling panels of the same sum the value; a bounded panel away from
-    the origin, the panel rule of :func:`_panel`.  A divergent integral
-    comes back as ``inf``; a panel that fails raises
+    convention of ``h(x) = x 1_{|x| <= INNER_CUT}``.  Out to infinity the
+    tail-decay hint decides divergence; from the origin the settled ratios
+    of the halving panels do.  A divergent integral comes back as ``inf``;
+    a panel that fails, or that is not finite, raises
     :class:`QuadratureFailure`.  Results are cached.
     """
-    atoms = nu.atoms()
-    if atoms is not None:
-        return math.fsum(math.prod((side * x,) * power, start=m)
-                         for x, m in atoms if lo < side * x <= hi)
-    end = _tail_upper_limit(nu, side)
-    if min(hi, end) <= lo:
-        return 0.0
-    hi = min(hi, end * (1.0 + 1e-12))
+    sign = side ** power
     decay = nu.right_tail() if side > 0 else nu.left_tail()
-    pb = _pullback(nu)
-    if pb is None:
-        def f(s: np.ndarray) -> np.ndarray:
-            s = np.asarray(s, dtype=float)
-            with np.errstate(all="ignore"):
-                # s*s, not s**2: pow rounds differently, and c(κ) uses x^2 mass
-                v = math.prod((s,) * power) * nu.density(side * s)
-            return np.where(np.isfinite(v), v, 0.0)
-    else:
-        base, moment = pb.base, exp_integrand(0.0, power=power)
-        lo = pb.base_distance(side, lo)
-        hi = min(pb.base_distance(side, hi),
-                 _tail_upper_limit(base, side) * (1.0 + 1e-12))
-
-        def f(s: np.ndarray) -> np.ndarray:
-            t = side * np.asarray(s, dtype=float)
-            with np.errstate(all="ignore"):
-                log_nu = base.log_density(t)
-                v = side ** power * moment(pb.phi(t), np.exp(log_nu), log_nu,
-                                           pb.tilt, pb.log_abs_phi(t))
-            return np.where(np.isfinite(v), v, 0.0)
-
-    def piece(a: float, b: float) -> float:
-        if math.isinf(b) and not decay.moment_finite(power, 0.0):
-            return math.inf
-        if a == 0.0 or math.isinf(b):
-            return _geometric_sum(f, a, b, q)[0]
-        return _panel(f, a, b, q)[0]
-
-    if lo == 0.0 and hi > INNER_CUT:
-        # an image side can run from the base's origin into its tail
-        return piece(0.0, INNER_CUT) + piece(INNER_CUT, hi)
-    return piece(lo, hi)
+    val, _ = _region(nu, (side,), exp_integrand(0.0, power=power), lo, hi, q,
+                     diverges=0 if decay.moment_finite(power, 0.0) else sign)
+    return sign * val
 
 
 # ---------------------------------------------------------------------------
@@ -638,22 +727,6 @@ def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> floa
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _atom_regions(atoms: Tuple[Tuple[float, float], ...]):
-    """Read-only ``(x, ν, log ν)`` arrays, ``ν`` the masses, of the atoms
-    in each region: ``|x| <= INNER_CUT``, ``x > INNER_CUT`` and ``x <
-    -INNER_CUT``."""
-    x, m = np.array(atoms, dtype=float).reshape(-1, 2).T
-    with np.errstate(divide="ignore"):
-        xml = np.array([x, m, np.log(m)])
-    regions = []
-    for keep in (np.abs(x) <= INNER_CUT, x > INNER_CUT, x < -INNER_CUT):
-        rows = xml[:, keep]
-        rows.flags.writeable = False
-        regions.append(tuple(rows))
-    return tuple(regions)
-
-
 @dataclass(frozen=True)
 class SidePlan:
     """Tail plan for one side of a structured integral.
@@ -669,164 +742,79 @@ class SidePlan:
     div_sign: int = 1
 
 
-def _density_product(nu: LevyMeasure, side: int, part: Part,
-                     inner: bool) -> Fn:
-    """``s -> part(x, ν(x), log ν(x))`` at ``x = side*s``.
-
-    Inside the cut ``ν`` is the density itself, so the origin keeps its
-    digits, and ``log ν`` its logarithm, taken from ``log_density`` only
-    where ``ν`` underflows; beyond the cut ``log ν`` is ``log_density`` and
-    ``ν`` its exponential.
-    """
-
-    def f(s: np.ndarray) -> np.ndarray:
-        x = side * np.asarray(s, dtype=float)
-        if inner:
-            lin = nu.density(x)
-            log_lin = np.log(lin)
-            if lin.min() < _UFLOW:
-                log_lin = np.where(lin < _UFLOW, nu.log_density(x), log_lin)
-        else:
-            log_lin = nu.log_density(x)
-            lin = np.exp(log_lin)
-        return part(x, lin, log_lin)
-
-    return f
-
-
-def _tail_value(nu: LevyMeasure, side: int, part: Optional[Part],
-                converges: bool, div_sign: int, q: QuadratureSettings,
-                pts: Sequence[float]) -> Tuple[ExtReal, float]:
-    """``∫`` over ``side*x > INNER_CUT``: bounded panels up to the last
-    breakpoint there (or to the end of a bounded tail), then doubling
-    panels; a hinted divergence is a signed infinity without quadrature."""
-    if part is None:
-        return ExtReal.finite(0.0), 0.0
-    if not converges:
-        return (POS_INF if div_sign > 0 else NEG_INF), 0.0
-    hi = _tail_upper_limit(nu, side)
-    if hi <= INNER_CUT:
-        return ExtReal.finite(0.0), 0.0
-    f = _density_product(nu, side, part, inner=False)
-    if math.isfinite(hi):
-        total, err = _panel(f, INNER_CUT, hi * (1.0 + 1e-12), q, pts)
-        return ExtReal.finite(total), err
-    lo = max((p for p in pts if INNER_CUT < p < hi), default=INNER_CUT)
-    total, err = _geometric_sum(f, lo, math.inf, q)
-    if lo > INNER_CUT and math.isfinite(total):
-        v, e = _panel(f, INNER_CUT, lo, q, pts)
-        total, err = total + v, err + e
-    return ExtReal.finite(total), err
-
-
-def _inner_value(nu: LevyMeasure, side: int, part: Optional[Part],
-                 q: QuadratureSettings,
-                 pts: Sequence[float]) -> Tuple[ExtReal, float]:
-    """Integral over ``0 < side*x <= INNER_CUT``: bounded panels down to
-    the smallest breakpoint, then the halving panels of
-    :func:`_geometric_sum` from there to the origin.  An overflow is a
-    signed infinity; a sum that diverges at the origin raises."""
-    if part is None:
-        return ExtReal.finite(0.0), 0.0
-    f = _density_product(nu, side, part, inner=True)
-    cut = min((p for p in pts if 0.0 < p < INNER_CUT), default=INNER_CUT)
-    val, err = _geometric_sum(f, 0.0, cut, q)
-    if math.isinf(err):
-        raise NonIntegrableLevyMeasure(
-            "the inner integral diverges at the origin")
-    if cut < INNER_CUT and math.isfinite(val):
-        v, e = _panel(f, cut, INNER_CUT, q, pts)
-        val, err = val + v, err + e
-    return ExtReal.finite(val), err
-
-
-def _pulled_back(pb: _Pullback, q: QuadratureSettings,
-                 inner_g: Optional[Part], right: SidePlan, left: SidePlan,
-                 breakpoints: Sequence[float]) -> Tuple[ExtReal, float]:
-    """:func:`two_sided_integral` of an image measure as one over its base:
-    base points within ``u`` of the origin map into the image's inner cut
-    and take ``inner_g``, the others take the image's side plans; every
-    part gets the base's density with the image's tilt and ``log|φ|``."""
-    u_r, u_l = pb.base_distance(+1, INNER_CUT), pb.base_distance(-1, INNER_CUT)
-
-    def g(t: np.ndarray, nu: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            args = (pb.phi(t), nu, log_nu, pb.tilt, pb.log_abs_phi(t))
-
-            def value(part: Optional[Part]):
-                return 0.0 if part is None else part(*args)
-
-            inside = np.where(t > 0, t <= u_r, -t <= u_l)
-            val = np.where(t > 0, value(right.tail), value(left.tail))
-            return np.where(inside, value(inner_g), val)
-
-    def base_plan(plan: SidePlan, u: float) -> SidePlan:
-        if ((inner_g is None or u <= INNER_CUT)
-                and (plan.tail is None or u == math.inf)):
-            return SidePlan(None, True)  # nothing to integrate beyond the cut
-        return SidePlan(g, plan.converges, plan.div_sign)
-
-    pts = [u_r, u_l] + [pb.base_distance(side, abs(b))
-                        for b in breakpoints for side in (+1, -1)]
-    return two_sided_integral(pb.base, q, inner_g=g,
-                              right=base_plan(right, u_r),
-                              left=base_plan(left, u_l),
-                              breakpoints=pts)
-
-
 def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
                        inner_g: Optional[Part],
                        right: SidePlan, left: SidePlan,
                        breakpoints: Sequence[float] = ()) -> Tuple[ExtReal, float]:
     """Structured integral of ``g dν`` for a purely atomic measure, a
-    density measure or an image of one.
+    density measure or an image of one: :func:`_region` over each side's
+    tail ``side*x > INNER_CUT`` and the inner cut ``0 < |x| <= INNER_CUT``
+    (:func:`_folded` where the density is exactly symmetric).
 
     ``inner_g`` is the integrand part on ``|x| <= INNER_CUT``, ``O(x^2)``
     at the origin (or None when it vanishes there); the tail parts live in
     the side plans.  Every part is called as ``part(x, ν(x), log ν(x))``
     and returns its own product with the density (see
-    :func:`exp_integrand`).  Atoms are summed exactly by ``math.fsum``,
-    each part called once on its region's atoms with their masses for
-    ``ν``; a finite sum needs no decay hint, so ``SidePlan.converges`` does
-    not apply, and its error is 0.  Image measures are integrated against
-    their base by pullback.
+    :func:`exp_integrand`).  A finite sum of atoms needs no decay hint, so
+    ``SidePlan.converges`` does not apply to it.  Divergent tails skip the
+    inner cut; a divergence at the origin raises
+    :class:`NonIntegrableLevyMeasure`.
     """
-    atoms = nu.atoms()
-    if atoms is not None:
-        terms = []
-        for part, (x, m, log_m) in zip((inner_g, right.tail, left.tail),
-                                       _atom_regions(atoms)):
-            if part is not None and x.size:
-                terms.extend(part(x, m, log_m).tolist())
-        return ExtReal.finite(math.fsum(terms)), 0.0
-    pb = _pullback(nu)
-    if pb is not None:
-        return _pulled_back(pb, q, inner_g, right, left, breakpoints)
     pts = [abs(b) for b in breakpoints]
+    if nu.atoms() is None:
+        pb = _pullback(nu)
+        if ((nu if pb is None else pb.base).is_symmetric()
+                and (right.tail is None) == (left.tail is None)
+                and right.converges and left.converges):
+            return _folded(nu, pb, inner_g, right.tail, left.tail, q, pts)
+    total = err = 0.0
+    for side, plan in ((+1, right), (-1, left)):
+        total, e = _region(nu, (side,), plan.tail, INNER_CUT, math.inf, q, pts,
+                           0 if plan.converges else plan.div_sign, total)
+        err += e
+    if not math.isfinite(total):
+        return ExtReal.finite(total), 0.0
+    total, e = _region(nu, (+1, -1), inner_g, 0.0, INNER_CUT, q, pts,
+                       start=total)
+    if math.isinf(e):
+        raise NonIntegrableLevyMeasure(
+            "the inner integral diverges at the origin")
+    return ExtReal.finite(total), err + e
 
-    if (nu.is_symmetric() and (right.tail is None) == (left.tail is None)
-            and right.converges and left.converges):
-        # fold x -> -x, where ν(-x) = ν(x): odd parts cancel exactly; a side
-        # that diverges on its own is not folded, so two opposite divergent
-        # tails surface as "undefined" instead of cancelling
-        folded_tail = folded_inner = None
-        if right.tail is not None:
-            rt, lt = right.tail, left.tail
-            folded_tail = lambda x, n, ln: rt(x, n, ln) + lt(-x, n, ln)
-        if inner_g is not None:
-            gi = inner_g
-            folded_inner = lambda x, n, ln: gi(x, n, ln) + gi(-x, n, ln)
-        t, terr = _tail_value(nu, +1, folded_tail, True, 1, q, pts)
-        inner, ierr = _inner_value(nu, +1, folded_inner, q, pts)
-        return t + inner, terr + ierr
 
-    tr, er = _tail_value(nu, +1, right.tail, right.converges,
-                         right.div_sign, q, pts)
-    tl, el = _tail_value(nu, -1, left.tail, left.converges,
-                         left.div_sign, q, pts)
-    total = tr + tl
-    if not total.is_finite:
-        return total, 0.0
-    ir, eir = _inner_value(nu, +1, inner_g, q, pts)
-    il, eil = _inner_value(nu, -1, inner_g, q, pts)
-    return total + ir + il, er + el + eir + eil
+def _fold(r: Optional[Part], l: Optional[Part]) -> Optional[Part]:
+    """The part ``x -> r(x) + l(-x)``, None where both vanish."""
+    if r is None or l is None:
+        return r if l is None else (lambda x, n, ln: l(-x, n, ln))
+    return lambda x, n, ln: r(x, n, ln) + l(-x, n, ln)
+
+
+def _folded(nu: LevyMeasure, pb: Optional[_Pullback], inner_g: Optional[Part],
+            right: Optional[Part], left: Optional[Part],
+            q: QuadratureSettings, pts: Sequence[float]) -> Tuple[ExtReal, float]:
+    """:func:`two_sided_integral` where the density is exactly symmetric,
+    ``ν(-t) = ν(t)``, the base's for an image: the negative axis folds
+    onto the positive one, where each piece of distance between the sides'
+    inner cuts is one :func:`_region` of the sum of the part each side's
+    region puts there.  Odd parts cancel exactly, and each point still
+    meets only the part of its own region."""
+    wrap = (lambda part: part) if pb is None else pb.wrap
+    cut = {side: INNER_CUT if pb is None else pb.base_distance(side, INNER_CUT)
+           for side in (+1, -1)}
+    if pb is not None:
+        nu, pts = pb.base, [pb.base_distance(side, p) for p in pts
+                            for side in (+1, -1)]
+    ends = sorted({0.0, *cut.values(), math.inf})
+    total = err = 0.0
+    # the tails first: a non-finite one skips the inner cut
+    for a, b in reversed(list(zip(ends, ends[1:]))):
+        part = _fold(wrap(inner_g if b <= cut[+1] else right),
+                     wrap(inner_g if b <= cut[-1] else left))
+        total, e = _region(nu, (+1,), part, a, b, q, pts, start=total)
+        if math.isinf(e):
+            raise NonIntegrableLevyMeasure(
+                "the inner integral diverges at the origin")
+        if not math.isfinite(total):
+            return ExtReal.finite(total), 0.0
+        err += e
+    return ExtReal.finite(total), err

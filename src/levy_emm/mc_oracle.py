@@ -151,10 +151,7 @@ def _one_sided_exp_poly_plan(nu: LevyMeasure, rate: float, power_y: float,
 
         draw = _rejection_sampler(propose, lambda x: eps / x)
     else:
-        # beyond the inner cut this is the tail mass that validation has
-        # already integrated (one_sided_integral caches it)
-        lam = (_side_integral(nu, side, 0, eps, INNER_CUT, q)
-               + _side_integral(nu, side, 0, INNER_CUT, math.inf, q))
+        lam = _side_integral(nu, side, 0, eps, math.inf, q)
 
         def propose(rng, k):
             return eps * rng.random(k) ** (-1.0 / power_y)

@@ -35,7 +35,7 @@ from levy_emm import (
     solve_geometric_emm,
     solve_linear_emm,
 )
-from levy_emm.errors import KappaOutsideI
+from levy_emm.errors import KappaOutsideI, QuadratureFailure
 from levy_emm.modelspec import load_model
 
 _MODELS = Path(__file__).resolve().parent.parent / "docs" / "models"
@@ -137,6 +137,18 @@ class TestTransform:
             esscher_transform(kou, 8.0)
         with pytest.raises(KappaOutsideI):
             esscher_transform(vg, -6.0)
+
+    @pytest.mark.parametrize("atoms, kappa", [
+        (((1.0, 1.0), (-0.5, 1.0)), 800.0),  # the drift correction
+        (((2.0, 1.0), (-2.0, 1.0)), 400.0),  # the tilted masses
+        (((2.0, 1e10), (-2.0, 1.0)), 354.0),  # a mass times e^{κx}
+    ])
+    def test_atomic_overflow_is_a_typed_failure(self, atoms, kappa):
+        # atoms have every exponential moment, so the tilt lies in I, but
+        # e^{κx} overflows a float
+        t = LevyTriplet(0.0, 0.0, FiniteAtomic(atoms))
+        with pytest.raises(QuadratureFailure, match=f"kappa={kappa}"):
+            esscher_transform(t, kappa)
 
 
 class TestEntropy:

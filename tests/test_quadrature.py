@@ -31,9 +31,10 @@ from levy_emm import (
     tail_mass,
 )
 from levy_emm.levy_core.extreal import POS_INF, UNDEFINED
+from levy_emm.errors import QuadratureFailure
 from levy_emm.levy_core.quadrature import (DEFAULT_SETTINGS, SidePlan,
-                                           exp_entropy_term, expm1_minus_x,
-                                           one_sided_integral,
+                                           exp_entropy_term, exp_integrand,
+                                           expm1_minus_x, one_sided_integral,
                                            two_sided_integral)
 
 
@@ -531,6 +532,156 @@ class TestImageMeasures:
             got = cumulant(LevyTriplet(0.0, 0.0, geo), kappa)
             assert math.isclose(got.value, want, rel_tol=1e-9), kappa
 
+
+
+def _nan_banded():
+    """``e^{-|x|}/|x|`` with NaN on ``0.5 < |x| < 0.6`` and ``2 < |x| < 3``."""
+    from levy_emm import GenericDensity, TailDecay
+
+    def dens(x):
+        ax = np.abs(np.asarray(x, dtype=float))
+        band = ((0.5 < ax) & (ax < 0.6)) | ((2.0 < ax) & (ax < 3.0))
+        return np.where(band, np.nan, np.exp(-ax) / ax)
+
+    tail = TailDecay.exponential(1.0, -1.0)
+    return GenericDensity(dens, right=tail, left=tail, symmetric=True)
+
+
+def _bounded_below_price():
+    """Price jumps ``2 e^{-2|y|}`` on ``(-0.9, inf)``: their log-jumps
+    reach below -1 on the left."""
+    from levy_emm import GenericDensity, TailDecay
+
+    def dens(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y > -0.9, 2.0 * np.exp(-2.0 * np.abs(y)), 0.0)
+
+    return GenericDensity(dens, right=TailDecay.exponential(2.0),
+                          left=TailDecay.bounded(0.9))
+
+
+_EPS = 0.05
+#: ``(lo, hi, power)`` of one-sided regions: the simulation's ε regions,
+#: the small jumps and the conversion's ``(ln 2, 1]``
+_ONE_SIDED_REGIONS = {
+    "eps_to_1": (_EPS, 1.0, 1),
+    "eps_to_inf": (_EPS, math.inf, 0),
+    "origin_to_eps": (0.0, _EPS, 2),
+    "ln2_to_1": (_LN2, 1.0, 1),
+}
+_ONE_SIDED_MEASURES = {
+    "variance_gamma": VarianceGamma(C=1.0, G=6.0, M=9.0),
+    "cgmy_y06": CGMY(C=0.5, G=4.0, M=7.0, Y=0.6),
+    "cgmy_y15": CGMY(C=1.0, G=5.0, M=5.0, Y=1.5),
+    "merton": JumpDiffusion(1.0, GaussianJumps(-0.1, 0.3)),
+    "exp_image_kou": ExpJumpImage(_IMAGE_BASES["kou"]),
+}
+
+
+def _mp_density(nu, side):
+    """``t -> ν(side*t)`` at 30 digits for the families above (an image's
+    base for an image)."""
+    if isinstance(nu, ExpJumpImage):
+        nu = nu.base
+    if isinstance(nu, (VarianceGamma, CGMY)):
+        rate = nu.M if side > 0 else nu.G
+        y = getattr(nu, "Y", 0.0)
+        return lambda t: nu.C * mpmath.exp(-rate * t) * t ** (-1 - mpmath.mpf(y))
+    law = nu.jumps
+    if isinstance(law, GaussianJumps):
+        return lambda t: nu.intensity * mpmath.npdf(side * t, law.mean, law.std)
+    p, eta = ((law.p, law.eta_plus) if side > 0
+              else (1.0 - law.p, law.eta_minus))
+    return lambda t: nu.intensity * p * eta * mpmath.exp(-eta * t)
+
+
+def _one_sided_oracle(nu, side, lo, hi, power):
+    """``∫_{lo < s <= hi} s^power ν(side*s) ds`` by mpmath; an image's as
+    ``∫ |e^t - 1|^power ν_base(t) dt`` over the base points that map into
+    the region."""
+    with mpmath.workdps(30):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        d = _mp_density(nu, side)  # of the distance, the base's for an image
+        if not isinstance(nu, ExpJumpImage):
+            pts = [lo] + ([mpmath.mpf(1)] if lo < 1 < hi else []) + [hi]
+            return float(mpmath.quad(lambda s: s ** power * d(s), pts))
+        if side > 0:
+            a, b = mpmath.log1p(lo), mpmath.log1p(hi)
+        else:
+            a = -mpmath.log1p(-lo)
+            b = mpmath.inf if hi >= 1 else -mpmath.log1p(-hi)
+        return float(mpmath.quad(
+            lambda t: abs(mpmath.expm1(side * t)) ** power * d(t), [a, b]))
+
+
+class TestRegionRule:
+    """Every integral goes through one region rule: non-finite densities
+    raise, each part of an image integral meets only its own region, and
+    one-sided regions agree with mpmath."""
+
+    @pytest.mark.parametrize("integral", [
+        lambda nu: one_sided_integral(nu, +1, 1, 0.0, 1.0),
+        small_jump_variation,
+        tail_mass,
+    ], ids=["one_sided_integral", "small_jump_variation", "tail_mass"])
+    def test_nan_density_raises(self, integral):
+        with pytest.raises(QuadratureFailure):
+            integral(_nan_banded())
+
+    @pytest.mark.parametrize("nu", [
+        ExpJumpImage(_IMAGE_BASES["kou"]),
+        ExpJumpImage(CGMY(C=0.5, G=4.5, M=4.5, Y=0.6)),  # folded base
+        LogJumpImage(_bounded_below_price()),
+    ], ids=["exp_image_kou", "exp_image_symmetric_cgmy", "log_image"])
+    def test_image_parts_see_only_their_region(self, nu):
+        kappa = -1.0
+        seen = {"inner": [], "right": [], "left": []}
+
+        def recorded(name, part):
+            def f(x, *args):
+                seen[name].append(np.array(x, dtype=float).ravel())
+                return part(x, *args)
+            return f
+
+        tail = exp_integrand(kappa, factor=np.expm1)
+        val, _ = two_sided_integral(
+            nu, DEFAULT_SETTINGS,
+            inner_g=recorded("inner", exp_integrand(kappa,
+                                                    factor=expm1_minus_x)),
+            right=SidePlan(recorded("right", tail), True),
+            left=SidePlan(recorded("left", tail), True))
+        assert val.value == cumulant(LevyTriplet(0.0, 0.0, nu), kappa).value
+        x = {k: np.concatenate(v) if v else np.empty(0)
+             for k, v in seen.items()}
+        assert x["inner"].size and np.all(np.abs(x["inner"]) <= 1.0)
+        assert x["right"].size and np.all(x["right"] > 1.0)
+        assert np.all(x["left"] < -1.0)
+        # price jumps stay above -1: only log-jumps reach below it
+        assert bool(x["left"].size) == isinstance(nu, LogJumpImage)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+    def test_tempered_rate_against_mpmath(self, eps):
+        """The simulation's thinned rate ``ν((ε, ∞))`` of a tempered
+        0.8-stable: its power law below the cut must not be extrapolated
+        past the tempering beyond it."""
+        nu = perturbed_triplet(LevyTriplet(0.1, 0.0, SymmetricAlphaStable(0.8)),
+                               PenaltyFamily.default_quadratic(), 4).nu
+        d = _density_at(nu)
+        with mpmath.workdps(20):
+            want = float(mpmath.quad(d, [eps, 0.1, 1, 2, 4, 8, 16, 32, 64,
+                                         mpmath.inf]))
+        got = one_sided_integral(nu, +1, 0, eps, math.inf)
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+    @pytest.mark.parametrize("side", [+1, -1])
+    @pytest.mark.parametrize("region", sorted(_ONE_SIDED_REGIONS))
+    @pytest.mark.parametrize("name", sorted(_ONE_SIDED_MEASURES))
+    def test_one_sided_against_mpmath(self, name, region, side):
+        nu = _ONE_SIDED_MEASURES[name]
+        lo, hi, power = _ONE_SIDED_REGIONS[region]
+        got = one_sided_integral(nu, side, power, lo, hi)
+        want = _one_sided_oracle(nu, side, lo, hi, power)
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
 
 def _qk21_cases():
     """Integrands for the GK21 differential test: ``(id, f, a, b)``."""

@@ -7,7 +7,9 @@ integral against a jump measure goes through the package's own kernel in
 measure's ``density``/``log_density`` outside the measures themselves, so
 no integrand multiplies by a jump density on its own, and the only caller
 of ``math.fsum``, so no module sums an integrand over a measure's atoms on
-its own.  No module keeps an import it does not use.
+its own.  Inside that layer one function reads a density and one call sums
+atoms: every integral goes through its one region rule.  No module keeps
+an import it does not use.
 """
 
 from __future__ import annotations
@@ -94,6 +96,34 @@ def test_only_the_kernel_sums_atoms(path):
                    or (isinstance(node, ast.alias) and node.name == "fsum")})
     assert path == _QUADRATURE or not uses, (
         f"{_module_name(path)} uses math.fsum on lines {uses}")
+
+
+def _top_level_users(path: Path, used) -> dict:
+    """``{top-level name: lines}`` of the module's top-level statements
+    that hold a node for which ``used(node)`` is true."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    users = {}
+    for stmt in tree.body:
+        lines = sorted({node.lineno for node in ast.walk(stmt) if used(node)})
+        if lines:
+            users[getattr(stmt, "name", f"line {stmt.lineno}")] = lines
+    return users
+
+
+def test_one_density_reader_in_the_kernel():
+    readers = _top_level_users(
+        _QUADRATURE, lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("density", "log_density"))
+    assert list(readers) == ["_density_product"], readers
+
+
+def test_one_atom_sum_in_the_kernel():
+    sums = _top_level_users(
+        _QUADRATURE, lambda node: (isinstance(node, ast.Attribute)
+                                   and node.attr == "fsum")
+        or (isinstance(node, ast.alias) and node.name == "fsum"))
+    assert [len(lines) for lines in sums.values()] == [1], sums
 
 
 def _exported(tree: ast.Module) -> set:
