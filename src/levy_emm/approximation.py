@@ -19,11 +19,9 @@ import numpy as np
 
 from .errors import LevyEmmError, PenaltyViolation
 from .esscher import solve_linear_emm
-from .levy_core.measures import FiniteAtomic, LevyMeasure, Tempered
-from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
-                                   QuadratureSettings, SidePlan,
-                                   exp_entropy_term, exp_integrand,
-                                   two_sided_integral)
+from .levy_core.measures import LevyMeasure, Tempered
+from .levy_core.quadrature import (INNER_CUT, SidePlan, exp_entropy_term,
+                                   exp_integrand, two_sided_integral)
 from .levy_core.triplets import LevyTriplet, TripletLike, as_validated
 from .mgf_analysis import minimize_mgf
 
@@ -129,7 +127,7 @@ class PenaltyFamily:
 # ---------------------------------------------------------------------------
 
 
-def _no_outer_mass(nu: LevyMeasure, q: QuadratureSettings) -> bool:
+def _no_outer_mass(nu: LevyMeasure) -> bool:
     atoms = nu.atoms()
     if atoms is not None:
         return all(abs(pos) <= INNER_CUT for pos, _ in atoms)
@@ -138,28 +136,22 @@ def _no_outer_mass(nu: LevyMeasure, q: QuadratureSettings) -> bool:
             and l.kind == "bounded" and l.cutoff <= INNER_CUT)
 
 
-def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int,
-                      q: QuadratureSettings = DEFAULT_SETTINGS) -> LevyTriplet:
+def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int) -> LevyTriplet:
     """The triplet with jump measure ``e^{-ρ_n} ν``; drift and variance
     are untouched.
 
     Measures with no mass outside the unit ball come back unchanged (the
-    penalty vanishes on their support).  Atomic measures are tempered
-    exactly; densities get a tempering wrapper carrying closed-form log
-    weights and superexponential tail hints.
+    penalty vanishes on their support).  Every other measure gets a
+    tempering wrapper carrying closed-form log weights and superexponential
+    tail hints; an atomic one keeps its atoms, their masses tempered.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     p.validate(int(n))
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     nu = vt.nu
-    if _no_outer_mass(nu, q):
+    if _no_outer_mass(nu):
         return LevyTriplet(vt.b, vt.sigma2, nu)
-    atoms = nu.atoms()
-    if atoms is not None:
-        tempered = FiniteAtomic(tuple(
-            (pos, m * math.exp(-float(p.rho_at(n, pos)))) for pos, m in atoms))
-        return LevyTriplet(vt.b, vt.sigma2, tempered)
 
     def weight(x: np.ndarray) -> np.ndarray:
         return np.exp(-p.rho_at(n, x))
@@ -178,8 +170,7 @@ def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int,
 # ---------------------------------------------------------------------------
 
 
-def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int,
-             q: QuadratureSettings) -> float:
+def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int) -> float:
     """``∫ (1 - e^{-ρ_n}) dν`` — the jump mass the tempering removes."""
     def pre(x: np.ndarray) -> np.ndarray:
         return -np.expm1(-p.rho_at(n, x))
@@ -187,14 +178,14 @@ def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int,
     tail = exp_integrand(0.0, prefactor=pre)
     right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
     left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
-    val, _ = two_sided_integral(nu, q, inner_g=None, right=right, left=left)
+    val, _ = two_sided_integral(nu, inner_g=None, right=right, left=left)
     # lossy view: an unvalidated measure with infinite outer mass must come
     # back as inf so the integrability diagnostic can fail it, not crash
     return val.as_float()
 
 
 def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
-                         kappa: float, q: QuadratureSettings) -> float:
+                         kappa: float) -> float:
     """``∫ ρ_n e^{κx - ρ_n} dν`` — the tempered mean of the penalty under
     the tilted perturbed measure."""
     def pre(x: np.ndarray) -> np.ndarray:
@@ -205,12 +196,12 @@ def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
 
     plan = SidePlan(exp_integrand(kappa, prefactor=pre, log_weight=log_w),
                     True)
-    val, _ = two_sided_integral(nu, q, inner_g=None, right=plan, left=plan)
+    val, _ = two_sided_integral(nu, inner_g=None, right=plan, left=plan)
     return val.value
 
 
 def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
-                     horizon: float, q: QuadratureSettings) -> float:
+                     horizon: float) -> float:
     """Relative entropy of the tilted-perturbed measure against the
     *original* one, computed independently of the decomposition:
     ``T [σ²κ²/2 + ∫ (Y ln Y - Y + 1) dν]`` with ``Y = e^{κx - ρ_n}``.
@@ -225,7 +216,7 @@ def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
     right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
     left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
     val, _ = two_sided_integral(
-        nu, q, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
+        nu, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
         right=right, left=left)
     return horizon * (vt.sigma2 * kappa * kappa / 2.0 + val.value)
 
@@ -280,8 +271,8 @@ def default_schedule(max_power: int = 12) -> Tuple[int, ...]:
 
 
 def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
-                    n_schedule: Sequence[int] = default_schedule(),
-                    q: QuadratureSettings = DEFAULT_SETTINGS) -> ApproxTrace:
+                    n_schedule: Sequence[int] = default_schedule()
+                    ) -> ApproxTrace:
     """Solve the tempered model for every ``n`` in an increasing schedule.
 
     Each step always finds its tilt (the perturbed model has every
@@ -298,8 +289,8 @@ def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
         raise ValueError("n_schedule must be nonempty and strictly increasing")
     if schedule[0] < 1:
         raise ValueError("n_schedule entries must be >= 1")
-    vt = as_validated(t, q)
-    mp = minimize_mgf(vt, horizon, q)  # raises for monotone (arbitrage) inputs
+    vt = as_validated(t)
+    mp = minimize_mgf(vt, horizon)  # raises for monotone (arbitrage) inputs
     kappa_limit = mp.kappa0
     entropy_limit = -mp.log_phi_at_min + 0.0
 
@@ -307,17 +298,17 @@ def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
     failures = []
     for n in schedule:
         try:
-            pert = perturbed_triplet(vt, p, n, q)
-            res = solve_linear_emm(pert, horizon, q)
+            pert = perturbed_triplet(vt, p, n)
+            res = solve_linear_emm(pert, horizon)
             if res.kappa0 is None:
                 raise LevyEmmError(
                     f"tempered model unexpectedly returned {res.status.value}")
             kappa_n = res.kappa0
             entropy_n = res.entropy
-            gap = mass_gap(vt.nu, p, n, q)
+            gap = mass_gap(vt.nu, p, n)
             corr = horizon * gap - horizon * _correction_integral(
-                vt.nu, p, n, kappa_n, q)
-            vs_p = _entropy_vs_base(vt, p, n, kappa_n, horizon, q)
+                vt.nu, p, n, kappa_n)
+            vs_p = _entropy_vs_base(vt, p, n, kappa_n, horizon)
             steps.append(ApproxStep(n, kappa_n, entropy_n, corr, vs_p, gap))
         except LevyEmmError as exc:
             failures.append((n, f"{type(exc).__name__}: {exc}"))
@@ -352,8 +343,7 @@ class PenaltyDiagnostics:
                 "witnesses": self.witnesses}
 
 
-def check_penalty(p: PenaltyFamily, nu: LevyMeasure,
-                  q: QuadratureSettings = DEFAULT_SETTINGS) -> PenaltyDiagnostics:
+def check_penalty(p: PenaltyFamily, nu: LevyMeasure) -> PenaltyDiagnostics:
     """Verify the three penalty conditions against a concrete measure.
 
     (1) ``ρ_{n+1} <= ρ_n`` on a grid; (2) ``|x|/ρ_n(x) -> 0`` along a
@@ -396,8 +386,9 @@ def check_penalty(p: PenaltyFamily, nu: LevyMeasure,
 
     integrable_ok = True
     try:
-        gap = mass_gap(nu, p, 1, q)
-        integrable_ok = math.isfinite(gap) and gap >= -q.abs_tol
+        gap = mass_gap(nu, p, 1)
+        # a gap below 0 by more than the kernel's abs tolerance is real
+        integrable_ok = math.isfinite(gap) and gap >= -1e-12
         witnesses["mass_gap_n1"] = gap
     except LevyEmmError as exc:
         integrable_ok = False

@@ -10,7 +10,9 @@ Five subcommands map one-to-one onto library entry points::
 
 Every run prints one JSON report (or writes it with ``--out``) that echoes
 the parsed spec, the resolved flags, and the results, so the report alone
-reproduces the run.  Exit codes: 0 success (including "no martingale
+reproduces the run.  The quadrature tolerances are fixed, abs 1e-12 and
+rel 1e-11, and no flag sets them (the former ``--quad-*`` tolerance flags
+are gone).  Exit codes: 0 success (including "no martingale
 measure exists" verdicts — those are answers, not failures), 2 for invalid
 input, 3 when the numerics could not deliver.  All entropies are in nats.
 """
@@ -31,7 +33,6 @@ from .approximation import PenaltyFamily, approx_sequence, check_penalty
 from .errors import ArbitrageMarketError, LevyEmmError, ValidationError
 from .esscher import (ARBITRAGE_VERDICT, EsscherStatus, esscher_entropy,
                       memm_report, solve_linear_emm)
-from .levy_core.quadrature import QuadratureSettings
 from .levy_core.triplets import geometric_to_linear, linear_to_geometric
 from .mc_oracle import (SimConfig, entropy_estimate, martingale_defect,
                         pathwise_log_zn, sample_terminal)
@@ -86,14 +87,6 @@ def _kappa_from_flag(text: str) -> Optional[float]:
             f"--kappa: expected 'auto' or a number, got {text!r}") from None
 
 
-def _quad_settings(args: argparse.Namespace) -> QuadratureSettings:
-    try:
-        return QuadratureSettings(abs_tol=args.quad_abs_tol,
-                                  rel_tol=args.quad_rel_tol)
-    except ValueError as exc:
-        raise ValidationError(f"quadrature tolerances: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
@@ -140,27 +133,24 @@ def _finite_or_none(x: Optional[float]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(spec: ModelSpec, args: argparse.Namespace,
-               q: QuadratureSettings) -> dict:
+def _cmd_solve(spec: ModelSpec, args: argparse.Namespace) -> dict:
     market = args.market or spec.market
-    return memm_report(spec.triplet, spec.T, q, market=market)
+    return memm_report(spec.triplet, spec.T, market=market)
 
 
-def _cmd_domain(spec: ModelSpec, args: argparse.Namespace,
-                q: QuadratureSettings) -> dict:
-    status = classify_esscher_parameter(spec.triplet, spec.T, q)
+def _cmd_domain(spec: ModelSpec, args: argparse.Namespace) -> dict:
+    status = classify_esscher_parameter(spec.triplet, spec.T)
     return {"interval": status.interval.describe(),
             "esscher_parameter": status.describe()}
 
 
-def _cmd_approx(spec: ModelSpec, args: argparse.Namespace,
-                q: QuadratureSettings) -> dict:
+def _cmd_approx(spec: ModelSpec, args: argparse.Namespace) -> dict:
     penalty = _penalty_from_flag(args.penalty)
     penalty.validate(1)
     schedule = _schedule_up_to(args.n_max)
     try:
-        results = approx_sequence(spec.triplet, spec.T, penalty, schedule,
-                                  q).describe()
+        results = approx_sequence(spec.triplet, spec.T, penalty,
+                                  schedule).describe()
     except ArbitrageMarketError:
         # a monotone market is a verdict: there is no limit to approach
         results = {"status": EsscherStatus.ARBITRAGE_MARKET.value,
@@ -169,19 +159,18 @@ def _cmd_approx(spec: ModelSpec, args: argparse.Namespace,
     results["schedule"] = list(schedule)
     if args.check_penalty:
         results["penalty_diagnostics"] = check_penalty(
-            penalty, spec.nu, q).describe()
+            penalty, spec.nu).describe()
     if args.csv:
         _write_trace_csv(args.csv, results["steps"])
         results["csv_path"] = args.csv
     return results
 
 
-def _cmd_convert(spec: ModelSpec, args: argparse.Namespace,
-                 q: QuadratureSettings) -> dict:
+def _cmd_convert(spec: ModelSpec, args: argparse.Namespace) -> dict:
     if args.direction == "g2l":
-        converted = geometric_to_linear(spec.triplet, q)
+        converted = geometric_to_linear(spec.triplet)
     else:
-        converted = linear_to_geometric(spec.triplet, q)
+        converted = linear_to_geometric(spec.triplet)
     out = {"direction": args.direction,
            "input": spec.triplet.describe(),
            "converted": converted.describe()}
@@ -192,10 +181,9 @@ def _cmd_convert(spec: ModelSpec, args: argparse.Namespace,
     return out
 
 
-def _auto_kappa(spec: ModelSpec,
-                q: QuadratureSettings) -> Tuple[float, Optional[float]]:
+def _auto_kappa(spec: ModelSpec) -> Tuple[float, Optional[float]]:
     """The martingale tilt and its entropy, from one solve."""
-    res = solve_linear_emm(spec.triplet, spec.T, q)
+    res = solve_linear_emm(spec.triplet, spec.T)
     if res.status in (EsscherStatus.EMM_EXISTS, EsscherStatus.P_IS_ALREADY_EMM):
         return float(res.kappa0), res.entropy
     raise ValidationError(
@@ -203,8 +191,7 @@ def _auto_kappa(spec: ModelSpec,
         "pass an explicit --kappa value")
 
 
-def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace,
-                  q: QuadratureSettings) -> dict:
+def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace) -> dict:
     kappa = _kappa_from_flag(args.kappa)
     penalty = None
     if args.zn is not None:
@@ -217,14 +204,14 @@ def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace,
                     record_jumps=args.zn is not None)
     source = "flag"
     if kappa is None:
-        kappa, analytic = _auto_kappa(spec, q)
+        kappa, analytic = _auto_kappa(spec)
         source = "auto"
     else:
         try:
-            analytic = esscher_entropy(spec.triplet, spec.T, kappa, q)
+            analytic = esscher_entropy(spec.triplet, spec.T, kappa)
         except LevyEmmError:
             analytic = None
-    pack = sample_terminal(spec.triplet, cfg, q)
+    pack = sample_terminal(spec.triplet, cfg)
     defect, defect_se = martingale_defect(pack, kappa)
     entropy, entropy_se = entropy_estimate(pack, kappa)
     results = {
@@ -245,7 +232,7 @@ def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace,
                                  else None)},
     }
     if penalty is not None:
-        zn = pathwise_log_zn(pack, penalty, args.zn, spec.nu, q)
+        zn = pathwise_log_zn(pack, penalty, args.zn, spec.nu)
         zn_values = np.exp(zn.log_zn)
         results["pathwise_zn"] = {
             "n": args.zn,
@@ -279,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to a model spec JSON file")
         p.add_argument("--out", default=None,
                        help="write the JSON report here instead of stdout")
-        p.add_argument("--quad-abs-tol", type=float, default=1e-12,
-                       help="absolute quadrature tolerance (default 1e-12)")
-        p.add_argument("--quad-rel-tol", type=float, default=1e-11,
-                       help="relative quadrature tolerance (default 1e-11)")
 
     p_solve = sub.add_parser(
         "solve", help="minimal-entropy martingale verdict")
@@ -361,8 +344,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         spec = load_model(args.spec)
         report["spec"] = serialize_model(spec)
-        quad = _quad_settings(args)
-        report["results"] = _DISPATCH[args.command](spec, args, quad)
+        report["results"] = _DISPATCH[args.command](spec, args)
         code = 0
     except ValidationError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}

@@ -18,9 +18,7 @@ from scipy.optimize import brentq
 
 from .errors import KappaOutsideI, QuadratureFailure
 from .levy_core.extreal import ExtReal
-from .levy_core.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                                   SidePlan, exp_integrand,
-                                   two_sided_integral)
+from .levy_core.quadrature import SidePlan, exp_integrand, two_sided_integral
 from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
                                  as_validated, cumulant, cumulant_derivative,
                                  geometric_to_linear, is_monotone)
@@ -47,11 +45,11 @@ ARBITRAGE_VERDICT = ("arbitrage market: monotone prices admit no equivalent "
                      "martingale measure")
 
 
-def _tilt_drift_correction(vt, kappa: float, q: QuadratureSettings) -> float:
+def _tilt_drift_correction(vt, kappa: float) -> float:
     """``∫_{|x|<=1} x (e^{κx} - 1) ν(dx)`` — the compensator shift that the
     truncation function picks up under tilting."""
     val, _ = two_sided_integral(
-        vt.nu, q, inner_g=exp_integrand(kappa, factor=np.expm1, power=1),
+        vt.nu, inner_g=exp_integrand(kappa, factor=np.expm1, power=1),
         right=SidePlan(None, True), left=SidePlan(None, True))
     if not val.is_finite:
         raise QuadratureFailure(
@@ -59,8 +57,7 @@ def _tilt_drift_correction(vt, kappa: float, q: QuadratureSettings) -> float:
     return val.value
 
 
-def esscher_transform(t: TripletLike, kappa: float,
-                      q: QuadratureSettings = DEFAULT_SETTINGS) -> LevyTriplet:
+def esscher_transform(t: TripletLike, kappa: float) -> LevyTriplet:
     """The triplet of the same process under the ``e^{κx}``-tilted measure.
 
     Requires ``κ`` in the finite-moment interval (closed endpoints count);
@@ -68,30 +65,29 @@ def esscher_transform(t: TripletLike, kappa: float,
     compensator shift, and the jump measure is tilted in closed form where
     its family allows.
     """
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     kappa = float(kappa)
-    _check_in_interval(vt, kappa, q)
-    return _tilted(vt, kappa, q)
+    _check_in_interval(vt, kappa)
+    return _tilted(vt, kappa)
 
 
-def _check_in_interval(vt, kappa: float, q: QuadratureSettings) -> None:
+def _check_in_interval(vt, kappa: float) -> None:
     if kappa != 0.0:
-        iv = exp_moment_interval(vt, q)
+        iv = exp_moment_interval(vt)
         if not iv.contains(kappa):
             raise KappaOutsideI(
                 f"kappa={kappa} outside the finite-moment interval {iv.describe()}")
 
 
-def _tilted(vt, kappa: float, q: QuadratureSettings) -> LevyTriplet:
+def _tilted(vt, kappa: float) -> LevyTriplet:
     """:func:`esscher_transform` for a ``κ`` already known to lie in ``I``."""
     if kappa == 0.0:
         return LevyTriplet(vt.b, vt.sigma2, vt.nu)
-    b_k = vt.b + vt.sigma2 * kappa + _tilt_drift_correction(vt, kappa, q)
+    b_k = vt.b + vt.sigma2 * kappa + _tilt_drift_correction(vt, kappa)
     return LevyTriplet(b_k, vt.sigma2, vt.nu.tilted(kappa))
 
 
-def esscher_entropy(t: TripletLike, horizon: float, kappa: float,
-                    q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def esscher_entropy(t: TripletLike, horizon: float, kappa: float) -> float:
     """Relative entropy of the ``κ``-tilted measure w.r.t. the original,
     ``T (κ m(κ) - c(κ))``, in nats.
 
@@ -102,18 +98,18 @@ def esscher_entropy(t: TripletLike, horizon: float, kappa: float,
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     kappa = float(kappa)
-    _check_in_interval(vt, kappa, q)
-    return _entropy(vt, horizon, kappa, q)
+    _check_in_interval(vt, kappa)
+    return _entropy(vt, horizon, kappa)
 
 
-def _entropy(vt, horizon: float, kappa: float, q: QuadratureSettings) -> float:
+def _entropy(vt, horizon: float, kappa: float) -> float:
     """:func:`esscher_entropy` for a ``κ`` already known to lie in ``I``."""
     if kappa == 0.0:
         return 0.0
-    m = cumulant_derivative(vt, kappa, q)
-    c = cumulant(vt, kappa, q)
+    m = cumulant_derivative(vt, kappa)
+    c = cumulant(vt, kappa)
     if not (m.is_finite and c.is_finite):
         raise KappaOutsideI(
             f"tilted first moment not finite at kappa={kappa}")
@@ -169,8 +165,7 @@ class EsscherResult:
         }
 
 
-def solve_linear_emm(t: TripletLike, horizon: float,
-                     q: QuadratureSettings = DEFAULT_SETTINGS) -> EsscherResult:
+def solve_linear_emm(t: TripletLike, horizon: float) -> EsscherResult:
     """Find the tilt that makes the process itself a martingale.
 
     Monotone processes are flagged as arbitrage markets; degenerate
@@ -181,8 +176,8 @@ def solve_linear_emm(t: TripletLike, horizon: float,
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t, q)
-    ps = classify_esscher_parameter(vt, horizon, q)
+    vt = as_validated(t)
+    ps = classify_esscher_parameter(vt, horizon)
     if ps.minimum is None:
         return EsscherResult(
             EsscherStatus.ARBITRAGE_MARKET, None, None, None, None, ps,
@@ -194,9 +189,9 @@ def solve_linear_emm(t: TripletLike, horizon: float,
             "degenerate moment interval with zero mean: no tilt is needed")
     if ps.exists:
         k0 = ps.kappa0
-        ent = _clamped(-horizon * cumulant(vt, k0, q).value)
+        ent = _clamped(-horizon * cumulant(vt, k0).value)
         return EsscherResult(
-            EsscherStatus.EMM_EXISTS, k0, ent, ent, _tilted(vt, k0, q), ps,
+            EsscherStatus.EMM_EXISTS, k0, ent, ent, _tilted(vt, k0), ps,
             f"tilt parameter located ({ps.case.value})")
     inf_ent = _clamped(-ps.minimum.log_phi_at_min)
     return EsscherResult(
@@ -204,8 +199,7 @@ def solve_linear_emm(t: TripletLike, horizon: float,
         ps.diagnostic + "; infimum entropy approached but not attained")
 
 
-def solve_geometric_emm(t: TripletLike, horizon: float,
-                        q: QuadratureSettings = DEFAULT_SETTINGS) -> EsscherResult:
+def solve_geometric_emm(t: TripletLike, horizon: float) -> EsscherResult:
     """Find the tilt making ``e^{X}`` (not ``X``) a martingale.
 
     The root equation is ``c(κ+1) - c(κ) = 0`` on the candidate set of
@@ -220,24 +214,24 @@ def solve_geometric_emm(t: TripletLike, horizon: float,
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t, q)
-    if is_monotone(vt, q) is not Monotonicity.NOT_MONOTONE:
+    vt = as_validated(t)
+    if is_monotone(vt) is not Monotonicity.NOT_MONOTONE:
         return EsscherResult(
             EsscherStatus.ARBITRAGE_MARKET, None, None, None, None, None,
             "monotone price process admits no equivalent martingale measure")
-    iv = exp_moment_interval(vt, q)
+    iv = exp_moment_interval(vt)
     lo = iv.a
     hi = iv.b - ExtReal.finite(1.0)
 
     def finish(k0: float) -> EsscherResult:
         try:
-            ent = _entropy(vt, horizon, k0, q)
+            ent = _entropy(vt, horizon, k0)
         except KappaOutsideI:
             ent = None
         status = (EsscherStatus.P_IS_ALREADY_EMM if k0 == 0.0
                   else EsscherStatus.EMM_EXISTS)
         return EsscherResult(
-            status, k0, ent, None, _tilted(vt, k0, q), None,
+            status, k0, ent, None, _tilted(vt, k0), None,
             "root of the unit-shift cumulant difference")
 
     def no_emm(diagnostic: str) -> EsscherResult:
@@ -245,7 +239,7 @@ def solve_geometric_emm(t: TripletLike, horizon: float,
                              None, diagnostic)
 
     def g_of(k: float) -> ExtReal:
-        return cumulant(vt, k + 1.0, q) - cumulant(vt, k, q)
+        return cumulant(vt, k + 1.0) - cumulant(vt, k)
 
     if lo > hi:
         return no_emm("no tilt keeps both kappa and kappa+1 inside the "
@@ -299,7 +293,6 @@ def _verdict(res: EsscherResult) -> str:
 
 
 def memm_report(t: TripletLike, horizon: float,
-                q: QuadratureSettings = DEFAULT_SETTINGS,
                 market: str = "linear") -> dict:
     """One structured verdict for a market model.
 
@@ -314,9 +307,9 @@ def memm_report(t: TripletLike, horizon: float,
     """
     if market not in ("linear", "geometric"):
         raise ValueError(f"unknown market {market!r}")
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     if market == "linear":
-        res = solve_linear_emm(vt, horizon, q)
+        res = solve_linear_emm(vt, horizon)
         report = {
             "market": "linear",
             "units": "nats",
@@ -337,9 +330,9 @@ def memm_report(t: TripletLike, horizon: float,
         }
         return report
 
-    res_g = solve_geometric_emm(vt, horizon, q)
-    linear_t = geometric_to_linear(LevyTriplet(vt.b, vt.sigma2, vt.nu), q)
-    res_l = solve_linear_emm(linear_t, horizon, q)
+    res_g = solve_geometric_emm(vt, horizon)
+    linear_t = geometric_to_linear(LevyTriplet(vt.b, vt.sigma2, vt.nu))
+    res_l = solve_linear_emm(linear_t, horizon)
     exists_g = res_g.status in (EsscherStatus.EMM_EXISTS,
                                 EsscherStatus.P_IS_ALREADY_EMM)
     exists_l = res_l.status in (EsscherStatus.EMM_EXISTS,

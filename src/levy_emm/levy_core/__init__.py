@@ -6,8 +6,7 @@ from .measures import (CGMY, DoubleExponentialJumps, ExpJumpImage, ExpTilted,
                        JumpDiffusion, LevyMeasure, LogJumpImage,
                        SymmetricAlphaStable, TailDecay, Tempered,
                        VarianceGamma, zero_measure)
-from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                         exp_integrand, small_jump_variation, tail_mass)
+from .quadrature import exp_integrand, small_jump_variation, tail_mass
 from .triplets import (LevyTriplet, Monotonicity, ValidatedTriplet,
                        as_validated, cumulant, cumulant_derivative,
                        geometric_to_linear, is_monotone,
@@ -20,7 +19,6 @@ __all__ = [
     "DoubleExponentialJumps", "JumpDiffusion", "VarianceGamma", "CGMY",
     "SymmetricAlphaStable", "Tempered", "ExpTilted", "GenericDensity",
     "ExpJumpImage", "LogJumpImage", "zero_measure",
-    "QuadratureSettings", "DEFAULT_SETTINGS",
     "small_jump_variation", "tail_mass",
     "LevyTriplet", "ValidatedTriplet", "validate_triplet", "as_validated",
     "cumulant", "cumulant_derivative", "mgf", "mgf_derivative",

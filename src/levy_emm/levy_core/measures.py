@@ -637,11 +637,16 @@ class Tempered(LevyMeasure):
     weight_even: bool = False
     log_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def atoms(self) -> Optional[Tuple[Tuple[float, float], ...]]:
+    def __post_init__(self) -> None:
+        # built once: every kernel call asks for the atoms; a weight that
+        # underflows leaves an atom of mass 0, which the kernel sums as 0
         base_atoms = self.base.atoms()
-        if base_atoms is None:
-            return None
-        return tuple((p, m * float(self.weight(np.asarray(p)))) for p, m in base_atoms)
+        atoms = None if base_atoms is None else tuple(
+            (p, m * float(self.weight(np.asarray(p)))) for p, m in base_atoms)
+        object.__setattr__(self, "_atoms", atoms)
+
+    def atoms(self) -> Optional[Tuple[Tuple[float, float], ...]]:
+        return self._atoms
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return self.base.density(x) * self.weight(np.asarray(x, dtype=float))

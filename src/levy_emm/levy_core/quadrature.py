@@ -96,8 +96,6 @@ from .extreal import ExtReal
 from .measures import ExpJumpImage, ExpTilted, LevyMeasure, LogJumpImage
 
 __all__ = [
-    "QuadratureSettings",
-    "DEFAULT_SETTINGS",
     "INNER_CUT",
     "MAX_SUBDIVISIONS",
     "two_sided_integral",
@@ -117,26 +115,14 @@ __all__ = [
 INNER_CUT = 1.0
 #: most intervals of one adaptive bisection
 MAX_SUBDIVISIONS = 200
+#: QUADPACK's ``(epsabs, epsrel)`` of every panel test: a tenth of the
+#: kernel's tolerances, abs 1e-12 and rel 1e-11
+_EPSABS, _EPSREL = 1e-13, 1e-12
 
 Fn = Callable[[np.ndarray], np.ndarray]
 #: an integrand part: ``(x, ν(x), log ν(x)) -> g(x) ν(x)``, and for an image
 #: measure also ``(..., tilt, log|x|)`` (see :func:`exp_integrand`)
 Part = Callable[..., np.ndarray]
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Absolute and relative tolerances shared by all integration routines."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-11
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +221,10 @@ def _gk21(f: Fn, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return resk * half, abserr
 
 
-def _tolerances(q: QuadratureSettings) -> Tuple[float, float]:
-    """QUADPACK's ``(epsabs, epsrel)``: a tenth of the kernel's tolerances."""
-    return q.abs_tol * 0.1, max(q.rel_tol * 0.1, 5e-14)
-
-
-def _bisect(f: Fn, a: float, b: float,
-            tol: Tuple[float, float]) -> Tuple[float, float]:
+def _bisect(f: Fn, a: float, b: float) -> Tuple[float, float]:
     """``∫_a^b f`` for ``0 < a < b`` by adaptive GK21 bisection in
     ``u = ln x``, with QAGS's stopping rule ``Σ err <= max(epsabs, epsrel
-    |Σ val|)`` for ``tol = (epsabs, epsrel)``.
+    |Σ val|)``.
 
     Each round halves, in one call of the integrand, every interval whose
     error is above an equal share of that bound, the largest first while
@@ -252,8 +232,6 @@ def _bisect(f: Fn, a: float, b: float,
     :class:`QuadratureFailure` on a non-finite value or when the intervals
     run out.
     """
-    epsabs, epsrel = tol
-
     def g(u: np.ndarray) -> np.ndarray:
         x = np.exp(u)
         return f(x) * x
@@ -262,7 +240,7 @@ def _bisect(f: Fn, a: float, b: float,
     val, err = _gk21(g, lo, hi)
     while True:
         total, errsum = float(val.sum()), float(err.sum())
-        bound = max(epsabs, epsrel * abs(total))
+        bound = max(_EPSABS, _EPSREL * abs(total))
         if errsum <= bound:
             return total, errsum
         room = MAX_SUBDIVISIONS - len(val)
@@ -283,7 +261,7 @@ def _bisect(f: Fn, a: float, b: float,
         err = np.concatenate((err[keep], e))
 
 
-def _panel(f: Fn, a: float, b: float, q: QuadratureSettings,
+def _panel(f: Fn, a: float, b: float,
            pts: Sequence[float] = ()) -> Tuple[float, float]:
     """``∫_a^b f`` over a bounded panel ``0 < a < b``, split at ``pts``.
 
@@ -293,14 +271,13 @@ def _panel(f: Fn, a: float, b: float, q: QuadratureSettings,
     :func:`_bisect` in ``u = ln x``, where a power singularity just left
     of ``a`` is a smooth exponential.
     """
-    epsabs, epsrel = _tolerances(q)
     ends = np.array([a] + sorted(p for p in pts if a < p < b) + [b])
     vals, errs = _gk21(f, ends[:-1], ends[1:])
     total = err = 0.0
     for lo, hi, val, e in zip(ends[:-1].tolist(), ends[1:].tolist(),
                               vals.tolist(), errs.tolist()):
-        if not e <= max(epsabs, epsrel * abs(val)):
-            val, e = _bisect(f, lo, hi, (epsabs, epsrel))
+        if not e <= max(_EPSABS, _EPSREL * abs(val)):
+            val, e = _bisect(f, lo, hi)
         total, err = total + val, err + e
     return total, err
 
@@ -315,9 +292,9 @@ _PANELS = 64
 _CHUNK = 16
 _FLAT_LIMIT = 3
 #: the origin's stopping test is relative: QUADPACK's relative floor, and
-#: an absolute floor (a factor of ``abs_tol``) far below the kernel's, so
-#: that a small inner integral, such as c(κ) near κ = 0, keeps its digits
-_ORIGIN_REL, _ORIGIN_ABS = 5e-14, 1e-8
+#: an absolute floor 1e-8 times the kernel's abs 1e-12, so that a small
+#: inner integral, such as c(κ) near κ = 0, keeps its digits
+_ORIGIN_REL, _ORIGIN_ABS = 5e-14, 1e-20
 #: spread of the last three panel ratios below which they have settled
 _SETTLED = 1e-9
 #: spread at which the ratios are known to rounding: no later panel can
@@ -326,8 +303,7 @@ _ROUNDOFF = 4.0 * _EPMACH
 _LN2 = math.log(2.0)
 
 
-def _geometric_sum(f: Fn, a: float, b: float,
-                   q: QuadratureSettings) -> Tuple[float, float]:
+def _geometric_sum(f: Fn, a: float, b: float) -> Tuple[float, float]:
     """``∫_a^b f`` with ``b = inf`` over the doubling panels ``[a 2^k,
     a 2^(k+1)]``, or with ``a = 0`` over the halving panels ``[b 2^-(k+1),
     b 2^-k]``, ``k < 64``.
@@ -353,14 +329,13 @@ def _geometric_sum(f: Fn, a: float, b: float,
     signed infinity with an infinite error.  Raises
     :class:`QuadratureFailure` when no rule stops the sum.
     """
-    tol = _tolerances(q)
     origin = a == 0.0
     if origin:
-        epsabs, epsrel = q.abs_tol * _ORIGIN_ABS, _ORIGIN_REL
+        epsabs, epsrel = _ORIGIN_ABS, _ORIGIN_REL
         starts = b * 0.5 ** np.arange(1, _PANELS + 1)
         span = (0.0, _LN2)
     else:
-        epsabs, epsrel = tol
+        epsabs, epsrel = _EPSABS, _EPSREL
         starts = a * 2.0 ** np.arange(_PANELS)
         span = (1.0, 2.0)
 
@@ -420,8 +395,8 @@ def _geometric_sum(f: Fn, a: float, b: float,
             f"integral over [{a:g}, {b:g}] not summed after {_PANELS} panels")
     total = err = 0.0
     for s, piece, e in zip(starts.tolist(), pieces, errs):
-        if not (e <= tol[0] or e <= tol[1] * abs(piece)):
-            piece, e = _bisect(f, s, 2.0 * s, tol)
+        if not (e <= _EPSABS or e <= _EPSREL * abs(piece)):
+            piece, e = _bisect(f, s, 2.0 * s)
         total, err = total + piece, err + e
     return total + remainder[0], err + remainder[1]
 
@@ -594,9 +569,8 @@ def _density_product(nu: LevyMeasure, side: int, part: Part,
 
 
 def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[Part],
-            lo: float, hi: float, q: QuadratureSettings,
-            pts: Sequence[float] = (), diverges: int = 0,
-            start: float = 0.0) -> Tuple[float, float]:
+            lo: float, hi: float, pts: Sequence[float] = (),
+            diverges: int = 0, start: float = 0.0) -> Tuple[float, float]:
     """``start + ∫ part dν`` over ``lo < side*x <= hi`` for each side in
     ``sides``, each side's sum added to ``start`` in turn; the one rule of
     every integral, returned as ``(value, error)``.
@@ -648,13 +622,13 @@ def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[Part],
 
         def pieces():
             if a == 0.0:
-                yield _geometric_sum(inner, 0.0, knots[1], q)
+                yield _geometric_sum(inner, 0.0, knots[1])
             if b == math.inf:
-                yield _geometric_sum(outer, knots[-2], math.inf, q)
+                yield _geometric_sum(outer, knots[-2], math.inf)
             for f, ends in ((inner, [k for k in bounded if k <= INNER_CUT]),
                             (outer, [k for k in bounded if k >= INNER_CUT])):
                 if len(ends) > 1:
-                    yield _panel(f, ends[0], ends[-1], q, ends[1:-1])
+                    yield _panel(f, ends[0], ends[-1], ends[1:-1])
 
         side_total = 0.0
         for v, e in pieces():
@@ -674,8 +648,7 @@ def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[Part],
 
 @lru_cache(maxsize=1024)
 def one_sided_integral(nu: LevyMeasure, side: int, power: int,
-                       lo: float, hi: float,
-                       q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+                       lo: float, hi: float) -> float:
     """``∫_{lo < s <= hi} s^power ν(side*s) ds`` over jump distances ``s``
     on one side: the region rule of :func:`_region` on the part ``x^power
     ν``.
@@ -689,7 +662,7 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
     """
     sign = side ** power
     decay = nu.right_tail() if side > 0 else nu.left_tail()
-    val, _ = _region(nu, (side,), exp_integrand(0.0, power=power), lo, hi, q,
+    val, _ = _region(nu, (side,), exp_integrand(0.0, power=power), lo, hi,
                      diverges=0 if decay.moment_finite(power, 0.0) else sign)
     return sign * val
 
@@ -699,9 +672,9 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
 # ---------------------------------------------------------------------------
 
 
-def small_jump_variation(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def small_jump_variation(nu: LevyMeasure) -> float:
     """``∫_{0 < |x| <= INNER_CUT} x^2 ν(dx)``; raises if infinite."""
-    vals = [one_sided_integral(nu, side, 2, 0.0, INNER_CUT, q)
+    vals = [one_sided_integral(nu, side, 2, 0.0, INNER_CUT)
             for side in ((+1,) if nu.is_symmetric() else (+1, -1))]
     if math.inf in vals:
         raise NonIntegrableLevyMeasure(
@@ -711,9 +684,9 @@ def small_jump_variation(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTIN
     return 2.0 * vals[0] if len(vals) == 1 else vals[0] + vals[1]
 
 
-def tail_mass(nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def tail_mass(nu: LevyMeasure) -> float:
     """``ν({|x| > INNER_CUT})``."""
-    vals = [one_sided_integral(nu, side, 0, INNER_CUT, math.inf, q)
+    vals = [one_sided_integral(nu, side, 0, INNER_CUT, math.inf)
             for side in ((+1,) if nu.is_symmetric() else (+1, -1))]
     if math.inf in vals:
         raise NonIntegrableLevyMeasure("infinite jump mass beyond the inner cut")
@@ -742,7 +715,7 @@ class SidePlan:
     div_sign: int = 1
 
 
-def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
+def two_sided_integral(nu: LevyMeasure, *,
                        inner_g: Optional[Part],
                        right: SidePlan, left: SidePlan,
                        breakpoints: Sequence[float] = ()) -> Tuple[ExtReal, float]:
@@ -766,15 +739,15 @@ def two_sided_integral(nu: LevyMeasure, q: QuadratureSettings, *,
         if ((nu if pb is None else pb.base).is_symmetric()
                 and (right.tail is None) == (left.tail is None)
                 and right.converges and left.converges):
-            return _folded(nu, pb, inner_g, right.tail, left.tail, q, pts)
+            return _folded(nu, pb, inner_g, right.tail, left.tail, pts)
     total = err = 0.0
     for side, plan in ((+1, right), (-1, left)):
-        total, e = _region(nu, (side,), plan.tail, INNER_CUT, math.inf, q, pts,
+        total, e = _region(nu, (side,), plan.tail, INNER_CUT, math.inf, pts,
                            0 if plan.converges else plan.div_sign, total)
         err += e
     if not math.isfinite(total):
         return ExtReal.finite(total), 0.0
-    total, e = _region(nu, (+1, -1), inner_g, 0.0, INNER_CUT, q, pts,
+    total, e = _region(nu, (+1, -1), inner_g, 0.0, INNER_CUT, pts,
                        start=total)
     if math.isinf(e):
         raise NonIntegrableLevyMeasure(
@@ -791,7 +764,7 @@ def _fold(r: Optional[Part], l: Optional[Part]) -> Optional[Part]:
 
 def _folded(nu: LevyMeasure, pb: Optional[_Pullback], inner_g: Optional[Part],
             right: Optional[Part], left: Optional[Part],
-            q: QuadratureSettings, pts: Sequence[float]) -> Tuple[ExtReal, float]:
+            pts: Sequence[float]) -> Tuple[ExtReal, float]:
     """:func:`two_sided_integral` where the density is exactly symmetric,
     ``ν(-t) = ν(t)``, the base's for an image: the negative axis folds
     onto the positive one, where each piece of distance between the sides'
@@ -810,7 +783,7 @@ def _folded(nu: LevyMeasure, pb: Optional[_Pullback], inner_g: Optional[Part],
     for a, b in reversed(list(zip(ends, ends[1:]))):
         part = _fold(wrap(inner_g if b <= cut[+1] else right),
                      wrap(inner_g if b <= cut[-1] else left))
-        total, e = _region(nu, (+1,), part, a, b, q, pts, start=total)
+        total, e = _region(nu, (+1,), part, a, b, pts, start=total)
         if math.isinf(e):
             raise NonIntegrableLevyMeasure(
                 "the inner integral diverges at the origin")

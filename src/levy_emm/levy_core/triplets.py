@@ -29,8 +29,7 @@ from ..errors import (JumpBelowMinusOne, NegativeVariance,
 from .extreal import ExtReal, NEG_INF, POS_INF
 from .measures import (ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage,
                        zero_measure)
-from .quadrature import (DEFAULT_SETTINGS, INNER_CUT, QuadratureSettings,
-                         SidePlan, exp_integrand, expm1_minus_x,
+from .quadrature import (INNER_CUT, SidePlan, exp_integrand, expm1_minus_x,
                          one_sided_integral, small_jump_variation, tail_mass,
                          two_sided_integral)
 
@@ -95,33 +94,32 @@ class ValidatedTriplet:
 
 
 @lru_cache(maxsize=512)
-def _validate_cached(t: LevyTriplet, q: QuadratureSettings) -> ValidatedTriplet:
+def _validate_cached(t: LevyTriplet) -> ValidatedTriplet:
     nu = t.nu
     if not nu.right_tail().moment_finite(0, 0.0) or not nu.left_tail().moment_finite(0, 0.0):
         raise NonIntegrableLevyMeasure("declared tail decay has infinite mass")
-    sjv = small_jump_variation(nu, q)  # raises NonIntegrableLevyMeasure if infinite
-    ljm = tail_mass(nu, q)
+    sjv = small_jump_variation(nu)  # raises NonIntegrableLevyMeasure if inf
+    ljm = tail_mass(nu)
     return ValidatedTriplet(t, sjv, ljm)
 
 
-def validate_triplet(t: LevyTriplet,
-                     q: QuadratureSettings = DEFAULT_SETTINGS) -> ValidatedTriplet:
+def validate_triplet(t: LevyTriplet) -> ValidatedTriplet:
     """Check the triplet is a genuine Levy triplet and cache the basic
     integrability facts.
 
     Raises NegativeVariance (at construction already) or
     NonIntegrableLevyMeasure.
     """
-    return _validate_cached(t, q)
+    return _validate_cached(t)
 
 
 TripletLike = Union[LevyTriplet, ValidatedTriplet]
 
 
-def as_validated(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> ValidatedTriplet:
+def as_validated(t: TripletLike) -> ValidatedTriplet:
     if isinstance(t, ValidatedTriplet):
         return t
-    return validate_triplet(t, q)
+    return validate_triplet(t)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +127,10 @@ def as_validated(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Va
 # ---------------------------------------------------------------------------
 
 
-def cumulant(t: TripletLike, kappa: float,
-             q: QuadratureSettings = DEFAULT_SETTINGS) -> ExtReal:
+def cumulant(t: TripletLike, kappa: float) -> ExtReal:
     """``c(κ)`` per unit time, as an extended real (``+inf`` outside the
     finite-moment set; never ``-inf`` or undefined)."""
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     kappa = float(kappa)
     if kappa == 0.0:
         return ExtReal.finite(0.0)
@@ -146,18 +143,17 @@ def cumulant(t: TripletLike, kappa: float,
     right = SidePlan(tail, right_ok, +1)
     left = SidePlan(tail, left_ok, +1)
     inner = exp_integrand(kappa, factor=expm1_minus_x)
-    jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left)
+    jumps, _ = two_sided_integral(nu, inner_g=inner, right=right, left=left)
     return ExtReal.finite(base) + jumps
 
 
-def cumulant_derivative(t: TripletLike, kappa: float,
-                        q: QuadratureSettings = DEFAULT_SETTINGS) -> ExtReal:
+def cumulant_derivative(t: TripletLike, kappa: float) -> ExtReal:
     """``c'(κ) = b + σ²κ + ∫(x e^{κx} - h(x)) ν(dx)`` as an extended real.
 
     The undefined state (both tail parts infinite) is returned as
     ``ExtReal`` "undefined"; raising is left to :func:`mgf_derivative`.
     """
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     kappa = float(kappa)
     base = vt.b + vt.sigma2 * kappa
     nu = vt.nu
@@ -170,24 +166,22 @@ def cumulant_derivative(t: TripletLike, kappa: float,
         inner = None  # x e^{0x} - h(x) vanishes identically inside the cut
     else:
         inner = exp_integrand(kappa, factor=np.expm1, power=1)
-    jumps, _ = two_sided_integral(nu, q, inner_g=inner, right=right, left=left)
+    jumps, _ = two_sided_integral(nu, inner_g=inner, right=right, left=left)
     return ExtReal.finite(base) + jumps
 
 
-def mgf(t: TripletLike, horizon: float, kappa: float,
-        q: QuadratureSettings = DEFAULT_SETTINGS) -> ExtReal:
+def mgf(t: TripletLike, horizon: float, kappa: float) -> ExtReal:
     """``E[e^{κ L_T}] = exp(T c(κ))`` as an extended real."""
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    c = cumulant(t, kappa, q)
+    c = cumulant(t, kappa)
     if c.is_pos_inf:
         return POS_INF
     with np.errstate(over="ignore"):
         return ExtReal.finite(float(np.exp(horizon * c.value)))
 
 
-def mgf_derivative(t: TripletLike, horizon: float, kappa: float,
-                   q: QuadratureSettings = DEFAULT_SETTINGS) -> ExtReal:
+def mgf_derivative(t: TripletLike, horizon: float, kappa: float) -> ExtReal:
     """``ψ_T(κ) = φ_T(κ) T c'(κ) = E[L_T e^{κ L_T}]`` as an extended real.
 
     Outside the finite-moment interval the value is ``+inf`` (to the right)
@@ -196,10 +190,10 @@ def mgf_derivative(t: TripletLike, horizon: float, kappa: float,
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    m = cumulant_derivative(t, kappa, q)
+    m = cumulant_derivative(t, kappa)
     if m.is_undefined:
         raise PsiUndefined(f"positive and negative parts both diverge at {kappa}")
-    c = cumulant(t, kappa, q)
+    c = cumulant(t, kappa)
     if c.is_pos_inf:
         return POS_INF if kappa > 0 else NEG_INF
     with np.errstate(over="ignore"):
@@ -218,14 +212,14 @@ class Monotonicity(enum.Enum):
     NOT_MONOTONE = "not_monotone"
 
 
-def is_monotone(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Monotonicity:
+def is_monotone(t: TripletLike) -> Monotonicity:
     """Classify the paths as a.s. increasing, a.s. decreasing, or neither.
 
     A monotone (and non-constant) price admits arbitrage, so downstream
     solvers refuse those models.  The constant process (no drift, no noise,
     no jumps) is reported as not monotone: it already is a martingale.
     """
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     nu = vt.nu
     if vt.sigma2 > 0.0:
         return Monotonicity.NOT_MONOTONE
@@ -241,7 +235,7 @@ def is_monotone(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> Mon
         return Monotonicity.NOT_MONOTONE
     side = +1 if pos else -1
     # first variation of the small jumps, ∫_{0 < side*x <= 1} |x| ν(dx)
-    fv = one_sided_integral(nu, side, 1, 0.0, INNER_CUT, q)
+    fv = one_sided_integral(nu, side, 1, 0.0, INNER_CUT)
     if math.isinf(fv):
         # infinite variation in the small jumps: paths oscillate
         return Monotonicity.NOT_MONOTONE
@@ -262,7 +256,7 @@ def _up_to_ln2(x: np.ndarray) -> np.ndarray:
     return np.where(x <= _LN2, 1.0, 0.0)
 
 
-def _conversion_drift_integral(nu: LevyMeasure, q: QuadratureSettings) -> float:
+def _conversion_drift_integral(nu: LevyMeasure) -> float:
     """``∫ [ (e^x - 1) 1_{|e^x-1|<=1} - h(x) ] ν(dx)``.
 
     The integrand is x²/2 + O(x³) at the origin, equals ``e^x - 1`` below
@@ -272,17 +266,17 @@ def _conversion_drift_integral(nu: LevyMeasure, q: QuadratureSettings) -> float:
     # a first moment; below -1: e^x - 1, bounded, so always convergent;
     # above 1 the integrand vanishes
     val, _ = two_sided_integral(
-        nu, q,
+        nu,
         inner_g=exp_integrand(1.0, factor=expm1_minus_x,
                               prefactor=_up_to_ln2),
         right=SidePlan(None, True),
         left=SidePlan(exp_integrand(1.0, factor=np.expm1), True),
         breakpoints=(_LN2,),
     )
-    return val.value - one_sided_integral(nu, +1, 1, _LN2, INNER_CUT, q)
+    return val.value - one_sided_integral(nu, +1, 1, _LN2, INNER_CUT)
 
 
-def geometric_to_linear(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> LevyTriplet:
+def geometric_to_linear(t: TripletLike) -> LevyTriplet:
     """Triplet of the stochastic-exponential representation.
 
     Given the log-price triplet (the process ``X`` with ``S = S0 e^X``),
@@ -290,7 +284,7 @@ def geometric_to_linear(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS
     through ``x -> e^x - 1``, the Gaussian part is unchanged, and the drift
     picks up ``σ²/2`` plus the truncation-mismatch integral.
     """
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     nu = vt.nu
     if isinstance(nu, LogJumpImage):
         nu_lin: LevyMeasure = nu.base
@@ -300,11 +294,11 @@ def geometric_to_linear(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS
         nu_lin = FiniteAtomic(tuple((math.expm1(p), m) for p, m in nu.atoms()))
     else:
         nu_lin = ExpJumpImage(nu)
-    drift = vt.b + 0.5 * vt.sigma2 + _conversion_drift_integral(nu, q)
+    drift = vt.b + 0.5 * vt.sigma2 + _conversion_drift_integral(nu)
     return LevyTriplet(drift, vt.sigma2, nu_lin)
 
 
-def linear_to_geometric(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS) -> LevyTriplet:
+def linear_to_geometric(t: TripletLike) -> LevyTriplet:
     """Inverse of :func:`geometric_to_linear`.
 
     Raises :class:`JumpBelowMinusOne` when the linear market jumps to or
@@ -312,7 +306,7 @@ def linear_to_geometric(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS
     :class:`UnsupportedMeasure` for density measures whose behaviour near
     -1 cannot be described by this package's tail metadata.
     """
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     nu = vt.nu
 
     atoms = nu.atoms()
@@ -332,5 +326,5 @@ def linear_to_geometric(t: TripletLike, q: QuadratureSettings = DEFAULT_SETTINGS
     else:
         nu_geo = LogJumpImage(nu)  # may raise UnsupportedMeasure
 
-    drift = vt.b - 0.5 * vt.sigma2 - _conversion_drift_integral(nu_geo, q)
+    drift = vt.b - 0.5 * vt.sigma2 - _conversion_drift_integral(nu_geo)
     return LevyTriplet(drift, vt.sigma2, nu_geo)

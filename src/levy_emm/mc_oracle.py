@@ -30,8 +30,7 @@ from .errors import (DegenerateWeights, MissingJumpRecords,
 from .levy_core.measures import (CGMY, GaussianJumps, JumpDiffusion,
                                  LevyMeasure, SymmetricAlphaStable, Tempered,
                                  VarianceGamma)
-from .levy_core.quadrature import (DEFAULT_SETTINGS, INNER_CUT,
-                                   QuadratureSettings, one_sided_integral)
+from .levy_core.quadrature import INNER_CUT, one_sided_integral
 from .levy_core.triplets import TripletLike, as_validated
 
 __all__ = [
@@ -109,11 +108,11 @@ class _JumpPlan:
 
 
 def _side_integral(nu: LevyMeasure, side: int, power: int, lo: float,
-                   hi: float, q: QuadratureSettings) -> float:
+                   hi: float) -> float:
     """``∫_{lo<s<hi} s^power ν(side*s) ds`` over jump distances, finite or
     :class:`UnsupportedMeasure`."""
     try:
-        val = one_sided_integral(nu, side, power, lo, hi, q)
+        val = one_sided_integral(nu, side, power, lo, hi)
     except QuadratureFailure:
         val = math.nan
     if not math.isfinite(val):
@@ -138,8 +137,7 @@ def _rejection_sampler(propose, accept_prob):
 
 
 def _one_sided_exp_poly_plan(nu: LevyMeasure, rate: float, power_y: float,
-                             eps: float, q: QuadratureSettings,
-                             side: int) -> Tuple[float, Callable]:
+                             eps: float, side: int) -> Tuple[float, Callable]:
     """Plan for the side of ``nu`` with density ``C e^{-rate*s}
     s^{-1-power_y}`` on ``s > eps`` (``power_y = 0`` is the gamma-like
     case).  Returns (intensity, draw of signed sizes)."""
@@ -151,7 +149,7 @@ def _one_sided_exp_poly_plan(nu: LevyMeasure, rate: float, power_y: float,
 
         draw = _rejection_sampler(propose, lambda x: eps / x)
     else:
-        lam = _side_integral(nu, side, 0, eps, math.inf, q)
+        lam = _side_integral(nu, side, 0, eps, math.inf)
 
         def propose(rng, k):
             return eps * rng.random(k) ** (-1.0 / power_y)
@@ -185,7 +183,7 @@ def _mix_plans(parts: List[Tuple[float, Callable]], exact: bool) -> _JumpPlan:
     return _JumpPlan(total, draw, exact)
 
 
-def _jump_plan(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> _JumpPlan:
+def _jump_plan(nu: LevyMeasure, eps: float) -> _JumpPlan:
     """Build the large-jump sampling plan, or raise ``UnsupportedMeasure``."""
     atoms = nu.atoms()
     if atoms is not None:
@@ -225,17 +223,17 @@ def _jump_plan(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> _JumpPlan:
         return _JumpPlan(2.0 * lam_side, draw, False)
 
     if isinstance(nu, VarianceGamma):
-        parts = [_one_sided_exp_poly_plan(nu, nu.M, 0.0, eps, q, +1),
-                 _one_sided_exp_poly_plan(nu, nu.G, 0.0, eps, q, -1)]
+        parts = [_one_sided_exp_poly_plan(nu, nu.M, 0.0, eps, +1),
+                 _one_sided_exp_poly_plan(nu, nu.G, 0.0, eps, -1)]
         return _mix_plans(parts, False)
 
     if isinstance(nu, CGMY):
-        parts = [_one_sided_exp_poly_plan(nu, nu.M, nu.Y, eps, q, +1),
-                 _one_sided_exp_poly_plan(nu, nu.G, nu.Y, eps, q, -1)]
+        parts = [_one_sided_exp_poly_plan(nu, nu.M, nu.Y, eps, +1),
+                 _one_sided_exp_poly_plan(nu, nu.G, nu.Y, eps, -1)]
         return _mix_plans(parts, False)
 
     if isinstance(nu, Tempered):
-        base = _jump_plan(nu.base, eps, q)
+        base = _jump_plan(nu.base, eps)
         if base.draw is None:
             return base
         weight_fn = nu.weight
@@ -253,32 +251,32 @@ def _jump_plan(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> _JumpPlan:
                 out = np.concatenate([out, cand[rng.random(cand.size) < w]])
             return out[:k]
 
-        return _JumpPlan(_thinned_rate(nu, eps, q), draw, base.exact)
+        return _JumpPlan(_thinned_rate(nu, eps), draw, base.exact)
 
     raise UnsupportedMeasure(
         f"no sampling recipe for measure type {type(nu).__name__}")
 
 
-def _thinned_rate(nu: Tempered, eps: float, q: QuadratureSettings) -> float:
+def _thinned_rate(nu: Tempered, eps: float) -> float:
     """``∫_{|x|>eps} weight dν_base = ν({|x| > eps})`` — the effective
     tempered intensity."""
-    return (_side_integral(nu, +1, 0, eps, math.inf, q)
-            + _side_integral(nu, -1, 0, eps, math.inf, q))
+    return (_side_integral(nu, +1, 0, eps, math.inf)
+            + _side_integral(nu, -1, 0, eps, math.inf))
 
 
-def _truncated_mean(nu: LevyMeasure, lo: float, q: QuadratureSettings) -> float:
+def _truncated_mean(nu: LevyMeasure, lo: float) -> float:
     """``∫_{lo<|x|<=1} x ν(dx)`` — the compensator of the sampled jumps
     that fall inside the truncation ball."""
     if nu.is_symmetric():
         return 0.0
-    return (_side_integral(nu, +1, 1, lo, INNER_CUT, q)
-            - _side_integral(nu, -1, 1, lo, INNER_CUT, q))
+    return (_side_integral(nu, +1, 1, lo, INNER_CUT)
+            - _side_integral(nu, -1, 1, lo, INNER_CUT))
 
 
-def _small_variance(nu: LevyMeasure, eps: float, q: QuadratureSettings) -> float:
+def _small_variance(nu: LevyMeasure, eps: float) -> float:
     """``∫_{|x|<=eps} x² ν(dx)`` for the Gaussian remainder."""
-    return (one_sided_integral(nu, +1, 2, 0.0, eps, q)
-            + one_sided_integral(nu, -1, 2, 0.0, eps, q))
+    return (one_sided_integral(nu, +1, 2, 0.0, eps)
+            + one_sided_integral(nu, -1, 2, 0.0, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +291,7 @@ def _worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def sample_terminal(t: TripletLike, cfg: SimConfig,
-                    q: QuadratureSettings = DEFAULT_SETTINGS) -> SamplePack:
+def sample_terminal(t: TripletLike, cfg: SimConfig) -> SamplePack:
     """Draw ``cfg.n_samples`` i.i.d. values of ``L_T``.
 
     Work is split into fixed-size batches, each with its own generator
@@ -302,14 +299,14 @@ def sample_terminal(t: TripletLike, cfg: SimConfig,
     run them.  Jump records (times and sizes of jumps with magnitude
     above the cutoff) are kept per path when ``cfg.record_jumps`` is set.
     """
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     nu = vt.nu
-    plan = _jump_plan(nu, cfg.epsilon, q)
+    plan = _jump_plan(nu, cfg.epsilon)
     cut_lo = 0.0 if plan.exact else cfg.epsilon
-    tmean = _truncated_mean(nu, cut_lo, q) if plan.rate > 0.0 else 0.0
+    tmean = _truncated_mean(nu, cut_lo) if plan.rate > 0.0 else 0.0
     small_sd = 0.0
     if not plan.exact and cfg.small_jump_mode == "gaussian":
-        small_sd = math.sqrt(cfg.T * _small_variance(nu, cfg.epsilon, q))
+        small_sd = math.sqrt(cfg.T * _small_variance(nu, cfg.epsilon))
     drift = (vt.b - tmean) * cfg.T
     sigma_sd = math.sqrt(vt.sigma2 * cfg.T)
 
@@ -434,8 +431,7 @@ class PathwiseZn:
 
 
 def pathwise_log_zn(pack: SamplePack, p: PenaltyFamily, n: int,
-                    nu: LevyMeasure, q: QuadratureSettings = DEFAULT_SETTINGS
-                    ) -> PathwiseZn:
+                    nu: LevyMeasure) -> PathwiseZn:
     """Evaluate ``log Z^n_T = -Σ ρ_n(jump) + T ∫ (1 - e^{-ρ_n}) dν`` on
     every recorded path.
 
@@ -447,8 +443,8 @@ def pathwise_log_zn(pack: SamplePack, p: PenaltyFamily, n: int,
     if pack.jump_records is None:
         raise MissingJumpRecords(
             "pathwise evaluation needs jump records; sample with record_jumps=True")
-    gap_n = mass_gap(nu, p, int(n), q)
-    gap_1 = mass_gap(nu, p, 1, q)
+    gap_n = mass_gap(nu, p, int(n))
+    gap_1 = mass_gap(nu, p, 1)
     log_zn = np.array([
         pack.T * gap_n - float(np.sum(p.rho_at(n, rec[:, 1])))
         for rec in pack.jump_records])

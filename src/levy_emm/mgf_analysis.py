@@ -31,7 +31,6 @@ from scipy.optimize import brentq
 
 from .errors import ArbitrageMarketError, NoFiniteMinimizer
 from .levy_core.extreal import ExtReal, NEG_INF, POS_INF
-from .levy_core.quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .levy_core.triplets import (Monotonicity, TripletLike, as_validated,
                                  cumulant, cumulant_derivative, is_monotone)
 
@@ -98,14 +97,13 @@ class ExpMomentInterval:
                 "a_in_E": self.a_in_E, "b_in_E": self.b_in_E}
 
 
-def exp_moment_interval(t: TripletLike,
-                        q: QuadratureSettings = DEFAULT_SETTINGS) -> ExpMomentInterval:
+def exp_moment_interval(t: TripletLike) -> ExpMomentInterval:
     """Decide ``I`` and the endpoint memberships from tail decay alone.
 
     The right endpoint is set by the right tail (a tilt ``κ > 0`` always
     integrates the left tail) and symmetrically for the left.
     """
-    vt = as_validated(t, q)
+    vt = as_validated(t)
     right = vt.nu.right_tail()
     left = vt.nu.left_tail()
 
@@ -247,8 +245,8 @@ def search_increasing_root(f, lo: float, hi: float, lo_closed: bool,
     raise NoFiniteMinimizer("no sign change within the search range")
 
 
-def _minimum(vt, horizon: float, iv: ExpMomentInterval,
-             q: QuadratureSettings) -> Tuple[MinimumPoint, Optional[ExtReal]]:
+def _minimum(vt, horizon: float,
+             iv: ExpMomentInterval) -> Tuple[MinimumPoint, Optional[ExtReal]]:
     """The minimizer of ``φ_T`` over ``I`` for a market known not to be
     monotone: the root of the increasing ``c'``, or the end of ``I`` up
     to which ``c'`` keeps one sign.  Also returns ``c'`` at that end when
@@ -257,7 +255,7 @@ def _minimum(vt, horizon: float, iv: ExpMomentInterval,
         return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 0.0, iv), None
 
     def m_of(k: float) -> ExtReal:
-        return cumulant_derivative(vt, k, q)
+        return cumulant_derivative(vt, k)
 
     found = search_increasing_root(m_of, iv.a.as_float(), iv.b.as_float(),
                                    iv.a_in_I, iv.b_in_I)
@@ -271,13 +269,12 @@ def _minimum(vt, horizon: float, iv: ExpMomentInterval,
             kappa0 = float(brentq(lambda k: m_of(k).value, found.lo, found.hi,
                                   xtol=_KAPPA_TOL, rtol=4 * 2.3e-16,
                                   maxiter=300))
-    c_min = min(cumulant(vt, kappa0, q).value, 0.0)
+    c_min = min(cumulant(vt, kappa0).value, 0.0)
     mp = MinimumPoint(kappa0, case, horizon * c_min, iv)
     return mp, found.end_value
 
 
-def minimize_mgf(t: TripletLike, horizon: float,
-                 q: QuadratureSettings = DEFAULT_SETTINGS) -> MinimumPoint:
+def minimize_mgf(t: TripletLike, horizon: float) -> MinimumPoint:
     """Locate ``argmin φ_T`` over the finite-moment interval.
 
     Monotone (arbitrage) markets are refused; the degenerate interval
@@ -289,10 +286,10 @@ def minimize_mgf(t: TripletLike, horizon: float,
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t, q)
-    if is_monotone(vt, q) is not Monotonicity.NOT_MONOTONE:
+    vt = as_validated(t)
+    if is_monotone(vt) is not Monotonicity.NOT_MONOTONE:
         raise ArbitrageMarketError("monotone price process")
-    return _minimum(vt, horizon, exp_moment_interval(vt, q), q)[0]
+    return _minimum(vt, horizon, exp_moment_interval(vt))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +337,8 @@ def _shape_case(iv: ExpMomentInterval) -> EsscherCase:
     return EsscherCase.INTERVAL_INTERIOR
 
 
-def classify_esscher_parameter(t: TripletLike, horizon: float,
-                               q: QuadratureSettings = DEFAULT_SETTINGS
-                               ) -> EsscherParameterStatus:
+def classify_esscher_parameter(t: TripletLike,
+                               horizon: float) -> EsscherParameterStatus:
     """Decide whether some tilt makes the tilted process driftless.
 
     Covers the degenerate interval (where everything hinges on whether the
@@ -351,13 +347,13 @@ def classify_esscher_parameter(t: TripletLike, horizon: float,
     derivative-moment set ``E``.  The status carries the mgf minimizer
     found on the way, so a solver needs no second search.
     """
-    vt = as_validated(t, q)
-    iv = exp_moment_interval(vt, q)
+    vt = as_validated(t)
+    iv = exp_moment_interval(vt)
     if not (iv.is_degenerate or horizon > 0):
         raise ValueError("horizon must be > 0")
     mp, m_end = None, None
-    if is_monotone(vt, q) is Monotonicity.NOT_MONOTONE:
-        mp, m_end = _minimum(vt, horizon, iv, q)
+    if is_monotone(vt) is Monotonicity.NOT_MONOTONE:
+        mp, m_end = _minimum(vt, horizon, iv)
 
     def status(exists: bool, case: Optional[EsscherCase],
                kappa0: Optional[float], diagnostic: str) -> EsscherParameterStatus:
@@ -371,7 +367,7 @@ def classify_esscher_parameter(t: TripletLike, horizon: float,
                     else ("+inf" if not right_ok else "-inf"))
             return status(False, None, None,
                           f"degenerate moment interval and the process mean is {what}")
-        mean = cumulant_derivative(vt, 0.0, q)
+        mean = cumulant_derivative(vt, 0.0)
         if abs(mean.value) <= _M_ATOL:
             return status(True, EsscherCase.DEGENERATE_ZERO_MEAN, 0.0,
                           "degenerate moment interval but the process is driftless")
@@ -388,7 +384,7 @@ def classify_esscher_parameter(t: TripletLike, horizon: float,
 
     # endpoint minimum: the parameter exists only if the derivative
     # actually vanishes there (within tolerance) and the endpoint is in E
-    v_end = m_end if m_end is not None else cumulant_derivative(vt, mp.kappa0, q)
+    v_end = m_end if m_end is not None else cumulant_derivative(vt, mp.kappa0)
     if v_end.is_finite and abs(v_end.value) <= _M_ATOL:
         return status(True, _shape_case(iv), mp.kappa0,
                       "derivative vanishes exactly at the interval endpoint")

@@ -28,6 +28,7 @@ from levy_emm import (
     exp_moment_interval,
     minimize_mgf,
     perturbed_triplet,
+    solve_linear_emm,
 )
 from levy_emm.errors import ArbitrageMarketError, PenaltyViolation
 
@@ -250,6 +251,20 @@ class TestApproxSequence:
             assert s.mass_gap == 0.0 and s.correction_n == 0.0
             assert abs(s.entropy_vs_P - s.entropy_n) <= 1e-12
             assert abs(s.entropy_n - tr.entropy_limit) <= 1e-12
+
+    def test_far_atom_tempered_to_zero_mass(self):
+        """The atom at 40 keeps ``0.5 e^{-1600}``, which underflows to 0:
+        every stage solves, and its tilt is the model's without that atom."""
+        near = ((-0.5, 1.0),)
+        t = LevyTriplet(0.1, 0.01, FiniteAtomic(((40.0, 0.5),) + near))
+        tr = approx_sequence(t, 1.0, PenaltyFamily.default_quadratic(),
+                             (1, 2, 4, 8))
+        k0 = solve_linear_emm(LevyTriplet(0.1, 0.01, FiniteAtomic(near)),
+                              1.0).kappa0
+        assert tr.failures == ()
+        assert [s.n for s in tr.steps] == [1, 2, 4, 8]
+        for s in tr.steps:
+            assert s.kappa_n == pytest.approx(k0, rel=1e-15, abs=0.0)
 
     def test_default_schedule(self):
         assert default_schedule(3) == (1, 2, 4, 8)

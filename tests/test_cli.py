@@ -379,11 +379,21 @@ class TestTopLevel:
         assert code == 2
         assert "market" in rep["error"]["message"]
 
-    def test_bad_quadrature_tolerances(self, tmp_path, write_spec):
-        code, rep = run(tmp_path, "solve", write_spec(spec_doc()),
-                        "--quad-abs-tol=-1e-9")
-        assert code == 2
-        assert "tolerance" in rep["error"]["message"]
+    @pytest.mark.parametrize("command, extra, own", [
+        ("solve", [], {"market"}),
+        ("domain", [], set()),
+        ("approx", ["--n-max", "2"],
+         {"n_max", "penalty", "csv", "check_penalty"}),
+        ("convert", ["--direction", "g2l"], {"direction"}),
+        ("mc-check", ["--samples", "1000"],
+         {"samples", "seed", "kappa", "epsilon", "small_jumps", "zn",
+          "penalty"}),
+    ])
+    def test_flag_echo_holds_own_flags(self, tmp_path, write_spec, command,
+                                       extra, own):
+        code, rep = run(tmp_path, command, write_spec(spec_doc()), *extra)
+        assert code == 0
+        assert set(rep["flags"]) == own
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

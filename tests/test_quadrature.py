@@ -21,7 +21,6 @@ from levy_emm import (
     LevyTriplet,
     LogJumpImage,
     PenaltyFamily,
-    QuadratureSettings,
     SymmetricAlphaStable,
     VarianceGamma,
     cumulant,
@@ -32,19 +31,10 @@ from levy_emm import (
 )
 from levy_emm.levy_core.extreal import POS_INF, UNDEFINED
 from levy_emm.errors import QuadratureFailure
-from levy_emm.levy_core.quadrature import (DEFAULT_SETTINGS, SidePlan,
-                                           exp_entropy_term, exp_integrand,
-                                           expm1_minus_x, one_sided_integral,
+from levy_emm.levy_core.quadrature import (SidePlan, exp_entropy_term,
+                                           exp_integrand, expm1_minus_x,
+                                           one_sided_integral,
                                            two_sided_integral)
-
-
-class TestSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(abs_tol=0.0)
-
-    def test_frozen_and_hashable(self):
-        assert hash(QuadratureSettings()) == hash(QuadratureSettings())
 
 
 class TestSafePrimitives:
@@ -365,10 +355,10 @@ class TestInfiniteVariationOrigin:
         none = SidePlan(None, True)
         for kappa in np.linspace(-3.0, 3.0, 13):
             c_in, _ = two_sided_integral(
-                nu, DEFAULT_SETTINGS, right=none, left=none,
+                nu, right=none, left=none,
                 inner_g=lambda x, nu, log_nu: expm1_minus_x(kappa * x) * nu)
             cp_in, _ = two_sided_integral(
-                nu, DEFAULT_SETTINGS, right=none, left=none,
+                nu, right=none, left=none,
                 inner_g=lambda x, nu, log_nu: x * np.expm1(kappa * x) * nu)
             # the left side is the right side at -κ, with x -> -x
             want_c = float(_stable_inner_series(alpha, kappa, 2)
@@ -416,7 +406,7 @@ class TestInfiniteVariationOrigin:
         none = SidePlan(None, True)
         for kappa in (-3.0, 3.0):
             got, _ = two_sided_integral(
-                nu, DEFAULT_SETTINGS, right=none, left=none,
+                nu, right=none, left=none,
                 inner_g=lambda x, nu, log_nu: expm1_minus_x(kappa * x) * nu)
             want = float(_stable_inner_series(alpha, kappa, 2))
             assert math.isclose(got.value, want, rel_tol=1e-12), (
@@ -645,7 +635,7 @@ class TestRegionRule:
 
         tail = exp_integrand(kappa, factor=np.expm1)
         val, _ = two_sided_integral(
-            nu, DEFAULT_SETTINGS,
+            nu,
             inner_g=recorded("inner", exp_integrand(kappa,
                                                     factor=expm1_minus_x)),
             right=SidePlan(recorded("right", tail), True),
@@ -746,16 +736,16 @@ def _geometric_stop(monkeypatch, f, a, b):
             scanned.append(float(val[0]))
         return val, err
 
-    def recorded_bisect(g, lo, hi, tol):
+    def recorded_bisect(g, lo, hi):
         refining.append(lo)
-        refined[lo] = bisect(g, lo, hi, tol)
+        refined[lo] = bisect(g, lo, hi)
         refining.pop()
         return refined[lo]
 
     monkeypatch.setattr(quad_mod, "_CHUNK", 1)
     monkeypatch.setattr(quad_mod, "_gk21", recorded_gk21)
     monkeypatch.setattr(quad_mod, "_bisect", recorded_bisect)
-    value, _ = quad_mod._geometric_sum(f, a, b, DEFAULT_SETTINGS)
+    value, _ = quad_mod._geometric_sum(f, a, b)
     total = 0.0
     for k, piece in enumerate(scanned):
         start = b * 0.5 ** (k + 1) if a == 0.0 else a * 2.0 ** k
@@ -779,7 +769,7 @@ class TestVectorisedKernel:
         a = np.linspace(-2.0, 5.0, 16)
         b = a + np.geomspace(1e-3, 2.0, 16)
         vals, errs = quad_mod._gk21(f, a, b)
-        epsabs, epsrel = quad_mod._tolerances(DEFAULT_SETTINGS)
+        epsabs, epsrel = quad_mod._EPSABS, quad_mod._EPSREL
         for lo, hi, val, err in zip(a, b, vals, errs):
             one_val, one_err = quad_mod._gk21(f, np.array([lo]),
                                               np.array([hi]))
@@ -798,7 +788,7 @@ class TestVectorisedKernel:
         """Where the panel scan stops, what it adds as the remainder of a
         geometric series and which panels it refines.  The numbers are
         those of the scan that kept its ratios in a list and summed each
-        panel in qk21's order.  Values agree to the kernel's ``rel_tol``,
+        panel in qk21's order.  Values agree to the kernel's rel 1e-11,
         which the near-critical remainder ``r/(1 - r)`` needs: its ratio is
         ``2^-0.0001``."""
         n, value, remainder, refined = _geometric_stop(monkeypatch, f, a, b)
@@ -821,7 +811,7 @@ class TestVectorisedKernel:
                              limit=1, full_output=1)
         assert val[0] == pytest.approx(ref[0], rel=1e-14, abs=0.0)
         assert err[0] == pytest.approx(ref[1], rel=1e-10, abs=0.0)
-        epsabs, epsrel = quad_mod._tolerances(DEFAULT_SETTINGS)
+        epsabs, epsrel = quad_mod._EPSABS, quad_mod._EPSREL
         assert ((err[0] <= max(epsabs, epsrel * abs(val[0])))
                 == (ref[1] <= max(epsabs, epsrel * abs(ref[0]))))
 
@@ -841,7 +831,7 @@ class TestVectorisedKernel:
                 exact = 2 * C * (1 / mpmath.mpf(alpha) - mpmath.mpf(n) ** (
                     -mpmath.mpf(alpha) / 2) / 2 * mpmath.gammainc(
                         -mpmath.mpf(alpha) / 2, mpmath.mpf(1) / n))
-            assert mass_gap(nu, p, n, DEFAULT_SETTINGS) == pytest.approx(
+            assert mass_gap(nu, p, n) == pytest.approx(
                 float(exact), rel=1e-12), n
 
     @pytest.mark.parametrize("n", [256, 512, 1024, 2048])

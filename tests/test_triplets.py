@@ -17,7 +17,6 @@ from scipy import integrate
 
 from levy_emm import (
     CGMY,
-    DEFAULT_SETTINGS,
     DoubleExponentialJumps,
     ExpJumpImage,
     FiniteAtomic,
@@ -27,7 +26,6 @@ from levy_emm import (
     LogJumpImage,
     Monotonicity,
     PenaltyFamily,
-    QuadratureSettings,
     TailDecay,
     ValidatedTriplet,
     approx_sequence,
@@ -286,8 +284,7 @@ class TestFiniteAtomic:
         p = PenaltyFamily.default_quadratic()
         for n in (1, 4):
             gap = _terms(atoms, lambda x, m: -m * mp.expm1(-self._rho(n, x)))
-            _assert_sum(mass_gap(FiniteAtomic(atoms), p, n, DEFAULT_SETTINGS),
-                        gap)
+            _assert_sum(mass_gap(FiniteAtomic(atoms), p, n), gap)
 
     @edge_atoms
     def test_edge_approx_step(self, atoms):
@@ -697,13 +694,3 @@ class TestTailIntegrandHelper:
         for factor in (np.expm1, expm1_minus_x, exp_entropy_term):
             f = exp_integrand(8.9, factor=factor)
             assert float(f(x, dens, log_dens)) == 0.0, factor
-
-
-class TestSettingsPropagation:
-    def test_loose_settings_still_close(self, kou):
-        q = QuadratureSettings(abs_tol=1e-9, rel_tol=1e-8)
-        tm = _truncated_mean(_kou_pdf)
-        k = 1.3
-        want = (0.03 * k + 0.01 * k * k
-                + 1.5 * (TestJumpDiffusion._kou_jump_mgf(k) - 1.0) - k * 1.5 * tm)
-        assert math.isclose(cumulant(kou, k, q).value, want, rel_tol=1e-6)
