@@ -20,8 +20,8 @@ import numpy as np
 from .errors import LevyEmmError, PenaltyViolation
 from .esscher import solve_linear_emm
 from .levy_core.measures import LevyMeasure, Tempered
-from .levy_core.quadrature import (INNER_CUT, SidePlan, exp_entropy_term,
-                                   exp_integrand, two_sided_integral)
+from .levy_core.quadrature import (INNER_CUT, exp_entropy_term, exp_integrand,
+                                   two_sided_integral)
 from .levy_core.triplets import LevyTriplet, TripletLike, as_validated
 from .mgf_analysis import minimize_mgf
 
@@ -100,6 +100,10 @@ class PenaltyFamily:
         return np.asarray(self.rho(int(n), np.asarray(x, dtype=float)),
                           dtype=float)
 
+    def log_weight(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
+        """``x -> -ρ_n(x)``, the log weight of the ``n``-th tempering."""
+        return lambda x: -self.rho_at(n, x)
+
     def validate(self, n: int) -> None:
         """Cheap structural sniff of ``ρ_n``: raises
         :class:`PenaltyViolation` for a family that is not superlinear,
@@ -127,41 +131,25 @@ class PenaltyFamily:
 # ---------------------------------------------------------------------------
 
 
-def _no_outer_mass(nu: LevyMeasure) -> bool:
-    atoms = nu.atoms()
-    if atoms is not None:
-        return all(abs(pos) <= INNER_CUT for pos, _ in atoms)
-    r, l = nu.right_tail(), nu.left_tail()
-    return (r.kind == "bounded" and r.cutoff <= INNER_CUT
-            and l.kind == "bounded" and l.cutoff <= INNER_CUT)
-
-
 def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int) -> LevyTriplet:
     """The triplet with jump measure ``e^{-ρ_n} ν``; drift and variance
     are untouched.
 
-    Measures with no mass outside the unit ball come back unchanged (the
-    penalty vanishes on their support).  Every other measure gets a
-    tempering wrapper carrying closed-form log weights and superexponential
-    tail hints; an atomic one keeps its atoms, their masses tempered.
+    Measures with no mass outside the unit ball (both tails bounded
+    within it) come back unchanged: the penalty vanishes on their support.
+    Every other measure gets a tempering wrapper whose log weight is
+    ``-ρ_n``; an atomic one keeps its atoms, their masses tempered.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     p.validate(int(n))
     vt = as_validated(t)
     nu = vt.nu
-    if _no_outer_mass(nu):
+    if max(nu.right_tail().cutoff, nu.left_tail().cutoff) <= INNER_CUT:
         return LevyTriplet(vt.b, vt.sigma2, nu)
 
-    def weight(x: np.ndarray) -> np.ndarray:
-        return np.exp(-p.rho_at(n, x))
-
-    def log_weight(x: np.ndarray) -> np.ndarray:
-        return -p.rho_at(n, x)
-
-    tempered = Tempered(nu, weight, weight_superexp=True,
-                        weight_even=p.even and nu.is_symmetric(),
-                        log_weight=log_weight)
+    tempered = Tempered(nu, p.log_weight(n),
+                        even=p.even and nu.is_symmetric())
     return LevyTriplet(vt.b, vt.sigma2, tempered)
 
 
@@ -176,9 +164,7 @@ def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int) -> float:
         return -np.expm1(-p.rho_at(n, x))
 
     tail = exp_integrand(0.0, prefactor=pre)
-    right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
-    left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
-    val, _ = two_sided_integral(nu, inner_g=None, right=right, left=left)
+    val, _ = two_sided_integral(nu, right=tail, left=tail)
     # lossy view: an unvalidated measure with infinite outer mass must come
     # back as inf so the integrability diagnostic can fail it, not crash
     return val.as_float()
@@ -191,12 +177,8 @@ def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
     def pre(x: np.ndarray) -> np.ndarray:
         return p.rho_at(n, x)
 
-    def log_w(x: np.ndarray) -> np.ndarray:
-        return -p.rho_at(n, x)
-
-    plan = SidePlan(exp_integrand(kappa, prefactor=pre, log_weight=log_w),
-                    True)
-    val, _ = two_sided_integral(nu, inner_g=None, right=plan, left=plan)
+    tail = exp_integrand(kappa, prefactor=pre, log_weight=p.log_weight(n))
+    val, _ = two_sided_integral(nu, right=tail, left=tail)
     return val.value
 
 
@@ -206,18 +188,12 @@ def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
     *original* one, computed independently of the decomposition:
     ``T [σ²κ²/2 + ∫ (Y ln Y - Y + 1) dν]`` with ``Y = e^{κx - ρ_n}``.
     """
-    nu = vt.nu
-
-    def log_w(x: np.ndarray) -> np.ndarray:
-        return -p.rho_at(n, x)
-
     # the penalty vanishes inside the cut
-    tail = exp_integrand(kappa, factor=exp_entropy_term, log_weight=log_w)
-    right = SidePlan(tail, nu.right_tail().moment_finite(0, 0.0))
-    left = SidePlan(tail, nu.left_tail().moment_finite(0, 0.0))
+    tail = exp_integrand(kappa, factor=exp_entropy_term,
+                         log_weight=p.log_weight(n))
     val, _ = two_sided_integral(
-        nu, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
-        right=right, left=left)
+        vt.nu, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
+        right=tail, left=tail)
     return horizon * (vt.sigma2 * kappa * kappa / 2.0 + val.value)
 
 

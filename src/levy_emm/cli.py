@@ -29,7 +29,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .approximation import PenaltyFamily, approx_sequence, check_penalty
+from .approximation import (PenaltyFamily, approx_sequence, check_penalty,
+                            default_schedule)
 from .errors import ArbitrageMarketError, LevyEmmError, ValidationError
 from .esscher import (ARBITRAGE_VERDICT, EsscherStatus, esscher_entropy,
                       memm_report, solve_linear_emm)
@@ -67,14 +68,8 @@ def _penalty_from_flag(text: str) -> PenaltyFamily:
 def _schedule_up_to(n_max: int) -> tuple:
     if n_max < 1:
         raise ValidationError(f"--n-max: must be >= 1, got {n_max}")
-    schedule = []
-    n = 1
-    while n <= n_max:
-        schedule.append(n)
-        n *= 2
-    if schedule[-1] != n_max:
-        schedule.append(n_max)
-    return tuple(schedule)
+    schedule = default_schedule(n_max.bit_length() - 1)
+    return schedule if schedule[-1] == n_max else schedule + (n_max,)
 
 
 def _kappa_from_flag(text: str) -> Optional[float]:

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .errors import KappaOutsideI, QuadratureFailure
 from .levy_core.extreal import ExtReal
-from .levy_core.quadrature import SidePlan, exp_integrand, two_sided_integral
+from .levy_core.quadrature import exp_integrand, two_sided_integral
 from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
                                  as_validated, cumulant, cumulant_derivative,
                                  geometric_to_linear, is_monotone)
@@ -49,8 +49,7 @@ def _tilt_drift_correction(vt, kappa: float) -> float:
     """``∫_{|x|<=1} x (e^{κx} - 1) ν(dx)`` — the compensator shift that the
     truncation function picks up under tilting."""
     val, _ = two_sided_integral(
-        vt.nu, inner_g=exp_integrand(kappa, factor=np.expm1, power=1),
-        right=SidePlan(None, True), left=SidePlan(None, True))
+        vt.nu, inner_g=exp_integrand(kappa, factor=np.expm1, power=1))
     if not val.is_finite:
         raise QuadratureFailure(
             f"the tilt drift correction overflows at kappa={kappa}")

@@ -61,7 +61,8 @@ class TailDecay:
     tail mass at distance ``s -> +inf`` along its own side.  Kinds:
 
     ``bounded``
-        no mass at distance ``> cutoff``;
+        no mass at distance ``> cutoff``, the only kind with a finite
+        ``cutoff``;
     ``superexp``
         decays faster than every exponential (e.g. Gaussian factors,
         quadratic tempering);
@@ -90,6 +91,9 @@ class TailDecay:
             raise ValidationError("exp tail needs rate > 0")
         if self.kind == _IMAGE and (self.base is None or self.rate < 0):
             raise ValidationError("image tail needs a base tail and rate >= 0")
+        if (self.kind == _BOUNDED) != math.isfinite(self.cutoff):
+            raise ValidationError(f"only a bounded tail has a finite cutoff, "
+                                  f"got {self.kind} with {self.cutoff}")
 
     # constructors ------------------------------------------------------
     @staticmethod
@@ -623,53 +627,46 @@ class SymmetricAlphaStable(LevyMeasure):
 
 @dataclass(frozen=True)
 class Tempered(LevyMeasure):
-    """``weight(x) ν(dx)`` with a weight taking values in (0, 1].
+    """``e^{w(x)} ν(dx)`` for a log weight ``w = log_weight <= 0`` that
+    beats every exponential tilt, such as ``-x²/n`` beyond the unit ball,
+    so both unbounded tails decay super-exponentially.
 
-    ``weight_superexp`` declares that the weight decays super-exponentially
-    in both tails (true for the quadratic default penalty); it drives the
-    tail metadata of the product.  ``weight_even`` declares exact symmetry
-    of the weight, which lets a symmetric base stay symmetric.
+    ``even`` declares ``w(-x) = w(x)``, which lets a symmetric base stay
+    symmetric.
     """
 
     base: LevyMeasure
-    weight: Callable[[np.ndarray], np.ndarray]
-    weight_superexp: bool = True
-    weight_even: bool = False
-    log_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    log_weight: Callable[[np.ndarray], np.ndarray]
+    even: bool = False
 
     def __post_init__(self) -> None:
         # built once: every kernel call asks for the atoms; a weight that
         # underflows leaves an atom of mass 0, which the kernel sums as 0
         base_atoms = self.base.atoms()
         atoms = None if base_atoms is None else tuple(
-            (p, m * float(self.weight(np.asarray(p)))) for p, m in base_atoms)
+            (p, m * float(np.exp(self.log_weight(np.asarray(p)))))
+            for p, m in base_atoms)
         object.__setattr__(self, "_atoms", atoms)
 
     def atoms(self) -> Optional[Tuple[Tuple[float, float], ...]]:
         return self._atoms
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        return self.base.density(x) * self.weight(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return self.base.density(x) * np.exp(self.log_weight(x))
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.log_weight is not None:
-            lw = self.log_weight(x)
-        else:
-            with np.errstate(divide="ignore"):
-                lw = np.log(self.weight(x))
-        return self.base.log_density(x) + lw
+        return self.base.log_density(x) + self.log_weight(x)
 
     def right_tail(self) -> TailDecay:
-        t = self.base.right_tail()
-        return t.tempered_superexp() if self.weight_superexp else t
+        return self.base.right_tail().tempered_superexp()
 
     def left_tail(self) -> TailDecay:
-        t = self.base.left_tail()
-        return t.tempered_superexp() if self.weight_superexp else t
+        return self.base.left_tail().tempered_superexp()
 
     def is_symmetric(self) -> bool:
-        return self.weight_even and self.base.is_symmetric()
+        return self.even and self.base.is_symmetric()
 
     def has_positive_jumps(self) -> bool:
         return self.base.has_positive_jumps()
@@ -679,7 +676,7 @@ class Tempered(LevyMeasure):
 
     def describe(self) -> dict:
         return {"type": "tempered", "base": self.base.describe(),
-                "weight": getattr(self.weight, "__name__", "custom")}
+                "weight": getattr(self.log_weight, "__name__", "custom")}
 
 
 @dataclass(frozen=True)
@@ -838,7 +835,7 @@ class LogJumpImage(LevyMeasure):
     def __post_init__(self) -> None:
         if self.base.has_negative_jumps():
             t = self.base.left_tail()
-            if not (t.kind == _BOUNDED and t.cutoff < 1.0):
+            if not t.cutoff < 1.0:
                 raise UnsupportedMeasure(
                     "log-jump image needs the price-jump measure to stay a "
                     "bounded distance above -1; use atoms or the inverse of "
@@ -852,8 +849,8 @@ class LogJumpImage(LevyMeasure):
 
     def right_tail(self) -> TailDecay:
         t = self.base.right_tail()
-        if t.kind == _BOUNDED:
-            return TailDecay.bounded(math.log1p(t.cutoff) if math.isfinite(t.cutoff) else math.inf)
+        if math.isfinite(t.cutoff):
+            return TailDecay.bounded(math.log1p(t.cutoff))
         if t.kind == _POLY:
             return TailDecay.exponential(-(t.power + 1.0), 0.0)
         return TailDecay.superexp()

@@ -18,7 +18,9 @@ conversion and the simulation rates all go through it.
 Every part has the same contract: the rule calls it with the jump size
 ``x``, the density ``ν(x)`` and ``log ν(x)``, and the part returns its own
 product with the density; the rule multiplies nothing.
-:func:`exp_integrand` builds every part the package uses.  It takes ``e^u
+:func:`exp_integrand` builds every part the package uses, a :class:`Part`
+that carries its tilt κ and power, so the kernel itself reads from the
+measure's decay hint whether each tail converges.  It takes ``e^u
 ν`` in log space and the factors ``e^u - 1``, ``e^u - 1 - u`` and ``e^u (u
 - 1) + 1`` as ``factor(u) ν`` where ``u <= 1`` and as ``e^{u + log ν}``
 plus the polynomial part beyond, so a density that underflows never meets
@@ -47,7 +49,8 @@ the caller's breakpoints; the kind of each piece picks its rule:
   sums a power law exactly; at the origin, ratios that settle at 1 or
   above mean divergence, an infinite error the caller judges.  A panel
   that fails its error test is refined by bisection.  A tail that its
-  decay hint calls divergent is a signed infinity without any quadrature;
+  decay hint calls divergent for the part's growth is a signed infinity
+  without any quadrature;
 * every bounded piece between the cuts gets one GK21 step in ``x``, all
   in one call, kept when QUADPACK's own first-step test accepts it; a
   piece that fails it is bisected adaptively in ``u = ln x``, all its
@@ -85,7 +88,6 @@ for symmetric models without a fudge factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -99,7 +101,7 @@ __all__ = [
     "INNER_CUT",
     "MAX_SUBDIVISIONS",
     "two_sided_integral",
-    "SidePlan",
+    "Part",
     "exp_integrand",
     "one_sided_integral",
     "small_jump_variation",
@@ -120,9 +122,8 @@ MAX_SUBDIVISIONS = 200
 _EPSABS, _EPSREL = 1e-13, 1e-12
 
 Fn = Callable[[np.ndarray], np.ndarray]
-#: an integrand part: ``(x, ν(x), log ν(x)) -> g(x) ν(x)``, and for an image
-#: measure also ``(..., tilt, log|x|)`` (see :func:`exp_integrand`)
-Part = Callable[..., np.ndarray]
+#: what the rule calls: a :class:`Part`'s function, or a wrap of one
+PartFn = Callable[..., np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +428,39 @@ def _times_density(factor: Fn, u: np.ndarray, nu: np.ndarray,
     return big if u.min() > 1.0 else np.where(u > 1.0, big, factor(u) * nu)
 
 
+class Part(NamedTuple):
+    """An integrand part, called as its function ``fn`` (see
+    :func:`exp_integrand`), and its growth in the tails: ``|x|^power
+    e^{κx}``, or ``|x|^power`` when ``tempered`` by a log weight."""
+
+    fn: PartFn
+    kappa: float
+    power: int
+    tempered: bool
+
+    def __call__(self, *args, **kwargs) -> np.ndarray:
+        return self.fn(*args, **kwargs)
+
+    def diverges(self, nu: LevyMeasure, side: int) -> int:
+        """0 where ``nu``'s decay hint makes the part integrable over the
+        tail ``side*x > 1``, else the sign of the divergence, ``side^power``
+        (the factor and the prefactor stay positive there)."""
+        decay = nu.right_tail() if side > 0 else nu.left_tail()
+        tilt = 0.0 if self.tempered else side * self.kappa
+        return 0 if decay.moment_finite(self.power, tilt) else side ** self.power
+
+
 def exp_integrand(kappa: float, *, factor: Optional[Fn] = None,
                   power: int = 0, prefactor: Optional[Fn] = None,
-                  log_weight: Optional[Fn] = None):
+                  log_weight: Optional[Fn] = None) -> Part:
     """Integrand part ``(x, ν, log ν) -> x^power p(x) F(u) ν`` with ``u =
     κx + w(x)``, where ``F = exp`` or ``factor``: ``np.expm1``,
     :func:`expm1_minus_x` or :func:`exp_entropy_term`.
+
+    The :class:`Part` carries κ and ``power``, from which the kernel reads
+    where a tail converges.  A log weight ``w`` must be a penalty that
+    beats every tilt (``|x|/w(x) -> 0``), and a prefactor must not change
+    where a tail converges.
 
     ``F = exp`` is taken in log space, ``e^{u + log ν}``, except for a
     plain moment (``u = 0``), which is ``x^power ν`` with the ``ν`` the
@@ -475,7 +503,7 @@ def exp_integrand(kappa: float, *, factor: Optional[Fn] = None,
                 val = val * prefactor(x)
         return val
 
-    return f
+    return Part(f, float(kappa), power, log_weight is not None)
 
 
 class _Pullback(NamedTuple):
@@ -499,7 +527,7 @@ class _Pullback(NamedTuple):
             u = abs(float(self.inverse(side * s)))
         return math.inf if u != u else u  # beyond the image's support
 
-    def wrap(self, part: Optional[Part]) -> Optional[Part]:
+    def wrap(self, part: Optional[PartFn]) -> Optional[PartFn]:
         """``part`` over base points: ``t -> part(φ(t), ν, log ν, tilt,
         log|φ(t)|)``."""
         if part is None:
@@ -543,7 +571,7 @@ def _atom_region(atoms: Tuple[Tuple[float, float], ...], sides: Tuple[int, ...],
     return tuple(rows)
 
 
-def _density_product(nu: LevyMeasure, side: int, part: Part,
+def _density_product(nu: LevyMeasure, side: int, part: PartFn,
                      inner: bool) -> Fn:
     """``s -> part(x, ν(x), log ν(x))`` at ``x = side*s``.
 
@@ -568,7 +596,7 @@ def _density_product(nu: LevyMeasure, side: int, part: Part,
     return f
 
 
-def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[Part],
+def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[PartFn],
             lo: float, hi: float, pts: Sequence[float] = (),
             diverges: int = 0, start: float = 0.0) -> Tuple[float, float]:
     """``start + ∫ part dν`` over ``lo < side*x <= hi`` for each side in
@@ -581,8 +609,8 @@ def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[Part],
     ``INNER_CUT`` and at the breakpoints ``pts``.  From the origin to the
     first cut it is the halving panels of :func:`_geometric_sum`, from the
     last cut to infinity its doubling panels (``diverges``, the sign of a
-    divergence the caller read from a tail hint, makes that a signed
-    infinity without quadrature), and between the cuts bounded
+    divergence that :meth:`Part.diverges` read from the tail hint, makes
+    that a signed infinity without quadrature), and between the cuts bounded
     :func:`_panel` pieces.  The density is read as
     :func:`_density_product` reads it, linear inside the cut.  The sum
     stops at the first infinite piece: an overflow has error 0, a
@@ -609,8 +637,7 @@ def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[Part],
         if pb is not None:
             a, b = pb.base_distance(side, lo), pb.base_distance(side, hi)
             cuts = [pb.base_distance(side, p) for p in pts]
-        decay = nu.right_tail() if side > 0 else nu.left_tail()
-        end = decay.cutoff if decay.kind == "bounded" else math.inf
+        end = (nu.right_tail() if side > 0 else nu.left_tail()).cutoff
         if min(b, end) <= a:
             continue
         b = min(b, end * (1.0 + 1e-12))
@@ -660,11 +687,10 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
     a panel that fails, or that is not finite, raises
     :class:`QuadratureFailure`.  Results are cached.
     """
-    sign = side ** power
-    decay = nu.right_tail() if side > 0 else nu.left_tail()
-    val, _ = _region(nu, (side,), exp_integrand(0.0, power=power), lo, hi,
-                     diverges=0 if decay.moment_finite(power, 0.0) else sign)
-    return sign * val
+    part = exp_integrand(0.0, power=power)
+    val, _ = _region(nu, (side,), part, lo, hi,
+                     diverges=part.diverges(nu, side))
+    return side ** power * val
 
 
 # ---------------------------------------------------------------------------
@@ -700,50 +726,40 @@ def tail_mass(nu: LevyMeasure) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SidePlan:
-    """Tail plan for one side of a structured integral.
-
-    ``tail`` is the integrand part beyond the inner cut, called as
-    ``tail(x, ν(x), log ν(x))`` (see :func:`exp_integrand`), or None where
-    the integrand vanishes there.  ``converges`` is decided by the caller
-    from tail-decay hints; a divergent side contributes ``div_sign * inf``.
-    """
-
-    tail: Optional[Part]
-    converges: bool
-    div_sign: int = 1
-
-
 def two_sided_integral(nu: LevyMeasure, *,
-                       inner_g: Optional[Part],
-                       right: SidePlan, left: SidePlan,
+                       inner_g: Optional[Part] = None,
+                       right: Optional[Part] = None,
+                       left: Optional[Part] = None,
                        breakpoints: Sequence[float] = ()) -> Tuple[ExtReal, float]:
     """Structured integral of ``g dν`` for a purely atomic measure, a
     density measure or an image of one: :func:`_region` over each side's
     tail ``side*x > INNER_CUT`` and the inner cut ``0 < |x| <= INNER_CUT``
-    (:func:`_folded` where the density is exactly symmetric).
+    (:func:`_folded` where the density is exactly symmetric and both tails
+    converge).
 
     ``inner_g`` is the integrand part on ``|x| <= INNER_CUT``, ``O(x^2)``
-    at the origin (or None when it vanishes there); the tail parts live in
-    the side plans.  Every part is called as ``part(x, ν(x), log ν(x))``
-    and returns its own product with the density (see
-    :func:`exp_integrand`).  A finite sum of atoms needs no decay hint, so
-    ``SidePlan.converges`` does not apply to it.  Divergent tails skip the
+    at the origin, and ``right``/``left`` the parts of the tails; None
+    where the integrand vanishes.  Every part is called as ``part(x, ν(x),
+    log ν(x))`` and returns its own product with the density (see
+    :func:`exp_integrand`).  Whether a tail converges is
+    :meth:`Part.diverges`; a divergent tail is a signed infinity, and a
+    finite sum of atoms needs no decay hint.  Divergent tails skip the
     inner cut; a divergence at the origin raises
     :class:`NonIntegrableLevyMeasure`.
     """
     pts = [abs(b) for b in breakpoints]
+    sides = ((+1, right), (-1, left))
+    div = [0 if part is None else part.diverges(nu, side)
+           for side, part in sides]
     if nu.atoms() is None:
         pb = _pullback(nu)
         if ((nu if pb is None else pb.base).is_symmetric()
-                and (right.tail is None) == (left.tail is None)
-                and right.converges and left.converges):
-            return _folded(nu, pb, inner_g, right.tail, left.tail, pts)
+                and (right is None) == (left is None) and div == [0, 0]):
+            return _folded(nu, pb, inner_g, right, left, pts)
     total = err = 0.0
-    for side, plan in ((+1, right), (-1, left)):
-        total, e = _region(nu, (side,), plan.tail, INNER_CUT, math.inf, pts,
-                           0 if plan.converges else plan.div_sign, total)
+    for (side, part), d in zip(sides, div):
+        total, e = _region(nu, (side,), part, INNER_CUT, math.inf, pts, d,
+                           total)
         err += e
     if not math.isfinite(total):
         return ExtReal.finite(total), 0.0
@@ -755,16 +771,16 @@ def two_sided_integral(nu: LevyMeasure, *,
     return ExtReal.finite(total), err + e
 
 
-def _fold(r: Optional[Part], l: Optional[Part]) -> Optional[Part]:
+def _fold(r: Optional[PartFn], l: Optional[PartFn]) -> Optional[PartFn]:
     """The part ``x -> r(x) + l(-x)``, None where both vanish."""
     if r is None or l is None:
         return r if l is None else (lambda x, n, ln: l(-x, n, ln))
     return lambda x, n, ln: r(x, n, ln) + l(-x, n, ln)
 
 
-def _folded(nu: LevyMeasure, pb: Optional[_Pullback], inner_g: Optional[Part],
-            right: Optional[Part], left: Optional[Part],
-            pts: Sequence[float]) -> Tuple[ExtReal, float]:
+def _folded(nu: LevyMeasure, pb: Optional[_Pullback],
+            inner_g: Optional[PartFn], right: Optional[PartFn],
+            left: Optional[PartFn], pts: Sequence[float]) -> Tuple[ExtReal, float]:
     """:func:`two_sided_integral` where the density is exactly symmetric,
     ``ν(-t) = ν(t)``, the base's for an image: the negative axis folds
     onto the positive one, where each piece of distance between the sides'

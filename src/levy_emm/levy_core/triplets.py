@@ -29,7 +29,7 @@ from ..errors import (JumpBelowMinusOne, NegativeVariance,
 from .extreal import ExtReal, NEG_INF, POS_INF
 from .measures import (ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage,
                        zero_measure)
-from .quadrature import (INNER_CUT, SidePlan, exp_integrand, expm1_minus_x,
+from .quadrature import (INNER_CUT, exp_integrand, expm1_minus_x,
                          one_sided_integral, small_jump_variation, tail_mass,
                          two_sided_integral)
 
@@ -135,15 +135,9 @@ def cumulant(t: TripletLike, kappa: float) -> ExtReal:
     if kappa == 0.0:
         return ExtReal.finite(0.0)
     base = vt.b * kappa + 0.5 * vt.sigma2 * kappa * kappa
-    nu = vt.nu
-    right_ok = nu.right_tail().moment_finite(0, kappa)
-    left_ok = nu.left_tail().moment_finite(0, -kappa)
-    # e^{κx} - 1 is positive wherever it diverges, on either side
     tail = exp_integrand(kappa, factor=np.expm1)
-    right = SidePlan(tail, right_ok, +1)
-    left = SidePlan(tail, left_ok, +1)
     inner = exp_integrand(kappa, factor=expm1_minus_x)
-    jumps, _ = two_sided_integral(nu, inner_g=inner, right=right, left=left)
+    jumps, _ = two_sided_integral(vt.nu, inner_g=inner, right=tail, left=tail)
     return ExtReal.finite(base) + jumps
 
 
@@ -156,17 +150,12 @@ def cumulant_derivative(t: TripletLike, kappa: float) -> ExtReal:
     vt = as_validated(t)
     kappa = float(kappa)
     base = vt.b + vt.sigma2 * kappa
-    nu = vt.nu
-    right_ok = nu.right_tail().moment_finite(1, kappa)
-    left_ok = nu.left_tail().moment_finite(1, -kappa)
     tail = exp_integrand(kappa, power=1)
-    right = SidePlan(tail, right_ok, +1)
-    left = SidePlan(tail, left_ok, -1)
     if kappa == 0.0:
         inner = None  # x e^{0x} - h(x) vanishes identically inside the cut
     else:
         inner = exp_integrand(kappa, factor=np.expm1, power=1)
-    jumps, _ = two_sided_integral(nu, inner_g=inner, right=right, left=left)
+    jumps, _ = two_sided_integral(vt.nu, inner_g=inner, right=tail, left=tail)
     return ExtReal.finite(base) + jumps
 
 
@@ -269,8 +258,7 @@ def _conversion_drift_integral(nu: LevyMeasure) -> float:
         nu,
         inner_g=exp_integrand(1.0, factor=expm1_minus_x,
                               prefactor=_up_to_ln2),
-        right=SidePlan(None, True),
-        left=SidePlan(exp_integrand(1.0, factor=np.expm1), True),
+        left=exp_integrand(1.0, factor=np.expm1),
         breakpoints=(_LN2,),
     )
     return val.value - one_sided_integral(nu, +1, 1, _LN2, INNER_CUT)
@@ -312,10 +300,9 @@ def linear_to_geometric(t: TripletLike) -> LevyTriplet:
     atoms = nu.atoms()
     if atoms is not None and any(p <= -1.0 for p, _ in atoms):
         raise JumpBelowMinusOne("atom at or below -1")
-    if atoms is None and not isinstance(nu, ExpJumpImage) and nu.has_negative_jumps():
-        left = nu.left_tail()
-        if not (left.kind == "bounded" and left.cutoff <= 1.0):
-            raise JumpBelowMinusOne("jump measure has mass at or below -1")
+    if (atoms is None and not isinstance(nu, ExpJumpImage)
+            and nu.has_negative_jumps() and not nu.left_tail().cutoff <= 1.0):
+        raise JumpBelowMinusOne("jump measure has mass at or below -1")
 
     if isinstance(nu, ExpJumpImage):
         nu_geo: LevyMeasure = nu.base

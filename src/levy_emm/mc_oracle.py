@@ -236,15 +236,14 @@ def _jump_plan(nu: LevyMeasure, eps: float) -> _JumpPlan:
         base = _jump_plan(nu.base, eps)
         if base.draw is None:
             return base
-        weight_fn = nu.weight
 
         def draw(rng: np.random.Generator, k: int) -> np.ndarray:
             # sizes of the tempered process are base sizes accepted with
-            # probability weight(x) <= 1; the intensity shrinks accordingly
+            # probability e^{w(x)} <= 1; the intensity shrinks accordingly
             out = np.empty(0)
             while out.size < k:
                 cand = base.draw(rng, max(64, 2 * (k - out.size)))
-                w = np.asarray(weight_fn(cand), dtype=float)
+                w = np.exp(nu.log_weight(cand))
                 if np.any(w > 1.0 + 1e-12):
                     raise UnsupportedMeasure(
                         "tempering weight exceeds 1: thinning sampler invalid")
@@ -258,7 +257,7 @@ def _jump_plan(nu: LevyMeasure, eps: float) -> _JumpPlan:
 
 
 def _thinned_rate(nu: Tempered, eps: float) -> float:
-    """``∫_{|x|>eps} weight dν_base = ν({|x| > eps})`` — the effective
+    """``∫_{|x|>eps} e^w dν_base = ν({|x| > eps})`` — the effective
     tempered intensity."""
     return (_side_integral(nu, +1, 0, eps, math.inf)
             + _side_integral(nu, -1, 0, eps, math.inf))

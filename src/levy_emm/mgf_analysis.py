@@ -347,10 +347,10 @@ def classify_esscher_parameter(t: TripletLike,
     derivative-moment set ``E``.  The status carries the mgf minimizer
     found on the way, so a solver needs no second search.
     """
+    if not horizon > 0:
+        raise ValueError("horizon must be > 0")
     vt = as_validated(t)
     iv = exp_moment_interval(vt)
-    if not (iv.is_degenerate or horizon > 0):
-        raise ValueError("horizon must be > 0")
     mp, m_end = None, None
     if is_monotone(vt) is Monotonicity.NOT_MONOTONE:
         mp, m_end = _minimum(vt, horizon, iv)

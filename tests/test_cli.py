@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from levy_emm.cli import main
+from levy_emm.cli import _schedule_up_to, main
 
 from conftest import spec_doc
 
@@ -182,6 +182,14 @@ class TestApprox:
         for row, step in zip(rows, res["steps"]):
             for col in _TRACE_COLUMNS:
                 assert float(row[col]) == step[col]
+
+    @pytest.mark.parametrize("n_max", [*range(1, 10), 64, 100, 4096, 4097])
+    def test_schedule_doubles_up_to_n_max(self, n_max):
+        want, n = [], 1
+        while n <= n_max:
+            want, n = want + [n], 2 * n
+        assert _schedule_up_to(n_max) == tuple(
+            want + ([n_max] if want[-1] != n_max else []))
 
     def test_n_max_included_even_off_schedule(self, tmp_path):
         code, rep = run(tmp_path, "approx", str(_MODELS / "kou.json"),

@@ -82,6 +82,23 @@ class TestTailDecay:
         with pytest.raises(ValidationError):
             TailDecay.exponential(0.0)
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("bounded", {}), ("bounded", {"cutoff": math.nan}),
+        ("bounded", {"cutoff": math.inf}), ("superexp", {"cutoff": 2.0}),
+        ("exp", {"rate": 1.0, "cutoff": 0.0}), ("poly", {"cutoff": 1.0}),
+        ("exp_image", {"base": TailDecay.superexp(), "cutoff": 3.0}),
+    ])
+    def test_only_a_bounded_tail_has_a_finite_cutoff(self, kind, fields):
+        with pytest.raises(ValidationError):
+            TailDecay(kind, **fields)
+
+    def test_cutoff_reads_the_kind(self):
+        assert TailDecay.bounded(0.0).cutoff == 0.0
+        for t in (TailDecay.superexp(), TailDecay.exponential(2.0),
+                  TailDecay.polynomial(-2.0),
+                  ExpJumpImage(VarianceGamma(1.0, 6.0, 9.0)).right_tail()):
+            assert t.cutoff == math.inf
+
 
 # ---------------------------------------------------------------------------
 # atomic measures
@@ -280,25 +297,23 @@ class TestParametricFamilies:
 class TestWrappers:
     def test_tempered_density_and_atoms(self):
         base = FiniteAtomic(((2.0, 1.0), (0.5, 1.0)))
-        w = Tempered(base, lambda x: np.exp(-np.abs(x)))
+        w = Tempered(base, lambda x: -np.abs(x))
         atoms = dict(w.atoms())
         assert atoms[2.0] == pytest.approx(math.exp(-2.0))
         assert atoms[0.5] == pytest.approx(math.exp(-0.5))
 
         dens_base = SymmetricAlphaStable(1.5)
-        wd = Tempered(dens_base, lambda x: np.exp(-x * x),
-                      weight_even=True)
+        wd = Tempered(dens_base, lambda x: -x * x, even=True)
         x = np.array([0.5, 2.0])
         np.testing.assert_allclose(
             wd.density(x), dens_base.density(x) * np.exp(-x * x), rtol=1e-14)
 
     def test_tempered_tail_promotion(self):
-        nu = Tempered(SymmetricAlphaStable(0.8), lambda x: np.exp(-x * x),
-                      weight_superexp=True, weight_even=True)
+        nu = Tempered(SymmetricAlphaStable(0.8), lambda x: -x * x, even=True)
         assert nu.right_tail() == TailDecay.superexp()
         assert nu.is_symmetric()
         # without the evenness declaration symmetry is not claimed
-        nu2 = Tempered(SymmetricAlphaStable(0.8), lambda x: np.exp(-x * x))
+        nu2 = Tempered(SymmetricAlphaStable(0.8), lambda x: -x * x)
         assert not nu2.is_symmetric()
 
     def test_exp_tilted_merges_nested_tilts(self):

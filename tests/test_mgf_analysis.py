@@ -21,6 +21,7 @@ from levy_emm import (
     GenericDensity,
     LevyTriplet,
     MinimumCase,
+    SymmetricAlphaStable,
     TailDecay,
     classify_esscher_parameter,
     cumulant,
@@ -320,6 +321,15 @@ class TestClassifyEsscherParameter:
             LevyTriplet(1.0, 0.0, FiniteAtomic(((2.0, 3.0),))), 1.0)
         assert not st.exists
         assert "monotone" in st.diagnostic
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_horizon_validated_on_every_interval(self, brownian, horizon):
+        # a degenerate interval needs no minimizer, but the horizon is
+        # checked before the interval is looked at, as in minimize_mgf
+        degenerate = LevyTriplet(0.1, 0.0, SymmetricAlphaStable(0.8))
+        for t in (degenerate, brownian):
+            with pytest.raises(ValueError):
+                classify_esscher_parameter(t, horizon)
 
 
 # --- the monotone-root routine ---------------------------------------------

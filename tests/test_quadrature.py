@@ -31,9 +31,8 @@ from levy_emm import (
 )
 from levy_emm.levy_core.extreal import POS_INF, UNDEFINED
 from levy_emm.errors import QuadratureFailure
-from levy_emm.levy_core.quadrature import (SidePlan, exp_entropy_term,
-                                           exp_integrand, expm1_minus_x,
-                                           one_sided_integral,
+from levy_emm.levy_core.quadrature import (exp_entropy_term, exp_integrand,
+                                           expm1_minus_x, one_sided_integral,
                                            two_sided_integral)
 
 
@@ -352,14 +351,11 @@ class TestInfiniteVariationOrigin:
         # mpmath.quad itself is off by about 2e-4 at α >= 1.9, the series
         # is exact
         nu = SymmetricAlphaStable(alpha=alpha)
-        none = SidePlan(None, True)
         for kappa in np.linspace(-3.0, 3.0, 13):
             c_in, _ = two_sided_integral(
-                nu, right=none, left=none,
-                inner_g=lambda x, nu, log_nu: expm1_minus_x(kappa * x) * nu)
+                nu, inner_g=lambda x, nu, log_nu: expm1_minus_x(kappa * x) * nu)
             cp_in, _ = two_sided_integral(
-                nu, right=none, left=none,
-                inner_g=lambda x, nu, log_nu: x * np.expm1(kappa * x) * nu)
+                nu, inner_g=lambda x, nu, log_nu: x * np.expm1(kappa * x) * nu)
             # the left side is the right side at -κ, with x -> -x
             want_c = float(_stable_inner_series(alpha, kappa, 2)
                            + _stable_inner_series(alpha, -kappa, 2))
@@ -403,11 +399,9 @@ class TestInfiniteVariationOrigin:
         # an asymmetric measure is not folded: the origin's share of the
         # inner c integral is not helped by cancellation
         nu = _one_sided_power(alpha, 0.0)
-        none = SidePlan(None, True)
         for kappa in (-3.0, 3.0):
             got, _ = two_sided_integral(
-                nu, right=none, left=none,
-                inner_g=lambda x, nu, log_nu: expm1_minus_x(kappa * x) * nu)
+                nu, inner_g=lambda x, nu, log_nu: expm1_minus_x(kappa * x) * nu)
             want = float(_stable_inner_series(alpha, kappa, 2))
             assert math.isclose(got.value, want, rel_tol=1e-12), (
                 kappa, got, want)
@@ -604,6 +598,73 @@ def _one_sided_oracle(nu, side, lo, hi, power):
             lambda t: abs(mpmath.expm1(side * t)) ** power * d(t), [a, b]))
 
 
+_GROWTH_MEASURES = {
+    "bounded": FiniteAtomic(((2.0, 1.0), (-3.0, 1.0))),
+    "superexp": JumpDiffusion(1.0, GaussianJumps(0.0, 0.5)),
+    "exp": VarianceGamma(1.0, 6.0, 9.0),       # rates 9 right, 6 left
+    "exp_at_rate": CGMY(1.0, 5.0, 5.0, 0.5),   # s^{-1.5} at the rate 5
+    "poly": SymmetricAlphaStable(0.8),         # s^{-1.8}
+    "exp_image": ExpJumpImage(VarianceGamma(1.0, 6.0, 9.0)),
+}
+
+# (measure, κ, power, tempered, side, want): want is 0 for a tail that
+# converges, else the sign of its divergence, +1 for power 0 and the side
+# for power 1
+_GROWTH_TABLE = [
+    ("bounded", 50.0, 1, False, +1, 0),
+    ("bounded", -50.0, 1, False, -1, 0),
+    ("superexp", 50.0, 1, False, +1, 0),
+    ("superexp", 50.0, 0, False, -1, 0),
+    ("exp", 8.9, 0, False, +1, 0),
+    ("exp", 8.9, 1, False, +1, 0),
+    ("exp", 9.1, 0, False, +1, 1),
+    ("exp", 9.1, 1, False, +1, 1),
+    ("exp", -5.9, 1, False, -1, 0),
+    ("exp", -6.1, 0, False, -1, 1),
+    ("exp", -6.1, 1, False, -1, -1),
+    ("exp_at_rate", 5.0, 0, False, +1, 0),
+    ("exp_at_rate", 5.0, 1, False, +1, 1),
+    ("exp_at_rate", -5.0, 1, False, -1, -1),
+    ("poly", 0.0, 0, False, +1, 0),
+    ("poly", 0.0, 1, False, +1, 1),
+    ("poly", 0.0, 1, False, -1, -1),
+    ("poly", 0.1, 0, False, +1, 1),
+    ("poly", 0.1, 0, False, -1, 0),
+    ("poly", 3.0, 0, True, +1, 0),
+    ("poly", 3.0, 0, True, -1, 0),
+    ("exp_image", 0.5, 0, False, +1, 1),
+    ("exp_image", 0.0, 1, False, +1, 0),
+    ("exp_image", -0.5, 1, False, +1, 0),
+    ("exp_image", 50.0, 1, False, -1, 0),
+]
+
+
+class TestPartGrowth:
+    """A part's tilt and power decide, with the measure's decay hint,
+    whether each tail converges, and the kernel makes a divergent tail
+    its signed infinity."""
+
+    @pytest.mark.parametrize("name, kappa, power, tempered, side, want",
+                             _GROWTH_TABLE)
+    def test_diverges(self, name, kappa, power, tempered, side, want):
+        nu = _GROWTH_MEASURES[name]
+        log_weight = (lambda x: -x * x) if tempered else None
+        part = exp_integrand(kappa, power=power, log_weight=log_weight)
+        assert (part.kappa, part.power, part.tempered) == (kappa, power,
+                                                           tempered)
+        assert part.diverges(nu, side) == want
+        if want:
+            tail = {"right" if side > 0 else "left": part}
+            val, _ = two_sided_integral(nu, **tail)
+            assert val.as_float() == want * math.inf
+
+    def test_factors_grow_like_the_tilt(self):
+        nu = _GROWTH_MEASURES["poly"]
+        for factor in (np.expm1, exp_entropy_term):
+            assert exp_integrand(0.1, factor=factor).diverges(nu, +1) == 1
+            assert exp_integrand(0.1, factor=factor).diverges(nu, -1) == 0
+
+
 class TestRegionRule:
     """Every integral goes through one region rule: non-finite densities
     raise, each part of an image integral meets only its own region, and
@@ -638,8 +699,8 @@ class TestRegionRule:
             nu,
             inner_g=recorded("inner", exp_integrand(kappa,
                                                     factor=expm1_minus_x)),
-            right=SidePlan(recorded("right", tail), True),
-            left=SidePlan(recorded("left", tail), True))
+            right=tail._replace(fn=recorded("right", tail)),
+            left=tail._replace(fn=recorded("left", tail)))
         assert val.value == cumulant(LevyTriplet(0.0, 0.0, nu), kappa).value
         x = {k: np.concatenate(v) if v else np.empty(0)
              for k, v in seen.items()}

@@ -8,8 +8,10 @@ measure's ``density``/``log_density`` outside the measures themselves, so
 no integrand multiplies by a jump density on its own, and the only caller
 of ``math.fsum``, so no module sums an integrand over a measure's atoms on
 its own.  Inside that layer one function reads a density and one call sums
-atoms: every integral goes through its one region rule.  No module keeps
-an import it does not use.
+atoms: every integral goes through its one region rule.  Only
+``levy_core/measures.py`` compares against a tail-decay kind string; every
+other module reads a tail through its queries and its ``cutoff``.  No
+module keeps an import it does not use.
 """
 
 from __future__ import annotations
@@ -124,6 +126,35 @@ def test_one_atom_sum_in_the_kernel():
                                    and node.attr == "fsum")
         or (isinstance(node, ast.alias) and node.name == "fsum"))
     assert [len(lines) for lines in sums.values()] == [1], sums
+
+
+def _tail_kinds() -> set:
+    """The kind strings of ``TailDecay``: the string constants that
+    ``measures.py`` binds at its top level."""
+    tree = ast.parse(_MEASURES.read_text(encoding="utf-8"))
+    return {node.value.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)}
+
+
+def test_tail_kinds_are_read_from_measures():
+    assert _tail_kinds() == {"bounded", "superexp", "exp", "poly",
+                             "exp_image"}
+
+
+@pytest.mark.parametrize("path", _MODULES,
+                         ids=[_module_name(p) for p in _MODULES])
+def test_only_measures_compares_tail_kinds(path):
+    kinds = _tail_kinds()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = sorted({node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Compare)
+                    for const in ast.walk(node)
+                    if isinstance(const, ast.Constant)
+                    and isinstance(const.value, str) and const.value in kinds})
+    assert path == _MEASURES or not lines, (
+        f"{_module_name(path)} compares against a tail kind on lines {lines}")
 
 
 def _exported(tree: ast.Module) -> set:
