@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import KappaOutsideI, QuadratureFailure
 from .levy_core.extreal import ExtReal
@@ -22,7 +21,7 @@ from .levy_core.quadrature import exp_integrand, two_sided_integral
 from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
                                  as_validated, cumulant, cumulant_derivative,
                                  geometric_to_linear, is_monotone)
-from .mgf_analysis import (EsscherCase, EsscherParameterStatus,
+from .mgf_analysis import (EsscherCase, EsscherParameterStatus, brentq,
                            classify_esscher_parameter, exp_moment_interval,
                            search_increasing_root)
 
@@ -39,7 +38,6 @@ __all__ = [
 
 _ENTROPY_CLAMP = 1e-8
 _ROOT_ATOL = 1e-10
-_KAPPA_XTOL = 1e-12
 
 ARBITRAGE_VERDICT = ("arbitrage market: monotone prices admit no equivalent "
                      "martingale measure")
@@ -260,9 +258,7 @@ def solve_geometric_emm(t: TripletLike, horizon: float) -> EsscherResult:
         return no_emm(f"cumulant difference stays {side} on the candidate set")
     if found.lo == found.hi:
         return finish(found.lo)
-    return finish(float(brentq(lambda k: g_of(k).value, found.lo, found.hi,
-                               xtol=_KAPPA_XTOL, rtol=4 * 2.3e-16,
-                               maxiter=300)))
+    return finish(brentq(lambda k: g_of(k).value, found.lo, found.hi))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.special import exp1
 
 from .approximation import PenaltyFamily, mass_gap
 from .errors import (DegenerateWeights, MissingJumpRecords,
@@ -136,13 +135,36 @@ def _rejection_sampler(propose, accept_prob):
     return draw
 
 
+_EULER_GAMMA = 0.5772156649015328
+#: ``1/(k k!)`` for ``k = 2..20``; the ``k = 20`` term is 2.1e-20
+_E1_SERIES = tuple(1.0 / (k * math.factorial(k)) for k in range(2, 21))
+
+
+def _exp1(x: float) -> float:
+    """The exponential integral ``E1(x) = ∫_x^∞ e^{-t}/t dt`` for ``x > 0``.
+
+    Up to 1 the power series ``-γ - log x + Σ (-1)^{k+1} x^k/(k k!)``, with
+    ``x - γ`` formed first (exact near 1, where the terms cancel) and the
+    terms from ``k = 2`` nested; above 1 the continued fraction of
+    ``e^x E1(x)`` of specfun's ``E1XB``."""
+    if x <= 1.0:
+        nested = 0.0
+        for c in reversed(_E1_SERIES):
+            nested = c - x * nested
+        return (x - _EULER_GAMMA) - math.log(x) - x * x * nested
+    t0 = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        t0 = k / (1.0 + k / (x + t0))
+    return math.exp(-x) * (1.0 / (x + t0))
+
+
 def _one_sided_exp_poly_plan(nu: LevyMeasure, rate: float, power_y: float,
                              eps: float, side: int) -> Tuple[float, Callable]:
     """Plan for the side of ``nu`` with density ``C e^{-rate*s}
     s^{-1-power_y}`` on ``s > eps`` (``power_y = 0`` is the gamma-like
     case).  Returns (intensity, draw of signed sizes)."""
     if power_y == 0.0:
-        lam = nu.C * float(exp1(rate * eps))
+        lam = nu.C * _exp1(rate * eps)
 
         def propose(rng, k):
             return eps + rng.exponential(1.0 / rate, k)

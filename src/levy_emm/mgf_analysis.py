@@ -16,7 +16,7 @@ Three questions, three entry points:
 :func:`search_increasing_root` is the one root routine, for ``c'`` on
 ``I`` here and ``c(κ+1) - c(κ)`` in :mod:`levy_emm.esscher`: it probes a
 closed end before walking, so a root-free closed end costs one evaluation,
-and returns a bracket (each caller polishes it with Brent's method) or an
+and returns a bracket (each caller polishes it with :func:`brentq`) or an
 endpoint verdict.
 """
 
@@ -26,8 +26,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-from scipy.optimize import brentq
 
 from .errors import ArbitrageMarketError, NoFiniteMinimizer
 from .levy_core.extreal import ExtReal, NEG_INF, POS_INF
@@ -41,6 +39,7 @@ __all__ = [
     "MinimumPoint",
     "RootSearch",
     "search_increasing_root",
+    "brentq",
     "minimize_mgf",
     "EsscherCase",
     "EsscherParameterStatus",
@@ -50,6 +49,8 @@ __all__ = [
 _KAPPA_TOL = 1e-12
 _M_ATOL = 1e-12
 _MAX_DOUBLINGS = 60
+_BRENT_RTOL = 4 * 2.3e-16
+_BRENT_MAXITER = 300
 
 
 @dataclass(frozen=True)
@@ -245,6 +246,66 @@ def search_increasing_root(f, lo: float, hi: float, lo_closed: bool,
     raise NoFiniteMinimizer("no sign change within the search range")
 
 
+def brentq(f, a: float, b: float) -> float:
+    """The root of a float-valued ``f`` that changes sign on ``[a, b]``, by
+    Brent's method: an interpolation or extrapolation step when it is
+    short enough, else bisection (the steps of scipy's ``Zeros/brentq.c``,
+    so the same root from the same evaluations).  Stops when the far end
+    of the bracket is within ``_KAPPA_TOL + _BRENT_RTOL |x|`` of ``x``.
+
+    Raises :class:`NoFiniteMinimizer` on a NaN value, on ``f(a)`` and
+    ``f(b)`` of the same sign, and after ``_BRENT_MAXITER`` steps.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise NoFiniteMinimizer(f"function value is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoFiniteMinimizer(
+            f"no sign change on [{a!r}, {b!r}]: f = {fpre!r}, {fcur!r}")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_KAPPA_TOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed 0 into ±inf or NaN: a bisection
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
+                        else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NoFiniteMinimizer(
+        f"Brent's method did not converge in {_BRENT_MAXITER} steps")
+
+
 def _minimum(vt, horizon: float,
              iv: ExpMomentInterval) -> Tuple[MinimumPoint, Optional[ExtReal]]:
     """The minimizer of ``φ_T`` over ``I`` for a market known not to be
@@ -266,9 +327,7 @@ def _minimum(vt, horizon: float,
     else:
         case = MinimumCase.INTERIOR_ROOT
         if found.lo < found.hi:
-            kappa0 = float(brentq(lambda k: m_of(k).value, found.lo, found.hi,
-                                  xtol=_KAPPA_TOL, rtol=4 * 2.3e-16,
-                                  maxiter=300))
+            kappa0 = brentq(lambda k: m_of(k).value, found.lo, found.hi)
     c_min = min(cumulant(vt, kappa0).value, 0.0)
     mp = MinimumPoint(kappa0, case, horizon * c_min, iv)
     return mp, found.end_value
@@ -281,7 +340,7 @@ def minimize_mgf(t: TripletLike, horizon: float) -> MinimumPoint:
     ``I = {0}`` returns the minimizer 0 with ``φ = 1``; otherwise
     :func:`search_increasing_root` looks for the root of the increasing
     derivative ``c'``, probing a closed end of ``I`` before it walks, and
-    Brent's method polishes the bracket it returns.  When ``c'`` keeps one
+    :func:`brentq` polishes the bracket it returns.  When ``c'`` keeps one
     sign up to an end of ``I``, the minimum sits at that end.
     """
     if not horizon > 0:
@@ -360,14 +419,12 @@ def classify_esscher_parameter(t: TripletLike,
         return EsscherParameterStatus(exists, case, kappa0, diagnostic, iv, mp)
 
     if iv.is_degenerate:
-        right_ok = vt.nu.right_tail().moment_finite(1, 0.0)
-        left_ok = vt.nu.left_tail().moment_finite(1, 0.0)
-        if not (right_ok and left_ok):
-            what = ("undefined" if not right_ok and not left_ok
-                    else ("+inf" if not right_ok else "-inf"))
+        mean = cumulant_derivative(vt, 0.0)
+        if not mean.is_finite:
+            what = ("undefined" if mean.is_undefined
+                    else ("+inf" if mean.is_pos_inf else "-inf"))
             return status(False, None, None,
                           f"degenerate moment interval and the process mean is {what}")
-        mean = cumulant_derivative(vt, 0.0)
         if abs(mean.value) <= _M_ATOL:
             return status(True, EsscherCase.DEGENERATE_ZERO_MEAN, 0.0,
                           "degenerate moment interval but the process is driftless")

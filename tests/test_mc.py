@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -31,6 +32,7 @@ from levy_emm import (
     solve_linear_emm,
 )
 from levy_emm.errors import DegenerateWeights, MissingJumpRecords
+from levy_emm.mc_oracle import _exp1
 
 
 def _mgf_z(pack, t, k):
@@ -218,3 +220,16 @@ class TestPathwiseZn:
         p = PenaltyFamily.default_quadratic()
         with pytest.raises(MissingJumpRecords):
             pathwise_log_zn(pack, p, 4, outer_atom.nu)
+
+
+class TestExp1:
+    """The gamma-like jump intensity's ``E1`` against mpmath."""
+
+    def test_against_mpmath(self):
+        xs = [float(x) for x in np.geomspace(1e-12, 700.0, 241)]
+        xs += [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+        with mpmath.workdps(40):
+            rel = {x: float(abs((_exp1(x) - mpmath.e1(x)) / mpmath.e1(x)))
+                   for x in xs}
+        worst = max(rel, key=rel.get)
+        assert rel[worst] <= 2e-15, (worst, rel[worst])

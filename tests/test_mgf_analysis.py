@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
-from scipy import integrate
+from scipy import integrate, optimize
 
 from levy_emm import (
     CGMY,
@@ -30,9 +30,9 @@ from levy_emm import (
     geometric_to_linear,
     minimize_mgf,
 )
-from levy_emm.errors import ArbitrageMarketError
+from levy_emm.errors import ArbitrageMarketError, NoFiniteMinimizer
 from levy_emm.levy_core.extreal import ExtReal, NEG_INF, POS_INF
-from levy_emm.mgf_analysis import search_increasing_root
+from levy_emm.mgf_analysis import brentq, search_increasing_root
 
 
 def _one_sided(power_right, power_left, scale_right=0.5, scale_left=1.0):
@@ -316,6 +316,24 @@ class TestClassifyEsscherParameter:
         st = classify_esscher_parameter(heavy_left, 1.0)
         assert not st.exists and "-inf" in st.diagnostic
 
+    @pytest.mark.parametrize("t, exists, diagnostic", [
+        (LevyTriplet(0.4, 0.0, SymmetricAlphaStable(alpha=0.8)), False,
+         "degenerate moment interval and the process mean is undefined"),
+        (LevyTriplet(0.0, 0.0, SymmetricAlphaStable(alpha=1.5)), True,
+         "degenerate moment interval but the process is driftless"),
+    ])
+    def test_degenerate_mean_read_once(self, monkeypatch, t, exists,
+                                       diagnostic):
+        # one read of the mean, +-inf or undefined included, decides
+        from levy_emm import mgf_analysis
+        reads = []
+        real = mgf_analysis.cumulant_derivative
+        monkeypatch.setattr(mgf_analysis, "cumulant_derivative",
+                            lambda vt, k: reads.append(k) or real(vt, k))
+        st = classify_esscher_parameter(t, 1.0)
+        assert (st.exists, st.diagnostic) == (exists, diagnostic)
+        assert reads == [0.0]
+
     def test_monotone_market_reported(self):
         st = classify_esscher_parameter(
             LevyTriplet(1.0, 0.0, FiniteAtomic(((2.0, 3.0),))), 1.0)
@@ -464,10 +482,67 @@ class TestSearchIncreasingRoot:
         assert calls == [0.0, 4.0]
 
     def test_undefined_on_the_way_raises(self):
-        from levy_emm.errors import NoFiniteMinimizer
-
         def f(x):
             return ExtReal.finite(-1.0) if x < 1.0 else POS_INF - POS_INF
 
         with pytest.raises(NoFiniteMinimizer):
             search_increasing_root(f, -1.0, math.inf, False, False)
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+class TestBrentq:
+    """The port against scipy's ``brentq`` at the tolerances it replaced."""
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: math.tanh(x - 0.3), -2.0, 5.0),
+        (lambda x: math.expm1(x + 1.7), -9.0, 0.5),
+        # brackets where a longer extrapolation step would be taken
+        (lambda x: math.expm1(x - 3.09), 1.8, 4.06),
+        (lambda x: math.expm1(x - 0.8), -3.19, 1.42),
+        (lambda x: (x - 1.25) ** 3 + 0.1 * (x - 1.25), -4.0, 3.0),
+        (lambda x: math.sinh(3.0 * (x - 2.0)), 1.9, 40.0),
+        (lambda x: math.atan(x + 0.6) + (x + 0.6) ** 5, -3.0, 1e3),
+        (lambda x: 1e-300 * (x - 1e-7), -1.0, 1.0),
+        (lambda x: x - 0.5, 0.0, 2.0),   # the first step lands on the root
+        (lambda x: x - 0.5, 0.5, 2.0),   # f(a) == 0
+        (lambda x: x - 0.5, -1.0, 0.5),  # f(b) == 0
+        (lambda x: x ** 2 - 2.0, 2.0, 0.0),  # a reversed bracket
+    ])
+    def test_same_root_from_the_same_evaluations_as_scipy(self, f, a, b):
+        ours, theirs = _counted(f), _counted(f)
+        root = brentq(ours, a, b)
+        want = optimize.brentq(theirs, a, b, xtol=1e-12, rtol=4 * 2.3e-16,
+                               maxiter=300)
+        assert root == want
+        assert ours.calls == theirs.calls
+
+    def test_first_step_root_costs_three_evaluations(self):
+        f = _counted(lambda x: x - 0.5)
+        assert brentq(f, 0.0, 2.0) == 0.5 and f.calls == 3
+
+    def test_nan_value_raises(self):
+        with pytest.raises(NoFiniteMinimizer, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.1 else x - 0.5, -1.0, 1.0)
+
+    def test_same_sign_raises(self):
+        with pytest.raises(NoFiniteMinimizer, match="no sign change"):
+            brentq(lambda x: x + 10.0, 0.0, 1.0)
+
+    def test_exhausted_steps_raise(self):
+        # a step function defeats interpolation, and halving a bracket of
+        # 2e300 down to 1e-12 takes more than 1000 bisections
+        def step(x):
+            return -1.0 if x < 1.0 else 1.0
+
+        with pytest.raises(RuntimeError):
+            optimize.brentq(step, -1e300, 1e300, xtol=1e-12,
+                            rtol=4 * 2.3e-16, maxiter=300)
+        with pytest.raises(NoFiniteMinimizer, match="300 steps"):
+            brentq(step, -1e300, 1e300)

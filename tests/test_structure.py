@@ -1,9 +1,10 @@
 """Module boundaries of the package, read from the source.
 
 No module imports another module's private (``_``-prefixed) name, not even
-inside a function, and no module imports ``scipy.integrate``: every
-integral against a jump measure goes through the package's own kernel in
-``levy_core/quadrature.py``.  That layer is also the only caller of a
+inside a function, and no module imports ``scipy`` (the runtime needs
+numpy only, and a fresh ``import levy_emm.cli`` loads no scipy module):
+every integral against a jump measure goes through the package's own
+kernel in ``levy_core/quadrature.py``.  That layer is also the only caller of a
 measure's ``density``/``log_density`` outside the measures themselves, so
 no integrand multiplies by a jump density on its own, and the only caller
 of ``math.fsum``, so no module sums an integrand over a measure's atoms on
@@ -17,6 +18,9 @@ module keeps an import it does not use.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +78,26 @@ def test_no_module_imports_scipy_integrate(path):
             if module.startswith("scipy.integrate")
             or (module == "scipy" and name == "integrate")]
     assert not uses, f"{_module_name(path)} imports scipy.integrate: {uses}"
+
+
+@pytest.mark.parametrize("path", _MODULES,
+                         ids=[_module_name(p) for p in _MODULES])
+def test_no_module_imports_scipy(path):
+    uses = [(module, name) for module, name in _imports(path)
+            if module.split(".")[0] == "scipy"]
+    assert not uses, f"{_module_name(path)} imports scipy: {uses}"
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_PACKAGE.parent)] + ([env["PYTHONPATH"]]
+                                  if env.get("PYTHONPATH") else []))
+    code = ("import sys, levy_emm.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", out
 
 
 @pytest.mark.parametrize("path", _MODULES,
