@@ -12,7 +12,6 @@ original measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +21,7 @@ from .esscher import solve_linear_emm
 from .levy_core.measures import LevyMeasure, Tempered
 from .levy_core.quadrature import (INNER_CUT, exp_entropy_term, exp_integrand,
                                    two_sided_integral)
+from .levy_core.record import Record
 from .levy_core.triplets import LevyTriplet, TripletLike, as_validated
 from .mgf_analysis import minimize_mgf
 
@@ -43,8 +43,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PenaltyFamily:
+class PenaltyFamily(Record):
     """A decreasing family of superlinear penalties ``ρ_n >= 0`` that
     vanish on ``|x| <= 1``, so small jumps are never tempered.
 
@@ -202,8 +201,7 @@ def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproxStep:
+class ApproxStep(Record):
     """One tempered solve: its tilt, its entropy relative to the perturbed
     measure (``entropy_n``), the decomposition correction, and the
     independently computed entropy relative to the original measure."""
@@ -223,8 +221,7 @@ class ApproxStep:
                 "mass_gap": self.mass_gap}
 
 
-@dataclass(frozen=True)
-class ApproxTrace:
+class ApproxTrace(Record):
     """The full schedule, plus the limit values implied by the original
     model's mgf minimizer and any per-step failures."""
 
@@ -297,8 +294,7 @@ def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PenaltyDiagnostics:
+class PenaltyDiagnostics(Record):
     """Numerical verdicts for the three structural penalty conditions,
     each with a witness describing what was checked or what failed."""
 

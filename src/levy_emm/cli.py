@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from typing import Optional, Tuple
@@ -76,10 +77,21 @@ def _kappa_from_flag(text: str) -> Optional[float]:
     if text == "auto":
         return None
     try:
-        return float(text)
+        kappa = float(text)
     except ValueError:
+        kappa = math.nan
+    if not math.isfinite(kappa):
         raise ValidationError(
-            f"--kappa: expected 'auto' or a number, got {text!r}") from None
+            f"--kappa: expected 'auto' or a finite number, got {text!r}")
+    return kappa
+
+
+def _unwritable(flag: str, exc: OSError) -> ValidationError:
+    """An output path the system refused: a bad flag value, also said on
+    stderr, where it shows even when no report can be written."""
+    error = ValidationError(f"{flag}: {exc}")
+    sys.stderr.write(f"levy-emm: error: {error}\n")
+    return error
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +168,10 @@ def _cmd_approx(spec: ModelSpec, args: argparse.Namespace) -> dict:
         results["penalty_diagnostics"] = check_penalty(
             penalty, spec.nu).describe()
     if args.csv:
-        _write_trace_csv(args.csv, results["steps"])
+        try:
+            _write_trace_csv(args.csv, results["steps"])
+        except OSError as exc:
+            raise _unwritable("--csv", exc) from None
         results["csv_path"] = args.csv
     return results
 
@@ -248,98 +263,120 @@ def _cmd_mc_check(spec: ModelSpec, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _spec_and_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec", help="path to a model spec JSON file")
+    p.add_argument("--out", default=None,
+                   help="write the JSON report here instead of stdout")
+
+
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    _spec_and_out(p)
+    p.add_argument("--market", choices=("linear", "geometric"), default=None,
+                   help="override the market kind declared in the spec")
+
+
+def _approx_arguments(p: argparse.ArgumentParser) -> None:
+    _spec_and_out(p)
+    p.add_argument("--n-max", type=int, default=4096,
+                   help="largest relaxation index (default 4096)")
+    p.add_argument("--penalty", default="quadratic",
+                   help="'quadratic' or 'power:P' with P > 1")
+    p.add_argument("--csv", default=None,
+                   help="also write the trace as CSV to this path")
+    p.add_argument("--check-penalty", action="store_true",
+                   help="include numerical penalty diagnostics")
+
+
+def _convert_arguments(p: argparse.ArgumentParser) -> None:
+    _spec_and_out(p)
+    p.add_argument("--direction", choices=("g2l", "l2g"), required=True,
+                   help="g2l: log-price to driver; l2g: inverse")
+
+
+def _mc_check_arguments(p: argparse.ArgumentParser) -> None:
+    _spec_and_out(p)
+    p.add_argument("--samples", type=int, default=100_000,
+                   help="number of terminal draws (default 100000)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="root seed (default 0)")
+    p.add_argument("--kappa", default="auto",
+                   help="'auto' (solve for the martingale tilt) or a value")
+    p.add_argument("--epsilon", type=float, default=0.01,
+                   help="small-jump cutoff for density measures "
+                        "(default 0.01)")
+    p.add_argument("--small-jumps", choices=("gaussian", "drop"),
+                   default="gaussian",
+                   help="handling of sub-cutoff jumps (default gaussian)")
+    p.add_argument("--zn", type=int, default=None,
+                   help="also evaluate the pathwise tempering density "
+                        "at this relaxation index")
+    p.add_argument("--penalty", default="quadratic",
+                   help="penalty family for --zn ('quadratic' or 'power:P')")
+
+
+#: subcommand -> (its line in ``levy-emm --help``, what adds its
+#: arguments, what runs it)
+_SUBCOMMANDS = {
+    "solve": ("minimal-entropy martingale verdict", _solve_arguments,
+              _cmd_solve),
+    "domain": ("exponential-moment interval and tilt classification",
+               _spec_and_out, _cmd_domain),
+    "approx": ("tempered approximation trace", _approx_arguments,
+               _cmd_approx),
+    "convert": ("switch between log-price and stochastic-exponential "
+                "representations", _convert_arguments, _cmd_convert),
+    "mc-check": ("Monte Carlo validation of a tilt", _mc_check_arguments,
+                 _cmd_mc_check),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of ``levy-emm``.
+
+    When ``command`` names a subcommand, only that subcommand is built:
+    adding all five and their 30 arguments costs more than the
+    computation behind a closed-form ``solve``.  Otherwise all five are
+    built, so that ``--help`` and the errors for a missing or unknown
+    subcommand list every one of them.
+    """
     parser = argparse.ArgumentParser(
         prog="levy-emm",
         description="Martingale-measure analysis for exponential and "
                     "stochastic-exponential Levy markets.")
     parser.add_argument("--version", action="version",
                         version=f"levy-emm {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("spec", help="path to a model spec JSON file")
-        p.add_argument("--out", default=None,
-                       help="write the JSON report here instead of stdout")
-
-    p_solve = sub.add_parser(
-        "solve", help="minimal-entropy martingale verdict")
-    common(p_solve)
-    p_solve.add_argument("--market", choices=("linear", "geometric"),
-                         default=None,
-                         help="override the market kind declared in the spec")
-
-    p_domain = sub.add_parser(
-        "domain", help="exponential-moment interval and tilt classification")
-    common(p_domain)
-
-    p_approx = sub.add_parser(
-        "approx", help="tempered approximation trace")
-    common(p_approx)
-    p_approx.add_argument("--n-max", type=int, default=4096,
-                          help="largest relaxation index (default 4096)")
-    p_approx.add_argument("--penalty", default="quadratic",
-                          help="'quadratic' or 'power:P' with P > 1")
-    p_approx.add_argument("--csv", default=None,
-                          help="also write the trace as CSV to this path")
-    p_approx.add_argument("--check-penalty", action="store_true",
-                          help="include numerical penalty diagnostics")
-
-    p_convert = sub.add_parser(
-        "convert", help="switch between log-price and stochastic-exponential "
-                        "representations")
-    common(p_convert)
-    p_convert.add_argument("--direction", choices=("g2l", "l2g"),
-                           required=True,
-                           help="g2l: log-price to driver; l2g: inverse")
-
-    p_mc = sub.add_parser(
-        "mc-check", help="Monte Carlo validation of a tilt")
-    common(p_mc)
-    p_mc.add_argument("--samples", type=int, default=100_000,
-                      help="number of terminal draws (default 100000)")
-    p_mc.add_argument("--seed", type=int, default=0,
-                      help="root seed (default 0)")
-    p_mc.add_argument("--kappa", default="auto",
-                      help="'auto' (solve for the martingale tilt) or a value")
-    p_mc.add_argument("--epsilon", type=float, default=0.01,
-                      help="small-jump cutoff for density measures "
-                           "(default 0.01)")
-    p_mc.add_argument("--small-jumps", choices=("gaussian", "drop"),
-                      default="gaussian",
-                      help="handling of sub-cutoff jumps (default gaussian)")
-    p_mc.add_argument("--zn", type=int, default=None,
-                      help="also evaluate the pathwise tempering density "
-                           "at this relaxation index")
-    p_mc.add_argument("--penalty", default="quadratic",
-                      help="penalty family for --zn "
-                           "('quadratic' or 'power:P')")
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    # with one subcommand built, the metavar keeps all five in the usage
+    # line; with all five, none is set, as the errors for a missing or
+    # unknown subcommand name the argument by its dest.  ``prog`` is the
+    # prefix argparse would otherwise format a usage line to find.
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog=parser.prog,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        help_text, add_arguments, _ = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "domain": _cmd_domain,
-    "approx": _cmd_approx,
-    "convert": _cmd_convert,
-    "mc-check": _cmd_mc_check,
-}
-
-
 def _flag_echo(args: argparse.Namespace) -> dict:
+    """The parsed flags; a non-finite number, which JSON cannot hold, as
+    its text."""
     skip = {"command", "spec", "out"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     report = _report_skeleton(args.command, None, _flag_echo(args))
     started = time.perf_counter()
     try:
         spec = load_model(args.spec)
         report["spec"] = serialize_model(spec)
-        report["results"] = _DISPATCH[args.command](spec, args)
+        run = _SUBCOMMANDS[args.command][2]
+        report["results"] = run(spec, args)
         code = 0
     except ValidationError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -348,7 +385,11 @@ def main(argv: Optional[list] = None) -> int:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 3
     report["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        _unwritable("--out", exc)
+        return 2
     return code
 
 

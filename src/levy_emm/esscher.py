@@ -10,7 +10,6 @@ for the linear and geometric markets, and a consolidated report.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import KappaOutsideI, QuadratureFailure
 from .levy_core.extreal import ExtReal
 from .levy_core.quadrature import exp_integrand, two_sided_integral
+from .levy_core.record import Record
 from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
                                  as_validated, cumulant, cumulant_derivative,
                                  geometric_to_linear, is_monotone)
@@ -130,8 +130,7 @@ class EsscherStatus(enum.Enum):
     ARBITRAGE_MARKET = "arbitrage_market"
 
 
-@dataclass(frozen=True)
-class EsscherResult:
+class EsscherResult(Record):
     """Outcome of an equivalent-martingale-measure search.
 
     ``infimum_entropy`` is the infimum of relative entropy over the

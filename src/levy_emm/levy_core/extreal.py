@@ -9,8 +9,9 @@ a small value type keeps NaN/inf sentinels out of public interfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
+
+from .record import Record
 
 __all__ = ["ExtReal", "POS_INF", "NEG_INF", "UNDEFINED", "as_extreal"]
 
@@ -20,8 +21,7 @@ _NEG = "-inf"
 _UNDEF = "undefined"
 
 
-@dataclass(frozen=True)
-class ExtReal:
+class ExtReal(Record):
     """An element of [-inf, +inf] plus a distinguished "undefined" state.
 
     Construct finite values with ``ExtReal.finite(x)`` and use the module

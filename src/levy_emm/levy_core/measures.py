@@ -15,13 +15,13 @@ Every measure knows three things beyond its pointwise density/atom data:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..errors import (KappaOutsideI, QuadratureFailure, UnsupportedMeasure,
                       ValidationError)
+from .record import Record
 
 __all__ = [
     "TailDecay",
@@ -53,8 +53,7 @@ _POLY = "poly"
 _IMAGE = "exp_image"
 
 
-@dataclass(frozen=True)
-class TailDecay:
+class TailDecay(Record):
     """Asymptotic decay of one tail of a jump measure.
 
     The descriptor is direction-free: it describes the behaviour of the
@@ -181,7 +180,7 @@ class TailDecay:
 class LevyMeasure:
     """Common interface of all jump-measure variants.
 
-    Subclasses are frozen dataclasses; instances are hashable so derived
+    Subclasses are frozen records; instances are hashable so derived
     quantities can be memoised against them.
     """
 
@@ -241,8 +240,7 @@ class LevyMeasure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteAtomic(LevyMeasure):
+class FiniteAtomic(LevyMeasure, Record):
     """Finitely many atoms; ``atom_list`` is ((position, mass), ...).
 
     The empty tuple is the zero measure (a jump-free process).
@@ -318,8 +316,7 @@ def zero_measure() -> FiniteAtomic:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianJumps:
+class GaussianJumps(Record):
     """Normal(mean, std^2) jump sizes."""
 
     mean: float
@@ -337,8 +334,7 @@ class GaussianJumps:
         return math.exp(kappa * self.mean + 0.5 * kappa * kappa * self.std * self.std)
 
 
-@dataclass(frozen=True)
-class DoubleExponentialJumps:
+class DoubleExponentialJumps(Record):
     """Two-sided exponential jump sizes.
 
     With probability ``p`` the jump is ``Exp(eta_plus)`` to the right, with
@@ -369,8 +365,7 @@ class DoubleExponentialJumps:
                 + (1.0 - self.p) * self.eta_minus / (self.eta_minus + kappa))
 
 
-@dataclass(frozen=True)
-class JumpDiffusion(LevyMeasure):
+class JumpDiffusion(LevyMeasure, Record):
     """Finite-activity measure ``intensity * (jump size pdf)``."""
 
     intensity: float
@@ -468,8 +463,7 @@ class JumpDiffusion(LevyMeasure):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarianceGamma(LevyMeasure):
+class VarianceGamma(LevyMeasure, Record):
     """Density ``C e^{-M x}/x`` on x>0 and ``C e^{-G |x|}/|x|`` on x<0."""
 
     C: float
@@ -515,8 +509,7 @@ class VarianceGamma(LevyMeasure):
         return {"type": "variance_gamma", "C": self.C, "G": self.G, "M": self.M}
 
 
-@dataclass(frozen=True)
-class CGMY(LevyMeasure):
+class CGMY(LevyMeasure, Record):
     """Density ``C e^{-M x} x^{-1-Y}`` on x>0, mirrored with rate G on x<0.
 
     ``G`` and ``M`` may be zero (pure polynomial tail); that is exactly what
@@ -578,8 +571,7 @@ class CGMY(LevyMeasure):
         return {"type": "cgmy", "C": self.C, "G": self.G, "M": self.M, "Y": self.Y}
 
 
-@dataclass(frozen=True)
-class SymmetricAlphaStable(LevyMeasure):
+class SymmetricAlphaStable(LevyMeasure, Record):
     """Density ``scale * |x|^{-alpha-1}`` on both sides."""
 
     alpha: float
@@ -625,8 +617,7 @@ class SymmetricAlphaStable(LevyMeasure):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tempered(LevyMeasure):
+class Tempered(LevyMeasure, Record):
     """``e^{w(x)} ν(dx)`` for a log weight ``w = log_weight <= 0`` that
     beats every exponential tilt, such as ``-x²/n`` beyond the unit ball,
     so both unbounded tails decay super-exponentially.
@@ -679,8 +670,7 @@ class Tempered(LevyMeasure):
                 "weight": getattr(self.log_weight, "__name__", "custom")}
 
 
-@dataclass(frozen=True)
-class ExpTilted(LevyMeasure):
+class ExpTilted(LevyMeasure, Record):
     """``e^{κx} ν(dx)`` for measures without a closed tilt form.
 
     The constructor refuses tilts that give the product infinite mass.
@@ -736,8 +726,7 @@ class ExpTilted(LevyMeasure):
         return {"type": "exp_tilted", "base": self.base.describe(), "kappa": self.kappa}
 
 
-@dataclass(frozen=True)
-class GenericDensity(LevyMeasure):
+class GenericDensity(LevyMeasure, Record):
     """A user-supplied density with mandatory tail declarations.
 
     Without tail metadata no finite computation can decide whether an
@@ -782,8 +771,7 @@ class GenericDensity(LevyMeasure):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpJumpImage(LevyMeasure):
+class ExpJumpImage(LevyMeasure, Record):
     """Image of a measure under ``x -> e^x - 1`` (log-jumps to price jumps).
 
     Supported on ``(-1, inf)``; the left tail is therefore trivially
@@ -819,8 +807,7 @@ class ExpJumpImage(LevyMeasure):
         return {"type": "exp_jump_image", "base": self.base.describe()}
 
 
-@dataclass(frozen=True)
-class LogJumpImage(LevyMeasure):
+class LogJumpImage(LevyMeasure, Record):
     """Image of a price-jump measure under ``y -> log(1+y)``, integrated
     against ``base`` by pullback like :class:`ExpJumpImage`.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -32,6 +31,7 @@ from .measures import (ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage,
 from .quadrature import (INNER_CUT, exp_integrand, expm1_minus_x,
                          one_sided_integral, small_jump_variation, tail_mass,
                          two_sided_integral)
+from .record import Record
 
 __all__ = [
     "LevyTriplet",
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LevyTriplet:
+class LevyTriplet(Record):
     """Drift, Gaussian variance and jump measure of a Levy process."""
 
     b: float
@@ -71,8 +70,7 @@ class LevyTriplet:
         return {"b": self.b, "sigma2": self.sigma2, "nu": self.nu.describe()}
 
 
-@dataclass(frozen=True)
-class ValidatedTriplet:
+class ValidatedTriplet(Record):
     """A triplet together with the two integrability facts that every
     downstream routine needs anyway."""
 

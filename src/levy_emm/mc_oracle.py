@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -30,6 +29,7 @@ from .levy_core.measures import (CGMY, GaussianJumps, JumpDiffusion,
                                  LevyMeasure, SymmetricAlphaStable, Tempered,
                                  VarianceGamma)
 from .levy_core.quadrature import INNER_CUT, one_sided_integral
+from .levy_core.record import Record
 from .levy_core.triplets import TripletLike, as_validated
 
 __all__ = [
@@ -46,8 +46,7 @@ _BATCH = 8192
 _MIN_ESS = 10.0
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Simulation parameters.
 
     ``epsilon`` is the magnitude below which density-measure jumps are
@@ -75,8 +74,7 @@ class SimConfig:
             raise ValidationError("small_jump_mode must be 'gaussian' or 'drop'")
 
 
-@dataclass(frozen=True)
-class SamplePack:
+class SamplePack(Record):
     """Terminal draws plus optional per-path jump records ``(time, size)``
     for jumps larger than the cutoff."""
 
@@ -95,8 +93,7 @@ class SamplePack:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _JumpPlan:
+class _JumpPlan(Record):
     """How to simulate the individually-sampled jumps of one measure:
     their Poisson rate, a size sampler, and whether the plan already
     covers jumps of every magnitude (exact) or only ``|x| > eps``."""
@@ -440,8 +437,7 @@ def entropy_estimate(pack: SamplePack, kappa: float) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathwiseZn:
+class PathwiseZn(Record):
     """Exact per-path ``log Z^n_T`` plus its exponential's sample mean,
     standard error, and the n=1 uniform upper bound."""
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ArbitrageMarketError, NoFiniteMinimizer
 from .levy_core.extreal import ExtReal, NEG_INF, POS_INF
+from .levy_core.record import Record
 from .levy_core.triplets import (Monotonicity, TripletLike, as_validated,
                                  cumulant, cumulant_derivative, is_monotone)
 
@@ -53,8 +53,7 @@ _BRENT_RTOL = 4 * 2.3e-16
 _BRENT_MAXITER = 300
 
 
-@dataclass(frozen=True)
-class ExpMomentInterval:
+class ExpMomentInterval(Record):
     """``I = {κ : E[e^{κ L_T}] < inf} = [a, b]`` with ``a <= 0 <= b``, plus
     endpoint membership in ``I`` and in the derivative-moment set ``E``.
 
@@ -140,8 +139,7 @@ class MinimumCase(enum.Enum):
     DEGENERATE_ZERO = "degenerate_zero"
 
 
-@dataclass(frozen=True)
-class MinimumPoint:
+class MinimumPoint(Record):
     """Minimizer of the terminal mgf over the finite-moment interval."""
 
     kappa0: float
@@ -161,8 +159,7 @@ class MinimumPoint:
                 "interval": self.interval.describe()}
 
 
-@dataclass(frozen=True)
-class RootSearch:
+class RootSearch(Record):
     """Outcome of :func:`search_increasing_root`.
 
     ``side == 0``: a root lies in ``[lo, hi]`` (exactly at ``lo`` when
@@ -364,8 +361,7 @@ class EsscherCase(enum.Enum):
     DEGENERATE_ZERO_MEAN = "degenerate_zero_mean"
 
 
-@dataclass(frozen=True)
-class EsscherParameterStatus:
+class EsscherParameterStatus(Record):
     """Existence (and location) of a zero of ``ψ_T`` on ``E``.
 
     ``minimum`` is the minimizer of ``φ_T`` the classification found; it is

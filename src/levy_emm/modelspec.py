@@ -28,7 +28,6 @@ exist solely as library objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from .errors import ValidationError
@@ -43,6 +42,7 @@ from .levy_core.measures import (
     VarianceGamma,
     zero_measure,
 )
+from .levy_core.record import Record
 from .levy_core.triplets import LevyTriplet
 
 __all__ = [
@@ -183,8 +183,7 @@ def measure_to_dict(nu: LevyMeasure) -> dict:
         f"jump measure {type(nu).__name__} has no JSON form")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """A parsed, validated model file.
 
     ``market`` records whether ``(b, sigma2, nu)`` describes the log-price

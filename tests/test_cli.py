@@ -24,6 +24,9 @@ from conftest import spec_doc
 _ROOT = Path(__file__).resolve().parent.parent
 _MODELS = _ROOT / "docs" / "models"
 _SCHEMA = json.loads((_ROOT / "docs" / "report.schema.json").read_text())
+#: the parser's text and exit code for help, version and usage errors
+_CLI_TEXT = json.loads(
+    (_ROOT / "tests" / "reference" / "cli_text.json").read_text())
 _TRACE_COLUMNS = ("n", "kappa_n", "entropy_n", "correction_n",
                   "entropy_vs_P", "mass_gap")
 
@@ -183,6 +186,20 @@ class TestApprox:
             for col in _TRACE_COLUMNS:
                 assert float(row[col]) == step[col]
 
+    def test_unwritable_csv_path_is_invalid_input(self, tmp_path, capsys):
+        csv_path = tmp_path / "absent" / "trace.csv"
+        code = main(["approx", str(_MODELS / "kou.json"), "--n-max", "2",
+                     "--csv", str(csv_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        jsonschema.validate(rep, _SCHEMA)
+        assert rep["error"]["type"] == "ValidationError"
+        assert rep["error"]["message"].startswith("--csv: ")
+        assert "results" not in rep
+        assert "No such file or directory" in captured.err
+        assert str(csv_path) in captured.err
+
     @pytest.mark.parametrize("n_max", [*range(1, 10), 64, 100, 4096, 4097])
     def test_schedule_doubles_up_to_n_max(self, n_max):
         want, n = [], 1
@@ -319,6 +336,16 @@ class TestMcCheck:
         assert rep["error"]["type"] == "ValidationError"
         assert "results" not in rep
 
+    @pytest.mark.parametrize("flag", ["--kappa", "--epsilon"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flags_are_invalid_input(self, tmp_path, flag, value):
+        code, rep = run(tmp_path, "mc-check", str(_MODELS / "kou.json"),
+                        "--samples", "100", flag, value)
+        assert code == 2
+        assert rep["error"]["type"] == "ValidationError"
+        assert "results" not in rep
+        assert rep["flags"][flag[2:]] == value
+
     def test_bad_kappa_flag(self, tmp_path):
         code, rep = run(tmp_path, "mc-check", str(_MODELS / "kou.json"),
                         "--kappa", "abc")
@@ -403,11 +430,33 @@ class TestTopLevel:
         assert code == 0
         assert set(rep["flags"]) == own
 
+    def test_unwritable_out_path_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "report.json"
+        code = main(["solve", str(_MODELS / "kou.json"), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("levy-emm: error: --out: ")
+        assert "No such file or directory" in captured.err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("levy-emm ")
+
+    @pytest.mark.parametrize("case", sorted(_CLI_TEXT))
+    def test_parser_text_matches_reference(self, case, capsys, monkeypatch):
+        """Byte for byte what ``tools/reference_reports.py`` captured, at
+        the terminal width it captured with."""
+        golden = _CLI_TEXT[case]
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(golden["argv"])
+        assert exc.value.code == golden["exit_code"]
+        captured = capsys.readouterr()
+        assert captured.out == golden["stdout"]
+        assert captured.err == golden["stderr"]
 
     def test_command_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

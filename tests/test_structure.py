@@ -1,7 +1,9 @@
 """Module boundaries of the package, read from the source.
 
 No module imports another module's private (``_``-prefixed) name, not even
-inside a function, and no module imports ``scipy`` (the runtime needs
+inside a function.  No module imports ``dataclasses``: value classes derive
+from ``levy_core.record.Record``, and a fresh ``import levy_emm.cli`` loads
+no ``dataclasses`` module.  No module imports ``scipy`` (the runtime needs
 numpy only, and a fresh ``import levy_emm.cli`` loads no scipy module):
 every integral against a jump measure goes through the package's own
 kernel in ``levy_core/quadrature.py``.  That layer is also the only caller of a
@@ -88,16 +90,35 @@ def test_no_module_imports_scipy(path):
     assert not uses, f"{_module_name(path)} imports scipy: {uses}"
 
 
-def test_cli_import_loads_no_scipy():
+def _loaded_by_cli_import(package: str) -> str:
+    """The modules of ``package`` that a fresh ``import levy_emm.cli``
+    loads, as a printed sorted list."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(_PACKAGE.parent)] + ([env["PYTHONPATH"]]
                                   if env.get("PYTHONPATH") else []))
     code = ("import sys, levy_emm.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]", out
+            f"if m.split('.')[0] == {package!r}))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    out = _loaded_by_cli_import("scipy")
+    assert out == "[]", out
+
+
+@pytest.mark.parametrize("path", _MODULES,
+                         ids=[_module_name(p) for p in _MODULES])
+def test_no_module_imports_dataclasses(path):
+    uses = [(module, name) for module, name in _imports(path)
+            if module.split(".")[0] == "dataclasses"]
+    assert not uses, f"{_module_name(path)} imports dataclasses: {uses}"
+
+
+def test_cli_import_loads_no_dataclasses():
+    out = _loaded_by_cli_import("dataclasses")
+    assert out == "[]", out
 
 
 @pytest.mark.parametrize("path", _MODULES,
