@@ -144,7 +144,7 @@ def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int) -> LevyTriplet:
     p.validate(int(n))
     vt = as_validated(t)
     nu = vt.nu
-    if max(nu.right_tail().cutoff, nu.left_tail().cutoff) <= INNER_CUT:
+    if max(nu.side(1).cutoff, nu.side(-1).cutoff) <= INNER_CUT:
         return LevyTriplet(vt.b, vt.sigma2, nu)
 
     tempered = Tempered(nu, p.log_weight(n),

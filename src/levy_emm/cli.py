@@ -20,6 +20,7 @@ input, 3 when the numerics could not deliver.  All entropies are in nats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -120,12 +121,26 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _write_trace_csv(path: str, steps: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _open_csv(path: str):
+    # "a" creates the file or checks that it is writable without emptying
+    # it: a run that fails later leaves an earlier trace as it was
+    try:
+        return open(path, "a", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _unwritable("--csv", exc) from None
+
+
+def _write_trace_csv(fh, steps: list) -> None:
+    try:
+        fh.seek(0)
+        fh.truncate()
         writer = csv.DictWriter(fh, fieldnames=_TRACE_COLUMNS)
         writer.writeheader()
         for step in steps:
             writer.writerow({k: step[k] for k in _TRACE_COLUMNS})
+        fh.flush()
+    except OSError as exc:
+        raise _unwritable("--csv", exc) from None
 
 
 def _finite_or_none(x: Optional[float]) -> Optional[float]:
@@ -155,24 +170,25 @@ def _cmd_approx(spec: ModelSpec, args: argparse.Namespace) -> dict:
     penalty = _penalty_from_flag(args.penalty)
     penalty.validate(1)
     schedule = _schedule_up_to(args.n_max)
-    try:
-        results = approx_sequence(spec.triplet, spec.T, penalty,
-                                  schedule).describe()
-    except ArbitrageMarketError:
-        # a monotone market is a verdict: there is no limit to approach
-        results = {"status": EsscherStatus.ARBITRAGE_MARKET.value,
-                   "verdict": ARBITRAGE_VERDICT, "steps": []}
-    results["penalty"] = penalty.kind
-    results["schedule"] = list(schedule)
-    if args.check_penalty:
-        results["penalty_diagnostics"] = check_penalty(
-            penalty, spec.nu).describe()
-    if args.csv:
+    # opened before the schedule runs: a path the system refuses fails at
+    # once, not after every stage has been solved
+    trace = _open_csv(args.csv) if args.csv else contextlib.nullcontext()
+    with trace:
         try:
-            _write_trace_csv(args.csv, results["steps"])
-        except OSError as exc:
-            raise _unwritable("--csv", exc) from None
-        results["csv_path"] = args.csv
+            results = approx_sequence(spec.triplet, spec.T, penalty,
+                                      schedule).describe()
+        except ArbitrageMarketError:
+            # a monotone market is a verdict: there is no limit to approach
+            results = {"status": EsscherStatus.ARBITRAGE_MARKET.value,
+                       "verdict": ARBITRAGE_VERDICT, "steps": []}
+        results["penalty"] = penalty.kind
+        results["schedule"] = list(schedule)
+        if args.check_penalty:
+            results["penalty_diagnostics"] = check_penalty(
+                penalty, spec.nu).describe()
+        if args.csv:
+            _write_trace_csv(trace, results["steps"])
+            results["csv_path"] = args.csv
     return results
 
 

@@ -2,9 +2,12 @@
 
 Every measure knows three things beyond its pointwise density/atom data:
 
-* how each tail decays (:class:`TailDecay`), which is what decides whether
-  an exponential moment ``∫ |x|^m e^{t x} ν(dx)`` converges without ever
-  integrating anything;
+* its two sides: ``side(s)`` for ``s = +1`` (jumps ``x > 0``) and ``s =
+  -1`` (jumps ``x < 0``) is the :class:`TailDecay` of that side, which is
+  what decides whether an exponential moment ``∫ |x|^m e^{t x} ν(dx)``
+  converges without ever integrating anything.  ``TailDecay.bounded(0.0)``
+  is a side without jumps, so ``side(s).cutoff > 0`` says whether there
+  are any;
 * whether it is exactly symmetric, which lets integration routines fold the
   negative axis onto the positive one so that odd integrands cancel exactly
   (not just to quadrature tolerance);
@@ -180,8 +183,11 @@ class TailDecay(Record):
 class LevyMeasure:
     """Common interface of all jump-measure variants.
 
-    Subclasses are frozen records; instances are hashable so derived
-    quantities can be memoised against them.
+    A measure is read through its two sides: ``side(s)`` is the one query
+    for the tail decay of the jumps ``s·x > 0``, and
+    ``TailDecay.bounded(0.0)`` says that side has no jumps.  Subclasses
+    are frozen records; instances are hashable so derived quantities can
+    be memoised against them.
     """
 
     # structural queries -------------------------------------------------
@@ -200,35 +206,19 @@ class LevyMeasure:
         with np.errstate(divide="ignore"):
             return np.log(self.density(x))
 
-    def right_tail(self) -> TailDecay:
-        raise NotImplementedError
-
-    def left_tail(self) -> TailDecay:
+    def side(self, s: int) -> TailDecay:
+        """The decay of the jumps ``s·x > 0`` for ``s = ±1``;
+        ``TailDecay.bounded(0.0)`` where there are none."""
         raise NotImplementedError
 
     def is_symmetric(self) -> bool:
         """True only when the measure is exactly invariant under x -> -x."""
         return False
 
-    def has_positive_jumps(self) -> bool:
-        return True
-
-    def has_negative_jumps(self) -> bool:
-        return True
-
-    @property
-    def is_zero(self) -> bool:
-        return False
-
     # transforms -----------------------------------------------------------
     def tilted(self, kappa: float) -> "LevyMeasure":
         """The measure ``e^{κx} ν(dx)``; raises KappaOutsideI if infinite."""
-        if kappa == 0.0:
-            return self
-        if not (self.right_tail().moment_finite(0, kappa)
-                and self.left_tail().moment_finite(0, -kappa)):
-            raise KappaOutsideI(f"tilt {kappa} gives an infinite measure")
-        return ExpTilted(self, kappa)
+        return self if kappa == 0.0 else ExpTilted(self, kappa)
 
     # reporting ------------------------------------------------------------
     def describe(self) -> dict:
@@ -258,35 +248,22 @@ class FiniteAtomic(LevyMeasure, Record):
                 raise ValidationError(f"atom mass must be positive finite, got {mass}")
             norm.append((pos, mass))
         object.__setattr__(self, "atom_list", tuple(norm))
-        # built once: every cumulant asks for both tails
+        # built once: every cumulant asks for both sides
         sup = max((p for p, _ in norm if p > 0), default=0.0)
         inf = min((p for p, _ in norm if p < 0), default=0.0)
-        object.__setattr__(self, "_tails", (TailDecay.bounded(sup),
+        object.__setattr__(self, "_sides", (TailDecay.bounded(sup),
                                             TailDecay.bounded(-inf)))
 
     def atoms(self) -> Tuple[Tuple[float, float], ...]:
         return self.atom_list
 
-    def right_tail(self) -> TailDecay:
-        return self._tails[0]
-
-    def left_tail(self) -> TailDecay:
-        return self._tails[1]
+    def side(self, s: int) -> TailDecay:
+        return self._sides[s < 0]
 
     def is_symmetric(self) -> bool:
         table = sorted(self.atom_list)
         mirrored = sorted((-p, m) for p, m in self.atom_list)
         return table == mirrored
-
-    def has_positive_jumps(self) -> bool:
-        return any(p > 0 for p, _ in self.atom_list)
-
-    def has_negative_jumps(self) -> bool:
-        return any(p < 0 for p, _ in self.atom_list)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.atom_list
 
     def total_mass(self) -> float:
         return float(sum(m for _, m in self.atom_list))
@@ -392,33 +369,19 @@ class JumpDiffusion(LevyMeasure, Record):
             log_neg = np.log(self.intensity * (1.0 - j.p) * j.eta_minus) + j.eta_minus * x
         return np.where(x > 0, log_pos, np.where(x < 0, log_neg, -np.inf))
 
-    def right_tail(self) -> TailDecay:
-        if isinstance(self.jumps, GaussianJumps):
-            return TailDecay.superexp()
+    def side(self, s: int) -> TailDecay:
         j = self.jumps
-        if j.p == 0.0:
-            return TailDecay.bounded(0.0)
-        return TailDecay.exponential(j.eta_plus, 0.0)
-
-    def left_tail(self) -> TailDecay:
-        if isinstance(self.jumps, GaussianJumps):
+        if isinstance(j, GaussianJumps):
             return TailDecay.superexp()
-        j = self.jumps
-        if j.p == 1.0:
+        if j.p == (0.0 if s > 0 else 1.0):
             return TailDecay.bounded(0.0)
-        return TailDecay.exponential(j.eta_minus, 0.0)
+        return TailDecay.exponential(j.eta_plus if s > 0 else j.eta_minus)
 
     def is_symmetric(self) -> bool:
         j = self.jumps
         if isinstance(j, GaussianJumps):
             return j.mean == 0.0
         return j.p == 0.5 and j.eta_plus == j.eta_minus
-
-    def has_positive_jumps(self) -> bool:
-        return not (isinstance(self.jumps, DoubleExponentialJumps) and self.jumps.p == 0.0)
-
-    def has_negative_jumps(self) -> bool:
-        return not (isinstance(self.jumps, DoubleExponentialJumps) and self.jumps.p == 1.0)
 
     def total_mass(self) -> float:
         return self.intensity
@@ -489,11 +452,8 @@ class VarianceGamma(LevyMeasure, Record):
         with np.errstate(divide="ignore"):
             return math.log(self.C) - rate * ax - np.log(ax)
 
-    def right_tail(self) -> TailDecay:
-        return TailDecay.exponential(self.M, -1.0)
-
-    def left_tail(self) -> TailDecay:
-        return TailDecay.exponential(self.G, -1.0)
+    def side(self, s: int) -> TailDecay:
+        return TailDecay.exponential(self.M if s > 0 else self.G, -1.0)
 
     def is_symmetric(self) -> bool:
         return self.G == self.M
@@ -544,16 +504,11 @@ class CGMY(LevyMeasure, Record):
         with np.errstate(divide="ignore"):
             return math.log(self.C) - rate * ax - (1.0 + self.Y) * np.log(ax)
 
-    def _tail(self, rate: float) -> TailDecay:
+    def side(self, s: int) -> TailDecay:
+        rate = self.M if s > 0 else self.G
         if rate > 0:
             return TailDecay.exponential(rate, -1.0 - self.Y)
         return TailDecay.polynomial(-1.0 - self.Y)
-
-    def right_tail(self) -> TailDecay:
-        return self._tail(self.M)
-
-    def left_tail(self) -> TailDecay:
-        return self._tail(self.G)
 
     def is_symmetric(self) -> bool:
         return self.G == self.M
@@ -595,10 +550,8 @@ class SymmetricAlphaStable(LevyMeasure, Record):
         with np.errstate(divide="ignore"):
             return math.log(self.scale) - (1.0 + self.alpha) * np.log(ax)
 
-    def right_tail(self) -> TailDecay:
+    def side(self, s: int) -> TailDecay:
         return TailDecay.polynomial(-1.0 - self.alpha)
-
-    left_tail = right_tail
 
     def is_symmetric(self) -> bool:
         return True
@@ -650,20 +603,11 @@ class Tempered(LevyMeasure, Record):
         x = np.asarray(x, dtype=float)
         return self.base.log_density(x) + self.log_weight(x)
 
-    def right_tail(self) -> TailDecay:
-        return self.base.right_tail().tempered_superexp()
-
-    def left_tail(self) -> TailDecay:
-        return self.base.left_tail().tempered_superexp()
+    def side(self, s: int) -> TailDecay:
+        return self.base.side(s).tempered_superexp()
 
     def is_symmetric(self) -> bool:
         return self.even and self.base.is_symmetric()
-
-    def has_positive_jumps(self) -> bool:
-        return self.base.has_positive_jumps()
-
-    def has_negative_jumps(self) -> bool:
-        return self.base.has_negative_jumps()
 
     def describe(self) -> dict:
         return {"type": "tempered", "base": self.base.describe(),
@@ -684,8 +628,8 @@ class ExpTilted(LevyMeasure, Record):
             merged = self.base.kappa + self.kappa
             object.__setattr__(self, "kappa", merged)
             object.__setattr__(self, "base", self.base.base)
-        if not (self.base.right_tail().moment_finite(0, self.kappa)
-                and self.base.left_tail().moment_finite(0, -self.kappa)):
+        if not all(self.base.side(s).moment_finite(0, s * self.kappa)
+                   for s in (1, -1)):
             raise KappaOutsideI(f"tilt {self.kappa} gives an infinite measure")
 
     def atoms(self) -> Optional[Tuple[Tuple[float, float], ...]]:
@@ -702,20 +646,11 @@ class ExpTilted(LevyMeasure, Record):
         x = np.asarray(x, dtype=float)
         return self.base.log_density(x) + self.kappa * x
 
-    def right_tail(self) -> TailDecay:
-        return self.base.right_tail().tilted(self.kappa)
-
-    def left_tail(self) -> TailDecay:
-        return self.base.left_tail().tilted(-self.kappa)
+    def side(self, s: int) -> TailDecay:
+        return self.base.side(s).tilted(s * self.kappa)
 
     def is_symmetric(self) -> bool:
         return self.kappa == 0.0 and self.base.is_symmetric()
-
-    def has_positive_jumps(self) -> bool:
-        return self.base.has_positive_jumps()
-
-    def has_negative_jumps(self) -> bool:
-        return self.base.has_negative_jumps()
 
     def tilted(self, kappa: float) -> "LevyMeasure":
         if kappa == 0.0:
@@ -730,36 +665,27 @@ class GenericDensity(LevyMeasure, Record):
     """A user-supplied density with mandatory tail declarations.
 
     Without tail metadata no finite computation can decide whether an
-    exponential moment converges, so the declarations are part of the
-    constructor contract.  ``density_fn`` must be elementwise on arrays of
-    any shape: the quadrature kernel calls it once on a whole
-    ``(panels, 21)`` array of nodes.
+    exponential moment converges, so the declarations ``right`` and
+    ``left``, the two sides, are part of the constructor contract; a
+    one-sided density declares its other side ``TailDecay.bounded(0.0)``.
+    ``density_fn`` must be elementwise on arrays of any shape: the
+    quadrature kernel calls it once on a whole ``(panels, 21)`` array of
+    nodes.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]
     right: TailDecay
     left: TailDecay
     symmetric: bool = False
-    positive_jumps: bool = True
-    negative_jumps: bool = True
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.density_fn(np.asarray(x, dtype=float)), dtype=float)
 
-    def right_tail(self) -> TailDecay:
-        return self.right
-
-    def left_tail(self) -> TailDecay:
-        return self.left
+    def side(self, s: int) -> TailDecay:
+        return self.right if s > 0 else self.left
 
     def is_symmetric(self) -> bool:
         return self.symmetric
-
-    def has_positive_jumps(self) -> bool:
-        return self.positive_jumps
-
-    def has_negative_jumps(self) -> bool:
-        return self.negative_jumps
 
     def describe(self) -> dict:
         return {"type": "generic_density",
@@ -774,10 +700,11 @@ class GenericDensity(LevyMeasure, Record):
 class ExpJumpImage(LevyMeasure, Record):
     """Image of a measure under ``x -> e^x - 1`` (log-jumps to price jumps).
 
-    Supported on ``(-1, inf)``; the left tail is therefore trivially
-    bounded.  The measure has no density of its own: integrals against it
-    are taken against ``base`` by pullback, and the right-tail metadata is
-    exact (the ``exp_image`` kind of :class:`TailDecay`).
+    Supported on ``(-1, inf)``; the left side is therefore bounded, by the
+    image of the base's left cutoff.  The measure has no density of its
+    own: integrals against it are taken against ``base`` by pullback, and
+    an unbounded right side is exact (the ``exp_image`` kind of
+    :class:`TailDecay`).
     """
 
     base: LevyMeasure
@@ -788,20 +715,12 @@ class ExpJumpImage(LevyMeasure, Record):
             return None
         return tuple((math.expm1(p), m) for p, m in base_atoms)
 
-    def right_tail(self) -> TailDecay:
-        t = self.base.right_tail()
-        if t.kind == _BOUNDED:
-            return TailDecay.bounded(math.expm1(t.cutoff))
-        return TailDecay(_IMAGE, base=t)
-
-    def left_tail(self) -> TailDecay:
-        return TailDecay.bounded(1.0)
-
-    def has_positive_jumps(self) -> bool:
-        return self.base.has_positive_jumps()
-
-    def has_negative_jumps(self) -> bool:
-        return self.base.has_negative_jumps()
+    def side(self, s: int) -> TailDecay:
+        t = self.base.side(s)
+        if s > 0 and t.kind != _BOUNDED:
+            return TailDecay(_IMAGE, base=t)
+        # the distance of the image of the cutoff, 1 for an unbounded left
+        return TailDecay.bounded(s * math.expm1(s * t.cutoff))
 
     def describe(self) -> dict:
         return {"type": "exp_jump_image", "base": self.base.describe()}
@@ -820,13 +739,11 @@ class LogJumpImage(LevyMeasure, Record):
     base: LevyMeasure
 
     def __post_init__(self) -> None:
-        if self.base.has_negative_jumps():
-            t = self.base.left_tail()
-            if not t.cutoff < 1.0:
-                raise UnsupportedMeasure(
-                    "log-jump image needs the price-jump measure to stay a "
-                    "bounded distance above -1; use atoms or the inverse of "
-                    "an exp-jump image instead")
+        if not self.base.side(-1).cutoff < 1.0:
+            raise UnsupportedMeasure(
+                "log-jump image needs the price-jump measure to stay a "
+                "bounded distance above -1; use atoms or the inverse of "
+                "an exp-jump image instead")
 
     def atoms(self) -> Optional[Tuple[Tuple[float, float], ...]]:
         base_atoms = self.base.atoms()
@@ -834,25 +751,14 @@ class LogJumpImage(LevyMeasure, Record):
             return None
         return tuple((math.log1p(p), m) for p, m in base_atoms)
 
-    def right_tail(self) -> TailDecay:
-        t = self.base.right_tail()
-        if math.isfinite(t.cutoff):
-            return TailDecay.bounded(math.log1p(t.cutoff))
+    def side(self, s: int) -> TailDecay:
+        # the constructor keeps the left side bounded
+        t = self.base.side(s)
+        if t.kind == _BOUNDED:
+            return TailDecay.bounded(s * math.log1p(s * t.cutoff))
         if t.kind == _POLY:
             return TailDecay.exponential(-(t.power + 1.0), 0.0)
         return TailDecay.superexp()
-
-    def left_tail(self) -> TailDecay:
-        if not self.base.has_negative_jumps():
-            return TailDecay.bounded(0.0)
-        c = self.base.left_tail().cutoff
-        return TailDecay.bounded(-math.log1p(-c))
-
-    def has_positive_jumps(self) -> bool:
-        return self.base.has_positive_jumps()
-
-    def has_negative_jumps(self) -> bool:
-        return self.base.has_negative_jumps()
 
     def describe(self) -> dict:
         return {"type": "log_jump_image", "base": self.base.describe()}

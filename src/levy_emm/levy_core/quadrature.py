@@ -445,9 +445,9 @@ class Part(NamedTuple):
         """0 where ``nu``'s decay hint makes the part integrable over the
         tail ``side*x > 1``, else the sign of the divergence, ``side^power``
         (the factor and the prefactor stay positive there)."""
-        decay = nu.right_tail() if side > 0 else nu.left_tail()
         tilt = 0.0 if self.tempered else side * self.kappa
-        return 0 if decay.moment_finite(self.power, tilt) else side ** self.power
+        finite = nu.side(side).moment_finite(self.power, tilt)
+        return 0 if finite else side ** self.power
 
 
 def exp_integrand(kappa: float, *, factor: Optional[Fn] = None,
@@ -637,7 +637,7 @@ def _region(nu: LevyMeasure, sides: Tuple[int, ...], part: Optional[PartFn],
         if pb is not None:
             a, b = pb.base_distance(side, lo), pb.base_distance(side, hi)
             cuts = [pb.base_distance(side, p) for p in pts]
-        end = (nu.right_tail() if side > 0 else nu.left_tail()).cutoff
+        end = nu.side(side).cutoff
         if min(b, end) <= a:
             continue
         b = min(b, end * (1.0 + 1e-12))

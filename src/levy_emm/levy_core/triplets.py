@@ -26,8 +26,7 @@ import numpy as np
 from ..errors import (JumpBelowMinusOne, NegativeVariance,
                       NonIntegrableLevyMeasure, PsiUndefined, ValidationError)
 from .extreal import ExtReal, NEG_INF, POS_INF
-from .measures import (ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage,
-                       zero_measure)
+from .measures import ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage
 from .quadrature import (INNER_CUT, exp_integrand, expm1_minus_x,
                          one_sided_integral, small_jump_variation, tail_mass,
                          two_sided_integral)
@@ -94,7 +93,7 @@ class ValidatedTriplet(Record):
 @lru_cache(maxsize=512)
 def _validate_cached(t: LevyTriplet) -> ValidatedTriplet:
     nu = t.nu
-    if not nu.right_tail().moment_finite(0, 0.0) or not nu.left_tail().moment_finite(0, 0.0):
+    if not all(nu.side(s).moment_finite(0, 0.0) for s in (1, -1)):
         raise NonIntegrableLevyMeasure("declared tail decay has infinite mass")
     sjv = small_jump_variation(nu)  # raises NonIntegrableLevyMeasure if inf
     ljm = tail_mass(nu)
@@ -210,8 +209,7 @@ def is_monotone(t: TripletLike) -> Monotonicity:
     nu = vt.nu
     if vt.sigma2 > 0.0:
         return Monotonicity.NOT_MONOTONE
-    pos = nu.has_positive_jumps() and not nu.is_zero
-    neg = nu.has_negative_jumps() and not nu.is_zero
+    pos, neg = nu.side(1).cutoff > 0, nu.side(-1).cutoff > 0
     if pos and neg:
         return Monotonicity.NOT_MONOTONE
     if not pos and not neg:
@@ -274,8 +272,6 @@ def geometric_to_linear(t: TripletLike) -> LevyTriplet:
     nu = vt.nu
     if isinstance(nu, LogJumpImage):
         nu_lin: LevyMeasure = nu.base
-    elif nu.is_zero:
-        nu_lin = zero_measure()
     elif nu.atoms() is not None:
         nu_lin = FiniteAtomic(tuple((math.expm1(p), m) for p, m in nu.atoms()))
     else:
@@ -298,14 +294,11 @@ def linear_to_geometric(t: TripletLike) -> LevyTriplet:
     atoms = nu.atoms()
     if atoms is not None and any(p <= -1.0 for p, _ in atoms):
         raise JumpBelowMinusOne("atom at or below -1")
-    if (atoms is None and not isinstance(nu, ExpJumpImage)
-            and nu.has_negative_jumps() and not nu.left_tail().cutoff <= 1.0):
+    if not nu.side(-1).cutoff <= 1.0:
         raise JumpBelowMinusOne("jump measure has mass at or below -1")
 
     if isinstance(nu, ExpJumpImage):
         nu_geo: LevyMeasure = nu.base
-    elif nu.is_zero:
-        nu_geo = zero_measure()
     elif atoms is not None:
         nu_geo = FiniteAtomic(tuple((math.log1p(p), m) for p, m in atoms))
     else:

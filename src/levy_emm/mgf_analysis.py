@@ -104,8 +104,7 @@ def exp_moment_interval(t: TripletLike) -> ExpMomentInterval:
     integrates the left tail) and symmetrically for the left.
     """
     vt = as_validated(t)
-    right = vt.nu.right_tail()
-    left = vt.nu.left_tail()
+    right, left = vt.nu.side(1), vt.nu.side(-1)
 
     b_sup = right.tilt_sup()
     a_inf = -left.tilt_sup() + 0.0  # never -0.0

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from levy_emm import cli
 from levy_emm.cli import _schedule_up_to, main
+from levy_emm.errors import NoFiniteMinimizer
 
 from conftest import spec_doc
 
@@ -170,6 +172,8 @@ class TestDomain:
 class TestApprox:
     def test_trace_with_csv(self, tmp_path):
         csv_path = tmp_path / "trace.csv"
+        # a longer earlier trace is replaced, not appended to
+        csv_path.write_text("earlier trace\n" * 100)
         code, rep = run(tmp_path, "approx", str(_MODELS / "kou.json"),
                         "--n-max", "16", "--csv", str(csv_path))
         assert code == 0
@@ -199,6 +203,34 @@ class TestApprox:
         assert "results" not in rep
         assert "No such file or directory" in captured.err
         assert str(csv_path) in captured.err
+
+    def test_unwritable_csv_path_fails_before_the_schedule(
+            self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("approx_sequence ran before --csv was opened")
+
+        monkeypatch.setattr(cli, "approx_sequence", never)
+        csv_path = tmp_path / "absent" / "trace.csv"
+        code = main(["approx", str(_MODELS / "cgmy.json"), "--n-max", "4096",
+                     "--csv", str(csv_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["type"] == "ValidationError"
+        assert captured.err.startswith("levy-emm: error: --csv: ")
+
+    def test_failed_run_leaves_an_earlier_csv_untouched(
+            self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NoFiniteMinimizer("no finite minimizer")
+
+        csv_path = tmp_path / "trace.csv"
+        csv_path.write_text("earlier trace\n")
+        monkeypatch.setattr(cli, "approx_sequence", fail)
+        code = main(["approx", str(_MODELS / "kou.json"), "--n-max", "2",
+                     "--csv", str(csv_path)])
+        assert code == 3
+        capsys.readouterr()
+        assert csv_path.read_text() == "earlier trace\n"
 
     @pytest.mark.parametrize("n_max", [*range(1, 10), 64, 100, 4096, 4097])
     def test_schedule_doubles_up_to_n_max(self, n_max):

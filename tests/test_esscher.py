@@ -67,8 +67,7 @@ def pi4_subordinator():
         return np.where(x > 0, 0.5 * ax ** -1.5, 0.0)
 
     nu = GenericDensity(dens, right=TailDecay.polynomial(-1.5),
-                        left=TailDecay.bounded(1.0), symmetric=False,
-                        positive_jumps=True, negative_jumps=False)
+                        left=TailDecay.bounded(0.0), symmetric=False)
     return LevyTriplet(0.0, 0.0, nu)
 
 

@@ -96,7 +96,7 @@ class TestTailDecay:
         assert TailDecay.bounded(0.0).cutoff == 0.0
         for t in (TailDecay.superexp(), TailDecay.exponential(2.0),
                   TailDecay.polynomial(-2.0),
-                  ExpJumpImage(VarianceGamma(1.0, 6.0, 9.0)).right_tail()):
+                  ExpJumpImage(VarianceGamma(1.0, 6.0, 9.0)).side(1)):
             assert t.cutoff == math.inf
 
 
@@ -108,9 +108,9 @@ class TestTailDecay:
 class TestFiniteAtomic:
     def test_zero_measure(self):
         nu = zero_measure()
-        assert nu.is_zero and nu.atoms() == ()
+        assert nu.atoms() == ()
         assert nu.total_mass() == 0.0
-        assert not nu.has_positive_jumps() and not nu.has_negative_jumps()
+        assert nu.side(1).cutoff == 0.0 and nu.side(-1).cutoff == 0.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -124,8 +124,8 @@ class TestFiniteAtomic:
 
     def test_tails_are_bounded_by_extreme_atoms(self):
         nu = FiniteAtomic(((2.0, 1.0), (-0.5, 3.0)))
-        assert nu.right_tail() == TailDecay.bounded(2.0)
-        assert nu.left_tail() == TailDecay.bounded(0.5)
+        assert nu.side(1) == TailDecay.bounded(2.0)
+        assert nu.side(-1) == TailDecay.bounded(0.5)
 
     def test_symmetry_detection(self):
         assert FiniteAtomic(((0.5, 1.0), (-0.5, 1.0))).is_symmetric()
@@ -178,15 +178,14 @@ class TestJumpDiffusion:
 
     def test_tails(self):
         g = JumpDiffusion(1.0, GaussianJumps(0.0, 1.0))
-        assert g.right_tail() == TailDecay.superexp()
+        assert g.side(1) == TailDecay.superexp()
         k = JumpDiffusion(1.0, DoubleExponentialJumps(0.4, 8.0, 6.0))
-        assert k.right_tail() == TailDecay.exponential(8.0)
-        assert k.left_tail() == TailDecay.exponential(6.0)
+        assert k.side(1) == TailDecay.exponential(8.0)
+        assert k.side(-1) == TailDecay.exponential(6.0)
 
     def test_one_sided_double_exponential(self):
         pos_only = JumpDiffusion(1.0, DoubleExponentialJumps(1.0, 2.0, 3.0))
-        assert not pos_only.has_negative_jumps()
-        assert pos_only.left_tail().kind == "bounded"
+        assert pos_only.side(-1) == TailDecay.bounded(0.0)
 
     def test_symmetry(self):
         assert JumpDiffusion(1.0, GaussianJumps(0.0, 1.0)).is_symmetric()
@@ -255,7 +254,7 @@ class TestParametricFamilies:
         nu = CGMY(C=0.5, G=4.0, M=7.0, Y=0.8)
         t = nu.tilted(7.0)  # boundary: |x|^{-1-Y} alone remains integrable
         assert (t.G, t.M) == (11.0, 0.0)
-        assert t.right_tail() == TailDecay.polynomial(-1.8)
+        assert t.side(1) == TailDecay.polynomial(-1.8)
         with pytest.raises(KappaOutsideI):
             nu.tilted(7.0001)
 
@@ -310,7 +309,7 @@ class TestWrappers:
 
     def test_tempered_tail_promotion(self):
         nu = Tempered(SymmetricAlphaStable(0.8), lambda x: -x * x, even=True)
-        assert nu.right_tail() == TailDecay.superexp()
+        assert nu.side(1) == TailDecay.superexp()
         assert nu.is_symmetric()
         # without the evenness declaration symmetry is not claimed
         nu2 = Tempered(SymmetricAlphaStable(0.8), lambda x: -x * x)
@@ -345,18 +344,24 @@ class TestWrappers:
     def test_exp_jump_image_tail_is_exact(self):
         # at tilt 0 the weight-w moment of the price jumps is the base's
         # e^{wx} moment; below 0 every moment converges, above none does
-        cgmy = ExpJumpImage(CGMY(1.0, 5.0, 1.0, 0.5)).right_tail()
+        cgmy = ExpJumpImage(CGMY(1.0, 5.0, 1.0, 0.5)).side(1)
         assert cgmy.tilt_sup() == 0.0
         assert cgmy.moment_finite(1, 0.0)  # rate 1, power -1.5 < -1
         assert not cgmy.moment_finite(2, 0.0)
         assert cgmy.moment_finite(5, -1e-6) and not cgmy.moment_finite(0, 1e-6)
-        stable = ExpJumpImage(SymmetricAlphaStable(1.5)).right_tail()
+        stable = ExpJumpImage(SymmetricAlphaStable(1.5)).side(1)
         assert stable.moment_finite(0, 0.0) and not stable.moment_finite(1, 0.0)
         tilted = stable.tilted(-0.5)  # e^{-0.5 y} times the image tail
         assert tilted.tilt_sup() == 0.5 and tilted.moment_finite(0, 0.5)
         assert not tilted.moment_finite(1, 0.5)
-        bounded = ExpJumpImage(FiniteAtomic(((0.5, 1.0),))).right_tail()
+        bounded = ExpJumpImage(FiniteAtomic(((0.5, 1.0),))).side(1)
         assert bounded == TailDecay.bounded(math.expm1(0.5))
+        # the left side is the image of the base's left cutoff, 1 when the
+        # base's left side is unbounded
+        atoms = ExpJumpImage(FiniteAtomic(((0.5, 1.0), (-0.25, 1.0))))
+        assert atoms.side(-1) == TailDecay.bounded(-math.expm1(-0.25))
+        assert ExpJumpImage(VarianceGamma(1.0, 6.0, 9.0)).side(-1) == \
+            TailDecay.bounded(1.0)
 
     def test_log_jump_image_rejects_mass_at_minus_one(self):
         from levy_emm.errors import UnsupportedMeasure
@@ -370,3 +375,51 @@ class TestWrappers:
         atoms = dict(img.atoms())
         assert atoms[math.expm1(0.5)] == pytest.approx(2.0)
         assert atoms[math.expm1(-0.25)] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# a side's cutoff says whether it has jumps
+# ---------------------------------------------------------------------------
+
+#: measures with their jumps ``(x > 0, x < 0)``, known from how they are built
+_ONE_SIDED = {
+    "kou_up": (JumpDiffusion(1.0, DoubleExponentialJumps(1.0, 8.0, 6.0)),
+               (True, False)),
+    "atoms_down": (FiniteAtomic(((-0.5, 1.0), (-0.2, 2.0))), (False, True)),
+    "zero": (zero_measure(), (False, False)),
+}
+_TWO_SIDED = {
+    "gaussian": JumpDiffusion(1.0, GaussianJumps(0.1, 0.3)),
+    "vg": VarianceGamma(1.0, 6.0, 9.0),
+    "cgmy": CGMY(1.0, 5.0, 4.0, 0.5),
+    "stable": SymmetricAlphaStable(1.5),
+    "generic": GenericDensity(np.exp, right=TailDecay.exponential(1.0),
+                              left=TailDecay.exponential(1.0)),
+}
+
+
+def _side_cases():
+    for name, (base, jumps) in _ONE_SIDED.items():
+        # both markets' images keep the sign of every jump
+        for label, nu in ((name, base),
+                          (f"exp_image({name})", ExpJumpImage(base)),
+                          (f"log_image({name})", LogJumpImage(base))):
+            yield label, nu, jumps
+            yield f"tempered({label})", Tempered(nu, lambda x: -x * x), jumps
+            yield f"tilted({label})", ExpTilted(nu, -0.5), jumps
+    yield ("generic_up", GenericDensity(np.exp, right=TailDecay.superexp(),
+                                        left=TailDecay.bounded(0.0)),
+           (True, False))
+    for name, nu in _TWO_SIDED.items():
+        yield name, nu, (True, True)
+
+
+@pytest.mark.parametrize("nu, jumps", [case[1:] for case in _side_cases()],
+                         ids=[case[0] for case in _side_cases()])
+def test_a_side_is_bounded_by_zero_exactly_without_jumps(nu, jumps):
+    atoms = nu.atoms()
+    if atoms is not None:
+        assert jumps == tuple(any(s * p > 0 for p, _ in atoms)
+                              for s in (1, -1))
+    for s, has_jumps in zip((1, -1), jumps):
+        assert (nu.side(s).cutoff == 0.0) == (not has_jumps)

@@ -110,8 +110,7 @@ def _half_stable():
         return np.where(x > 0, 0.5 * ax ** -1.5, 0.0)
 
     return GenericDensity(dens, right=TailDecay.polynomial(-1.5),
-                          left=TailDecay.bounded(1.0), symmetric=False,
-                          positive_jumps=True, negative_jumps=False)
+                          left=TailDecay.bounded(0.0), symmetric=False)
 
 
 class TestLevyIntegral:
@@ -338,8 +337,7 @@ def _one_sided_power(alpha, rate):
 
     right = (TailDecay.exponential(rate, -1.0 - alpha) if rate
              else TailDecay.polynomial(-1.0 - alpha))
-    return GenericDensity(dens, right=right, left=TailDecay.bounded(1.0),
-                          positive_jumps=True, negative_jumps=False)
+    return GenericDensity(dens, right=right, left=TailDecay.bounded(0.0))
 
 
 class TestInfiniteVariationOrigin:

@@ -67,8 +67,7 @@ def _samples():
          "GenericDensity(density_fn=<ufunc 'negative'>, "
          "right=TailDecay(kind='superexp', rate=0.0, power=0.0, cutoff=inf, "
          "base=None), left=TailDecay(kind='bounded', rate=0.0, power=0.0, "
-         "cutoff=2.0, base=None), symmetric=True, positive_jumps=True, "
-         "negative_jumps=True)", None, None),
+         "cutoff=2.0, base=None), symmetric=True)", None, None),
         (m.ExpJumpImage(vg),
          "ExpJumpImage(base=VarianceGamma(C=1.0, G=2.0, M=3.0))", None, None),
         (m.LogJumpImage(atoms),

@@ -13,7 +13,7 @@ of ``math.fsum``, so no module sums an integrand over a measure's atoms on
 its own.  Inside that layer one function reads a density and one call sums
 atoms: every integral goes through its one region rule.  Only
 ``levy_core/measures.py`` compares against a tail-decay kind string; every
-other module reads a tail through its queries and its ``cutoff``.  No
+other module reads a tail through ``side(s)`` and its ``cutoff``.  No
 module keeps an import it does not use.
 """
 

@@ -522,8 +522,7 @@ class TestIsMonotone:
             return np.where(x > 0, ax ** -1.5 * np.exp(-ax), 0.0)
 
         nu = GenericDensity(dens, right=TailDecay.exponential(1.0, power=-1.5),
-                            left=TailDecay.bounded(1.0), symmetric=False,
-                            positive_jumps=True, negative_jumps=False)
+                            left=TailDecay.bounded(0.0), symmetric=False)
         fv, _ = integrate.quad(lambda s: s ** -0.5 * math.exp(-s), 0.0, 1.0)
         assert is_monotone(LevyTriplet(fv + 0.01, 0.0, nu)) is Monotonicity.INCREASING
         assert is_monotone(LevyTriplet(fv - 0.01, 0.0, nu)) is Monotonicity.NOT_MONOTONE
@@ -535,20 +534,19 @@ class TestIsMonotone:
             return np.where(x > 0, ax ** -2.2 * np.exp(-ax), 0.0)
 
         nu = GenericDensity(dens, right=TailDecay.exponential(1.0, power=-2.2),
-                            left=TailDecay.bounded(1.0), symmetric=False,
-                            positive_jumps=True, negative_jumps=False)
+                            left=TailDecay.bounded(0.0), symmetric=False)
         assert is_monotone(LevyTriplet(10.0, 0.0, nu)) is Monotonicity.NOT_MONOTONE
 
 
 class TestConversions:
     def test_brownian_round_trip(self, brownian):
         lin = geometric_to_linear(brownian)
-        assert lin.nu.is_zero
+        assert lin.nu == zero_measure()
         assert math.isclose(lin.b, 0.05 + 0.5 * 0.09, rel_tol=1e-15)
         assert lin.sigma2 == brownian.sigma2
         back = linear_to_geometric(lin)
         assert math.isclose(back.b, brownian.b, rel_tol=1e-14)
-        assert back.nu.is_zero
+        assert back.nu == zero_measure()
 
     def test_atomic_forward_map(self, two_atom):
         lin = geometric_to_linear(two_atom)

@@ -8,7 +8,8 @@ Two files under ``tests/reference/``:
     ``approx --n-max 8 --penalty power:3.5`` and ``convert`` in both
     directions, each with its exit code and without its ``timings``.
     ``tests/test_reference_reports.py`` replays every entry and compares
-    strings and exit codes exactly and numbers to a relative 1e-11.
+    it with ``differences``: strings and exit codes exactly, numbers to
+    a relative 1e-11.
     ``mc-check`` is left out: numpy may change its ``Generator`` streams
     between releases.
 ``cli_text.json``
@@ -29,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -51,6 +53,12 @@ COMMANDS = {
     "convert-g2l": ["convert", "--direction", "g2l"],
     "convert-l2g": ["convert", "--direction", "l2g"],
 }
+
+#: numbers agree to the quadrature kernel's relative tolerance, with an
+#: absolute floor so that a quantity that is zero up to rounding (a
+#: balanced drift, an untilted entropy) may change its last bits
+RTOL = 1e-11
+ATOL = 1e-14
 
 #: help text depends on the terminal width; the goldens use this one
 COLUMNS = "80"
@@ -83,6 +91,31 @@ def report_case(argv: list) -> dict:
         report = json.loads(out.read_text(encoding="utf-8"))
     report.pop("timings")
     return {"exit_code": code, "report": report}
+
+
+def differences(ref, got, where="report", rtol=RTOL, atol=ATOL):
+    """Yield a line for every place where ``got`` departs from ``ref``:
+    keys, strings, booleans, nulls and lengths exactly, numbers within
+    ``rtol``/``atol`` (both 0: exactly)."""
+    if isinstance(ref, dict):
+        if not isinstance(got, dict) or sorted(ref) != sorted(got):
+            yield f"{where}: keys {sorted(ref)} != {got!r}"
+            return
+        for key in ref:
+            yield from differences(ref[key], got[key], f"{where}.{key}",
+                                   rtol, atol)
+    elif isinstance(ref, list):
+        if not isinstance(got, list) or len(ref) != len(got):
+            yield f"{where}: {ref!r} != {got!r}"
+            return
+        for i, (r, g) in enumerate(zip(ref, got)):
+            yield from differences(r, g, f"{where}[{i}]", rtol, atol)
+    elif isinstance(ref, (int, float)) and not isinstance(ref, bool):
+        if (isinstance(got, bool) or not isinstance(got, (int, float))
+                or not math.isclose(ref, got, rel_tol=rtol, abs_tol=atol)):
+            yield f"{where}: {ref!r} != {got!r}"
+    elif type(ref) is not type(got) or ref != got:
+        yield f"{where}: {ref!r} != {got!r}"
 
 
 def text_case(argv: list) -> dict:
