@@ -22,7 +22,7 @@ from .levy_core.measures import LevyMeasure, Tempered
 from .levy_core.quadrature import (INNER_CUT, exp_entropy_term, exp_integrand,
                                    two_sided_integral)
 from .levy_core.record import Record
-from .levy_core.triplets import LevyTriplet, TripletLike, as_validated
+from .levy_core.triplets import LevyTriplet, validate_triplet
 from .mgf_analysis import minimize_mgf
 
 __all__ = [
@@ -74,8 +74,10 @@ class PenaltyFamily(Record):
     def power(exponent: float) -> "PenaltyFamily":
         """``ρ_n(x) = |x|^exponent / n`` outside the unit ball.
 
-        Superlinear (hence valid) only for ``exponent > 1``; the flag is
-        declared accordingly so invalid exponents are rejected at use.
+        Superlinear only for ``exponent > 1``, and the flag is declared
+        accordingly.  :meth:`validate` also asks ``|x|/ρ_n(x)`` to fall
+        tenfold from ``x = 1e3`` to ``1e6``, which holds for ``exponent >
+        4/3`` only; smaller exponents are rejected at use.
         """
         exponent = float(exponent)
 
@@ -105,8 +107,10 @@ class PenaltyFamily(Record):
 
     def validate(self, n: int) -> None:
         """Cheap structural sniff of ``ρ_n``: raises
-        :class:`PenaltyViolation` for a family that is not superlinear,
-        not finite and nonnegative, or not zero inside the unit ball.
+        :class:`PenaltyViolation` for a family that is not declared
+        superlinear, not finite and nonnegative, whose ``|x|/ρ_n(x)`` falls
+        less than tenfold from ``x = 1e3`` to ``1e6`` (a power penalty
+        needs ``P > 4/3``), or that is not zero inside the unit ball.
         :func:`check_penalty` is the numerical diagnosis."""
         if not self.superlinear:
             raise PenaltyViolation(
@@ -119,8 +123,9 @@ class PenaltyFamily(Record):
         r_far = 1e6 / max(float(self.rho_at(n, 1e6)), 1e-300)
         if not r_far <= 0.1 * r_mid:
             raise PenaltyViolation(
-                f"|x|/rho_n(x) does not decay ({r_mid:.3g} at 1e3 vs "
-                f"{r_far:.3g} at 1e6): penalty is not superlinear")
+                f"|x|/rho_n(x) must fall at least tenfold from x = 1e3 to "
+                f"x = 1e6, got {r_mid:.3g} and {r_far:.3g}: the penalty is not "
+                f"superlinear enough (power:P needs P > 4/3)")
         if np.any(self.rho_at(n, np.array([-0.9, 0.5, 1.0])) != 0.0):
             raise PenaltyViolation("penalty must vanish on |x| <= 1")
 
@@ -130,7 +135,7 @@ class PenaltyFamily(Record):
 # ---------------------------------------------------------------------------
 
 
-def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int) -> LevyTriplet:
+def perturbed_triplet(t: LevyTriplet, p: PenaltyFamily, n: int) -> LevyTriplet:
     """The triplet with jump measure ``e^{-ρ_n} ν``; drift and variance
     are untouched.
 
@@ -142,14 +147,13 @@ def perturbed_triplet(t: TripletLike, p: PenaltyFamily, n: int) -> LevyTriplet:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     p.validate(int(n))
-    vt = as_validated(t)
-    nu = vt.nu
+    nu = validate_triplet(t).nu
     if max(nu.side(1).cutoff, nu.side(-1).cutoff) <= INNER_CUT:
-        return LevyTriplet(vt.b, vt.sigma2, nu)
+        return t
 
     tempered = Tempered(nu, p.log_weight(n),
                         even=p.even and nu.is_symmetric())
-    return LevyTriplet(vt.b, vt.sigma2, tempered)
+    return LevyTriplet(t.b, t.sigma2, tempered)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
     return val.value
 
 
-def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
+def _entropy_vs_base(t, p: PenaltyFamily, n: int, kappa: float,
                      horizon: float) -> float:
     """Relative entropy of the tilted-perturbed measure against the
     *original* one, computed independently of the decomposition:
@@ -191,9 +195,9 @@ def _entropy_vs_base(vt, p: PenaltyFamily, n: int, kappa: float,
     tail = exp_integrand(kappa, factor=exp_entropy_term,
                          log_weight=p.log_weight(n))
     val, _ = two_sided_integral(
-        vt.nu, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
+        t.nu, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
         right=tail, left=tail)
-    return horizon * (vt.sigma2 * kappa * kappa / 2.0 + val.value)
+    return horizon * (t.sigma2 * kappa * kappa / 2.0 + val.value)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +247,7 @@ def default_schedule(max_power: int = 12) -> Tuple[int, ...]:
     return tuple(2 ** k for k in range(max_power + 1))
 
 
-def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
+def approx_sequence(t: LevyTriplet, horizon: float, p: PenaltyFamily,
                     n_schedule: Sequence[int] = default_schedule()
                     ) -> ApproxTrace:
     """Solve the tempered model for every ``n`` in an increasing schedule.
@@ -262,8 +266,8 @@ def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
         raise ValueError("n_schedule must be nonempty and strictly increasing")
     if schedule[0] < 1:
         raise ValueError("n_schedule entries must be >= 1")
-    vt = as_validated(t)
-    mp = minimize_mgf(vt, horizon)  # raises for monotone (arbitrage) inputs
+    validate_triplet(t)
+    mp = minimize_mgf(t, horizon)  # raises for monotone (arbitrage) inputs
     kappa_limit = mp.kappa0
     entropy_limit = -mp.log_phi_at_min + 0.0
 
@@ -271,17 +275,17 @@ def approx_sequence(t: TripletLike, horizon: float, p: PenaltyFamily,
     failures = []
     for n in schedule:
         try:
-            pert = perturbed_triplet(vt, p, n)
+            pert = perturbed_triplet(t, p, n)
             res = solve_linear_emm(pert, horizon)
             if res.kappa0 is None:
                 raise LevyEmmError(
                     f"tempered model unexpectedly returned {res.status.value}")
             kappa_n = res.kappa0
             entropy_n = res.entropy
-            gap = mass_gap(vt.nu, p, n)
+            gap = mass_gap(t.nu, p, n)
             corr = horizon * gap - horizon * _correction_integral(
-                vt.nu, p, n, kappa_n)
-            vs_p = _entropy_vs_base(vt, p, n, kappa_n, horizon)
+                t.nu, p, n, kappa_n)
+            vs_p = _entropy_vs_base(t, p, n, kappa_n, horizon)
             steps.append(ApproxStep(n, kappa_n, entropy_n, corr, vs_p, gap))
         except LevyEmmError as exc:
             failures.append((n, f"{type(exc).__name__}: {exc}"))

@@ -296,7 +296,7 @@ def _approx_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, default=4096,
                    help="largest relaxation index (default 4096)")
     p.add_argument("--penalty", default="quadratic",
-                   help="'quadratic' or 'power:P' with P > 1")
+                   help="'quadratic' or 'power:P' with P > 4/3")
     p.add_argument("--csv", default=None,
                    help="also write the trace as CSV to this path")
     p.add_argument("--check-penalty", action="store_true",
@@ -327,7 +327,8 @@ def _mc_check_arguments(p: argparse.ArgumentParser) -> None:
                    help="also evaluate the pathwise tempering density "
                         "at this relaxation index")
     p.add_argument("--penalty", default="quadratic",
-                   help="penalty family for --zn ('quadratic' or 'power:P')")
+                   help="penalty family for --zn ('quadratic' or 'power:P' "
+                        "with P > 4/3)")
 
 
 #: subcommand -> (its line in ``levy-emm --help``, what adds its

@@ -18,9 +18,9 @@ from .errors import KappaOutsideI, QuadratureFailure
 from .levy_core.extreal import ExtReal
 from .levy_core.quadrature import exp_integrand, two_sided_integral
 from .levy_core.record import Record
-from .levy_core.triplets import (LevyTriplet, Monotonicity, TripletLike,
-                                 as_validated, cumulant, cumulant_derivative,
-                                 geometric_to_linear, is_monotone)
+from .levy_core.triplets import (LevyTriplet, Monotonicity, cumulant,
+                                 cumulant_derivative, geometric_to_linear,
+                                 is_monotone, validate_triplet)
 from .mgf_analysis import (EsscherCase, EsscherParameterStatus, brentq,
                            classify_esscher_parameter, exp_moment_interval,
                            search_increasing_root)
@@ -43,18 +43,18 @@ ARBITRAGE_VERDICT = ("arbitrage market: monotone prices admit no equivalent "
                      "martingale measure")
 
 
-def _tilt_drift_correction(vt, kappa: float) -> float:
+def _tilt_drift_correction(t, kappa: float) -> float:
     """``∫_{|x|<=1} x (e^{κx} - 1) ν(dx)`` — the compensator shift that the
     truncation function picks up under tilting."""
     val, _ = two_sided_integral(
-        vt.nu, inner_g=exp_integrand(kappa, factor=np.expm1, power=1))
+        t.nu, inner_g=exp_integrand(kappa, factor=np.expm1, power=1))
     if not val.is_finite:
         raise QuadratureFailure(
             f"the tilt drift correction overflows at kappa={kappa}")
     return val.value
 
 
-def esscher_transform(t: TripletLike, kappa: float) -> LevyTriplet:
+def esscher_transform(t: LevyTriplet, kappa: float) -> LevyTriplet:
     """The triplet of the same process under the ``e^{κx}``-tilted measure.
 
     Requires ``κ`` in the finite-moment interval (closed endpoints count);
@@ -62,29 +62,29 @@ def esscher_transform(t: TripletLike, kappa: float) -> LevyTriplet:
     compensator shift, and the jump measure is tilted in closed form where
     its family allows.
     """
-    vt = as_validated(t)
+    validate_triplet(t)
     kappa = float(kappa)
-    _check_in_interval(vt, kappa)
-    return _tilted(vt, kappa)
+    _check_in_interval(t, kappa)
+    return _tilted(t, kappa)
 
 
-def _check_in_interval(vt, kappa: float) -> None:
+def _check_in_interval(t, kappa: float) -> None:
     if kappa != 0.0:
-        iv = exp_moment_interval(vt)
+        iv = exp_moment_interval(t)
         if not iv.contains(kappa):
             raise KappaOutsideI(
                 f"kappa={kappa} outside the finite-moment interval {iv.describe()}")
 
 
-def _tilted(vt, kappa: float) -> LevyTriplet:
+def _tilted(t, kappa: float) -> LevyTriplet:
     """:func:`esscher_transform` for a ``κ`` already known to lie in ``I``."""
     if kappa == 0.0:
-        return LevyTriplet(vt.b, vt.sigma2, vt.nu)
-    b_k = vt.b + vt.sigma2 * kappa + _tilt_drift_correction(vt, kappa)
-    return LevyTriplet(b_k, vt.sigma2, vt.nu.tilted(kappa))
+        return t
+    b_k = t.b + t.sigma2 * kappa + _tilt_drift_correction(t, kappa)
+    return LevyTriplet(b_k, t.sigma2, t.nu.tilted(kappa))
 
 
-def esscher_entropy(t: TripletLike, horizon: float, kappa: float) -> float:
+def esscher_entropy(t: LevyTriplet, horizon: float, kappa: float) -> float:
     """Relative entropy of the ``κ``-tilted measure w.r.t. the original,
     ``T (κ m(κ) - c(κ))``, in nats.
 
@@ -95,18 +95,18 @@ def esscher_entropy(t: TripletLike, horizon: float, kappa: float) -> float:
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t)
+    validate_triplet(t)
     kappa = float(kappa)
-    _check_in_interval(vt, kappa)
-    return _entropy(vt, horizon, kappa)
+    _check_in_interval(t, kappa)
+    return _entropy(t, horizon, kappa)
 
 
-def _entropy(vt, horizon: float, kappa: float) -> float:
+def _entropy(t, horizon: float, kappa: float) -> float:
     """:func:`esscher_entropy` for a ``κ`` already known to lie in ``I``."""
     if kappa == 0.0:
         return 0.0
-    m = cumulant_derivative(vt, kappa)
-    c = cumulant(vt, kappa)
+    m = cumulant_derivative(t, kappa)
+    c = cumulant(t, kappa)
     if not (m.is_finite and c.is_finite):
         raise KappaOutsideI(
             f"tilted first moment not finite at kappa={kappa}")
@@ -161,7 +161,7 @@ class EsscherResult(Record):
         }
 
 
-def solve_linear_emm(t: TripletLike, horizon: float) -> EsscherResult:
+def solve_linear_emm(t: LevyTriplet, horizon: float) -> EsscherResult:
     """Find the tilt that makes the process itself a martingale.
 
     Monotone processes are flagged as arbitrage markets; degenerate
@@ -172,22 +172,21 @@ def solve_linear_emm(t: TripletLike, horizon: float) -> EsscherResult:
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t)
-    ps = classify_esscher_parameter(vt, horizon)
+    validate_triplet(t)
+    ps = classify_esscher_parameter(t, horizon)
     if ps.minimum is None:
         return EsscherResult(
             EsscherStatus.ARBITRAGE_MARKET, None, None, None, None, ps,
             "monotone price process admits no equivalent martingale measure")
     if ps.exists and ps.case is EsscherCase.DEGENERATE_ZERO_MEAN:
         return EsscherResult(
-            EsscherStatus.P_IS_ALREADY_EMM, 0.0, 0.0, 0.0,
-            LevyTriplet(vt.b, vt.sigma2, vt.nu), ps,
+            EsscherStatus.P_IS_ALREADY_EMM, 0.0, 0.0, 0.0, t, ps,
             "degenerate moment interval with zero mean: no tilt is needed")
     if ps.exists:
         k0 = ps.kappa0
-        ent = _clamped(-horizon * cumulant(vt, k0).value)
+        ent = _clamped(-horizon * cumulant(t, k0).value)
         return EsscherResult(
-            EsscherStatus.EMM_EXISTS, k0, ent, ent, _tilted(vt, k0), ps,
+            EsscherStatus.EMM_EXISTS, k0, ent, ent, _tilted(t, k0), ps,
             f"tilt parameter located ({ps.case.value})")
     inf_ent = _clamped(-ps.minimum.log_phi_at_min)
     return EsscherResult(
@@ -195,7 +194,7 @@ def solve_linear_emm(t: TripletLike, horizon: float) -> EsscherResult:
         ps.diagnostic + "; infimum entropy approached but not attained")
 
 
-def solve_geometric_emm(t: TripletLike, horizon: float) -> EsscherResult:
+def solve_geometric_emm(t: LevyTriplet, horizon: float) -> EsscherResult:
     """Find the tilt making ``e^{X}`` (not ``X``) a martingale.
 
     The root equation is ``c(κ+1) - c(κ) = 0`` on the candidate set of
@@ -210,24 +209,23 @@ def solve_geometric_emm(t: TripletLike, horizon: float) -> EsscherResult:
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t)
-    if is_monotone(vt) is not Monotonicity.NOT_MONOTONE:
+    validate_triplet(t)
+    if is_monotone(t) is not Monotonicity.NOT_MONOTONE:
         return EsscherResult(
             EsscherStatus.ARBITRAGE_MARKET, None, None, None, None, None,
             "monotone price process admits no equivalent martingale measure")
-    iv = exp_moment_interval(vt)
-    lo = iv.a
-    hi = iv.b - ExtReal.finite(1.0)
+    iv = exp_moment_interval(t)
+    lo, hi = iv.a, iv.b - 1.0
 
     def finish(k0: float) -> EsscherResult:
         try:
-            ent = _entropy(vt, horizon, k0)
+            ent = _entropy(t, horizon, k0)
         except KappaOutsideI:
             ent = None
         status = (EsscherStatus.P_IS_ALREADY_EMM if k0 == 0.0
                   else EsscherStatus.EMM_EXISTS)
         return EsscherResult(
-            status, k0, ent, None, _tilted(vt, k0), None,
+            status, k0, ent, None, _tilted(t, k0), None,
             "root of the unit-shift cumulant difference")
 
     def no_emm(diagnostic: str) -> EsscherResult:
@@ -235,20 +233,19 @@ def solve_geometric_emm(t: TripletLike, horizon: float) -> EsscherResult:
                              None, diagnostic)
 
     def g_of(k: float) -> ExtReal:
-        return cumulant(vt, k + 1.0) - cumulant(vt, k)
+        return cumulant(t, k + 1.0) - cumulant(t, k)
 
     if lo > hi:
         return no_emm("no tilt keeps both kappa and kappa+1 inside the "
                       "moment interval")
     if not (lo < hi):  # single candidate needs both interval endpoints closed
         if iv.a_in_I and iv.b_in_I:
-            v = g_of(lo.value)
+            v = g_of(lo)
             if v.is_finite and abs(v.value) <= _ROOT_ATOL:
-                return finish(lo.value)
+                return finish(lo)
         return no_emm("the single admissible tilt does not solve the root equation")
 
-    found = search_increasing_root(g_of, lo.as_float(), hi.as_float(),
-                                   iv.a_in_I, iv.b_in_I)
+    found = search_increasing_root(g_of, lo, hi, iv.a_in_I, iv.b_in_I)
     if found.side:
         v = found.end_value
         if v is not None and v.is_finite and abs(v.value) <= _ROOT_ATOL:
@@ -286,7 +283,7 @@ def _verdict(res: EsscherResult) -> str:
     return ARBITRAGE_VERDICT
 
 
-def memm_report(t: TripletLike, horizon: float,
+def memm_report(t: LevyTriplet, horizon: float,
                 market: str = "linear") -> dict:
     """One structured verdict for a market model.
 
@@ -301,9 +298,9 @@ def memm_report(t: TripletLike, horizon: float,
     """
     if market not in ("linear", "geometric"):
         raise ValueError(f"unknown market {market!r}")
-    vt = as_validated(t)
+    validate_triplet(t)
     if market == "linear":
-        res = solve_linear_emm(vt, horizon)
+        res = solve_linear_emm(t, horizon)
         report = {
             "market": "linear",
             "units": "nats",
@@ -324,8 +321,8 @@ def memm_report(t: TripletLike, horizon: float,
         }
         return report
 
-    res_g = solve_geometric_emm(vt, horizon)
-    linear_t = geometric_to_linear(LevyTriplet(vt.b, vt.sigma2, vt.nu))
+    res_g = solve_geometric_emm(t, horizon)
+    linear_t = geometric_to_linear(t)
     res_l = solve_linear_emm(linear_t, horizon)
     exists_g = res_g.status in (EsscherStatus.EMM_EXISTS,
                                 EsscherStatus.P_IS_ALREADY_EMM)

@@ -7,9 +7,8 @@ from .measures import (CGMY, DoubleExponentialJumps, ExpJumpImage, ExpTilted,
                        SymmetricAlphaStable, TailDecay, Tempered,
                        VarianceGamma, zero_measure)
 from .quadrature import exp_integrand, small_jump_variation, tail_mass
-from .triplets import (LevyTriplet, Monotonicity, ValidatedTriplet,
-                       as_validated, cumulant, cumulant_derivative,
-                       geometric_to_linear, is_monotone,
+from .triplets import (LevyTriplet, Monotonicity, cumulant,
+                       cumulant_derivative, geometric_to_linear, is_monotone,
                        linear_to_geometric, mgf, mgf_derivative,
                        validate_triplet)
 
@@ -20,7 +19,7 @@ __all__ = [
     "SymmetricAlphaStable", "Tempered", "ExpTilted", "GenericDensity",
     "ExpJumpImage", "LogJumpImage", "zero_measure",
     "small_jump_variation", "tail_mass",
-    "LevyTriplet", "ValidatedTriplet", "validate_triplet", "as_validated",
+    "LevyTriplet", "validate_triplet",
     "cumulant", "cumulant_derivative", "mgf", "mgf_derivative",
     "Monotonicity", "is_monotone", "geometric_to_linear", "linear_to_geometric",
     "exp_integrand",

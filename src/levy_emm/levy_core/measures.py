@@ -652,11 +652,6 @@ class ExpTilted(LevyMeasure, Record):
     def is_symmetric(self) -> bool:
         return self.kappa == 0.0 and self.base.is_symmetric()
 
-    def tilted(self, kappa: float) -> "LevyMeasure":
-        if kappa == 0.0:
-            return self
-        return ExpTilted(self.base, self.kappa + kappa)
-
     def describe(self) -> dict:
         return {"type": "exp_tilted", "base": self.base.describe(), "kappa": self.kappa}
 

@@ -698,27 +698,31 @@ def one_sided_integral(nu: LevyMeasure, side: int, power: int,
 # ---------------------------------------------------------------------------
 
 
-def small_jump_variation(nu: LevyMeasure) -> float:
-    """``∫_{0 < |x| <= INNER_CUT} x^2 ν(dx)``; raises if infinite."""
-    vals = [one_sided_integral(nu, side, 2, 0.0, INNER_CUT)
+def _both_sides(nu: LevyMeasure, power: int, lo: float, hi: float,
+                infinite: str, what: str) -> float:
+    """``∫_{lo < |x| <= hi} |x|^power ν(dx)``, one side doubled for a
+    symmetric measure; raises ``NonIntegrableLevyMeasure(infinite)`` if
+    infinite and ``QuadratureFailure`` naming ``what`` if negative."""
+    vals = [one_sided_integral(nu, side, power, lo, hi)
             for side in ((+1,) if nu.is_symmetric() else (+1, -1))]
     if math.inf in vals:
-        raise NonIntegrableLevyMeasure(
-            "x^2 is not integrable near zero against this measure")
+        raise NonIntegrableLevyMeasure(infinite)
     if min(vals) < 0.0:
-        raise QuadratureFailure("small-jump variation integration failed")
+        raise QuadratureFailure(f"{what} integration failed")
     return 2.0 * vals[0] if len(vals) == 1 else vals[0] + vals[1]
+
+
+def small_jump_variation(nu: LevyMeasure) -> float:
+    """``∫_{0 < |x| <= INNER_CUT} x^2 ν(dx)``; raises if infinite."""
+    return _both_sides(nu, 2, 0.0, INNER_CUT,
+                       "x^2 is not integrable near zero against this measure",
+                       "small-jump variation")
 
 
 def tail_mass(nu: LevyMeasure) -> float:
     """``ν({|x| > INNER_CUT})``."""
-    vals = [one_sided_integral(nu, side, 0, INNER_CUT, math.inf)
-            for side in ((+1,) if nu.is_symmetric() else (+1, -1))]
-    if math.inf in vals:
-        raise NonIntegrableLevyMeasure("infinite jump mass beyond the inner cut")
-    if min(vals) < 0.0:
-        raise QuadratureFailure("tail mass integration failed")
-    return 2.0 * vals[0] if len(vals) == 1 else vals[0] + vals[1]
+    return _both_sides(nu, 0, INNER_CUT, math.inf,
+                       "infinite jump mass beyond the inner cut", "tail mass")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
@@ -34,9 +33,7 @@ from .record import Record
 
 __all__ = [
     "LevyTriplet",
-    "ValidatedTriplet",
     "validate_triplet",
-    "as_validated",
     "cumulant",
     "cumulant_derivative",
     "mgf",
@@ -69,54 +66,23 @@ class LevyTriplet(Record):
         return {"b": self.b, "sigma2": self.sigma2, "nu": self.nu.describe()}
 
 
-class ValidatedTriplet(Record):
-    """A triplet together with the two integrability facts that every
-    downstream routine needs anyway."""
-
-    triplet: LevyTriplet
-    small_jump_variation: float  # ∫_{0<|x|<=1} x^2 ν(dx)
-    large_jump_mass: float       # ν({|x| > 1})
-
-    @property
-    def b(self) -> float:
-        return self.triplet.b
-
-    @property
-    def sigma2(self) -> float:
-        return self.triplet.sigma2
-
-    @property
-    def nu(self) -> LevyMeasure:
-        return self.triplet.nu
-
-
 @lru_cache(maxsize=512)
-def _validate_cached(t: LevyTriplet) -> ValidatedTriplet:
-    nu = t.nu
+def _validate_cached(nu: LevyMeasure) -> None:
     if not all(nu.side(s).moment_finite(0, 0.0) for s in (1, -1)):
         raise NonIntegrableLevyMeasure("declared tail decay has infinite mass")
-    sjv = small_jump_variation(nu)  # raises NonIntegrableLevyMeasure if inf
-    ljm = tail_mass(nu)
-    return ValidatedTriplet(t, sjv, ljm)
+    small_jump_variation(nu)  # each raises NonIntegrableLevyMeasure if inf
+    tail_mass(nu)
 
 
-def validate_triplet(t: LevyTriplet) -> ValidatedTriplet:
-    """Check the triplet is a genuine Levy triplet and cache the basic
-    integrability facts.
+def validate_triplet(t: LevyTriplet) -> LevyTriplet:
+    """Check that ``t`` is a genuine Levy triplet and return it.
 
-    Raises NegativeVariance (at construction already) or
-    NonIntegrableLevyMeasure.
+    The constructor has already checked the drift and the variance, so
+    only the jump measure is checked here (once per measure, cached).
+    Raises NonIntegrableLevyMeasure.
     """
-    return _validate_cached(t)
-
-
-TripletLike = Union[LevyTriplet, ValidatedTriplet]
-
-
-def as_validated(t: TripletLike) -> ValidatedTriplet:
-    if isinstance(t, ValidatedTriplet):
-        return t
-    return validate_triplet(t)
+    _validate_cached(t.nu)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -124,39 +90,39 @@ def as_validated(t: TripletLike) -> ValidatedTriplet:
 # ---------------------------------------------------------------------------
 
 
-def cumulant(t: TripletLike, kappa: float) -> ExtReal:
+def cumulant(t: LevyTriplet, kappa: float) -> ExtReal:
     """``c(κ)`` per unit time, as an extended real (``+inf`` outside the
     finite-moment set; never ``-inf`` or undefined)."""
-    vt = as_validated(t)
+    validate_triplet(t)
     kappa = float(kappa)
     if kappa == 0.0:
         return ExtReal.finite(0.0)
-    base = vt.b * kappa + 0.5 * vt.sigma2 * kappa * kappa
+    base = t.b * kappa + 0.5 * t.sigma2 * kappa * kappa
     tail = exp_integrand(kappa, factor=np.expm1)
     inner = exp_integrand(kappa, factor=expm1_minus_x)
-    jumps, _ = two_sided_integral(vt.nu, inner_g=inner, right=tail, left=tail)
+    jumps, _ = two_sided_integral(t.nu, inner_g=inner, right=tail, left=tail)
     return ExtReal.finite(base) + jumps
 
 
-def cumulant_derivative(t: TripletLike, kappa: float) -> ExtReal:
+def cumulant_derivative(t: LevyTriplet, kappa: float) -> ExtReal:
     """``c'(κ) = b + σ²κ + ∫(x e^{κx} - h(x)) ν(dx)`` as an extended real.
 
     The undefined state (both tail parts infinite) is returned as
     ``ExtReal`` "undefined"; raising is left to :func:`mgf_derivative`.
     """
-    vt = as_validated(t)
+    validate_triplet(t)
     kappa = float(kappa)
-    base = vt.b + vt.sigma2 * kappa
+    base = t.b + t.sigma2 * kappa
     tail = exp_integrand(kappa, power=1)
     if kappa == 0.0:
         inner = None  # x e^{0x} - h(x) vanishes identically inside the cut
     else:
         inner = exp_integrand(kappa, factor=np.expm1, power=1)
-    jumps, _ = two_sided_integral(vt.nu, inner_g=inner, right=tail, left=tail)
+    jumps, _ = two_sided_integral(t.nu, inner_g=inner, right=tail, left=tail)
     return ExtReal.finite(base) + jumps
 
 
-def mgf(t: TripletLike, horizon: float, kappa: float) -> ExtReal:
+def mgf(t: LevyTriplet, horizon: float, kappa: float) -> ExtReal:
     """``E[e^{κ L_T}] = exp(T c(κ))`` as an extended real."""
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
@@ -167,7 +133,7 @@ def mgf(t: TripletLike, horizon: float, kappa: float) -> ExtReal:
         return ExtReal.finite(float(np.exp(horizon * c.value)))
 
 
-def mgf_derivative(t: TripletLike, horizon: float, kappa: float) -> ExtReal:
+def mgf_derivative(t: LevyTriplet, horizon: float, kappa: float) -> ExtReal:
     """``ψ_T(κ) = φ_T(κ) T c'(κ) = E[L_T e^{κ L_T}]`` as an extended real.
 
     Outside the finite-moment interval the value is ``+inf`` (to the right)
@@ -198,24 +164,23 @@ class Monotonicity(enum.Enum):
     NOT_MONOTONE = "not_monotone"
 
 
-def is_monotone(t: TripletLike) -> Monotonicity:
+def is_monotone(t: LevyTriplet) -> Monotonicity:
     """Classify the paths as a.s. increasing, a.s. decreasing, or neither.
 
     A monotone (and non-constant) price admits arbitrage, so downstream
     solvers refuse those models.  The constant process (no drift, no noise,
     no jumps) is reported as not monotone: it already is a martingale.
     """
-    vt = as_validated(t)
-    nu = vt.nu
-    if vt.sigma2 > 0.0:
+    nu = validate_triplet(t).nu
+    if t.sigma2 > 0.0:
         return Monotonicity.NOT_MONOTONE
     pos, neg = nu.side(1).cutoff > 0, nu.side(-1).cutoff > 0
     if pos and neg:
         return Monotonicity.NOT_MONOTONE
     if not pos and not neg:
-        if vt.b > 0.0:
+        if t.b > 0.0:
             return Monotonicity.INCREASING
-        if vt.b < 0.0:
+        if t.b < 0.0:
             return Monotonicity.DECREASING
         return Monotonicity.NOT_MONOTONE
     side = +1 if pos else -1
@@ -224,7 +189,7 @@ def is_monotone(t: TripletLike) -> Monotonicity:
     if math.isinf(fv):
         # infinite variation in the small jumps: paths oscillate
         return Monotonicity.NOT_MONOTONE
-    drift = vt.b - side * fv  # drift of the finite-variation representation
+    drift = t.b - side * fv  # drift of the finite-variation representation
     if side > 0:
         return Monotonicity.INCREASING if drift >= 0.0 else Monotonicity.NOT_MONOTONE
     return Monotonicity.DECREASING if drift <= 0.0 else Monotonicity.NOT_MONOTONE
@@ -260,7 +225,7 @@ def _conversion_drift_integral(nu: LevyMeasure) -> float:
     return val.value - one_sided_integral(nu, +1, 1, _LN2, INNER_CUT)
 
 
-def geometric_to_linear(t: TripletLike) -> LevyTriplet:
+def geometric_to_linear(t: LevyTriplet) -> LevyTriplet:
     """Triplet of the stochastic-exponential representation.
 
     Given the log-price triplet (the process ``X`` with ``S = S0 e^X``),
@@ -268,19 +233,18 @@ def geometric_to_linear(t: TripletLike) -> LevyTriplet:
     through ``x -> e^x - 1``, the Gaussian part is unchanged, and the drift
     picks up ``σ²/2`` plus the truncation-mismatch integral.
     """
-    vt = as_validated(t)
-    nu = vt.nu
+    nu = validate_triplet(t).nu
     if isinstance(nu, LogJumpImage):
         nu_lin: LevyMeasure = nu.base
     elif nu.atoms() is not None:
         nu_lin = FiniteAtomic(tuple((math.expm1(p), m) for p, m in nu.atoms()))
     else:
         nu_lin = ExpJumpImage(nu)
-    drift = vt.b + 0.5 * vt.sigma2 + _conversion_drift_integral(nu)
-    return LevyTriplet(drift, vt.sigma2, nu_lin)
+    drift = t.b + 0.5 * t.sigma2 + _conversion_drift_integral(nu)
+    return LevyTriplet(drift, t.sigma2, nu_lin)
 
 
-def linear_to_geometric(t: TripletLike) -> LevyTriplet:
+def linear_to_geometric(t: LevyTriplet) -> LevyTriplet:
     """Inverse of :func:`geometric_to_linear`.
 
     Raises :class:`JumpBelowMinusOne` when the linear market jumps to or
@@ -288,8 +252,7 @@ def linear_to_geometric(t: TripletLike) -> LevyTriplet:
     :class:`UnsupportedMeasure` for density measures whose behaviour near
     -1 cannot be described by this package's tail metadata.
     """
-    vt = as_validated(t)
-    nu = vt.nu
+    nu = validate_triplet(t).nu
 
     atoms = nu.atoms()
     if atoms is not None and any(p <= -1.0 for p, _ in atoms):
@@ -304,5 +267,5 @@ def linear_to_geometric(t: TripletLike) -> LevyTriplet:
     else:
         nu_geo = LogJumpImage(nu)  # may raise UnsupportedMeasure
 
-    drift = vt.b - 0.5 * vt.sigma2 - _conversion_drift_integral(nu_geo)
-    return LevyTriplet(drift, vt.sigma2, nu_geo)
+    drift = t.b - 0.5 * t.sigma2 - _conversion_drift_integral(nu_geo)
+    return LevyTriplet(drift, t.sigma2, nu_geo)

@@ -30,7 +30,7 @@ from .levy_core.measures import (CGMY, GaussianJumps, JumpDiffusion,
                                  VarianceGamma)
 from .levy_core.quadrature import INNER_CUT, one_sided_integral
 from .levy_core.record import Record
-from .levy_core.triplets import TripletLike, as_validated
+from .levy_core.triplets import LevyTriplet, validate_triplet
 
 __all__ = [
     "SimConfig",
@@ -256,20 +256,17 @@ def _jump_plan(nu: LevyMeasure, eps: float) -> _JumpPlan:
         if base.draw is None:
             return base
 
-        def draw(rng: np.random.Generator, k: int) -> np.ndarray:
+        def accept(x: np.ndarray) -> np.ndarray:
             # sizes of the tempered process are base sizes accepted with
             # probability e^{w(x)} <= 1; the intensity shrinks accordingly
-            out = np.empty(0)
-            while out.size < k:
-                cand = base.draw(rng, max(64, 2 * (k - out.size)))
-                w = np.exp(nu.log_weight(cand))
-                if np.any(w > 1.0 + 1e-12):
-                    raise UnsupportedMeasure(
-                        "tempering weight exceeds 1: thinning sampler invalid")
-                out = np.concatenate([out, cand[rng.random(cand.size) < w]])
-            return out[:k]
+            w = np.exp(nu.log_weight(x))
+            if np.any(w > 1.0 + 1e-12):
+                raise UnsupportedMeasure(
+                    "tempering weight exceeds 1: thinning sampler invalid")
+            return w
 
-        return _JumpPlan(_thinned_rate(nu, eps), draw, base.exact)
+        return _JumpPlan(_thinned_rate(nu, eps),
+                         _rejection_sampler(base.draw, accept), base.exact)
 
     raise UnsupportedMeasure(
         f"no sampling recipe for measure type {type(nu).__name__}")
@@ -309,7 +306,7 @@ def _worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def sample_terminal(t: TripletLike, cfg: SimConfig) -> SamplePack:
+def sample_terminal(t: LevyTriplet, cfg: SimConfig) -> SamplePack:
     """Draw ``cfg.n_samples`` i.i.d. values of ``L_T``.
 
     Work is split into fixed-size batches, each with its own generator
@@ -317,16 +314,15 @@ def sample_terminal(t: TripletLike, cfg: SimConfig) -> SamplePack:
     run them.  Jump records (times and sizes of jumps with magnitude
     above the cutoff) are kept per path when ``cfg.record_jumps`` is set.
     """
-    vt = as_validated(t)
-    nu = vt.nu
+    nu = validate_triplet(t).nu
     plan = _jump_plan(nu, cfg.epsilon)
     cut_lo = 0.0 if plan.exact else cfg.epsilon
     tmean = _truncated_mean(nu, cut_lo) if plan.rate > 0.0 else 0.0
     small_sd = 0.0
     if not plan.exact and cfg.small_jump_mode == "gaussian":
         small_sd = math.sqrt(cfg.T * _small_variance(nu, cfg.epsilon))
-    drift = (vt.b - tmean) * cfg.T
-    sigma_sd = math.sqrt(vt.sigma2 * cfg.T)
+    drift = (t.b - tmean) * cfg.T
+    sigma_sd = math.sqrt(t.sigma2 * cfg.T)
 
     n = int(cfg.n_samples)
     n_batches = (n + _BATCH - 1) // _BATCH

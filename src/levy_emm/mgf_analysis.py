@@ -27,10 +27,11 @@ import math
 from typing import Optional, Tuple
 
 from .errors import ArbitrageMarketError, NoFiniteMinimizer
-from .levy_core.extreal import ExtReal, NEG_INF, POS_INF
+from .levy_core.extreal import ExtReal
 from .levy_core.record import Record
-from .levy_core.triplets import (Monotonicity, TripletLike, as_validated,
-                                 cumulant, cumulant_derivative, is_monotone)
+from .levy_core.triplets import (LevyTriplet, Monotonicity, cumulant,
+                                 cumulant_derivative, is_monotone,
+                                 validate_triplet)
 
 __all__ = [
     "ExpMomentInterval",
@@ -57,13 +58,13 @@ class ExpMomentInterval(Record):
     """``I = {κ : E[e^{κ L_T}] < inf} = [a, b]`` with ``a <= 0 <= b``, plus
     endpoint membership in ``I`` and in the derivative-moment set ``E``.
 
-    Infinite endpoints carry ``False`` membership flags (membership of an
-    ideal point is vacuous).  ``a_in_E`` implies ``a_in_I`` and likewise on
-    the right.
+    An unbounded side has the end ``±inf``, with ``False`` membership
+    flags (membership of an ideal point is vacuous).  ``a_in_E`` implies
+    ``a_in_I`` and likewise on the right.
     """
 
-    a: ExtReal
-    b: ExtReal
+    a: float
+    b: float
     a_in_I: bool
     b_in_I: bool
     a_in_E: bool
@@ -72,58 +73,48 @@ class ExpMomentInterval(Record):
     @property
     def is_degenerate(self) -> bool:
         """True when I = {0}."""
-        return (self.a.is_finite and self.b.is_finite
-                and self.a.value == 0.0 and self.b.value == 0.0)
+        return self.a == 0.0 and self.b == 0.0
 
     def contains_interior(self, kappa: float) -> bool:
-        lo = self.a.as_float()
-        hi = self.b.as_float()
-        return lo < kappa < hi
+        return self.a < kappa < self.b
 
     def contains(self, kappa: float) -> bool:
-        if self.contains_interior(kappa):
-            return True
-        if self.a.is_finite and kappa == self.a.value:
+        if kappa == self.a:
             return self.a_in_I
-        if self.b.is_finite and kappa == self.b.value:
+        if kappa == self.b:
             return self.b_in_I
-        return False
+        return self.contains_interior(kappa)
 
     def describe(self) -> dict:
-        def end(v: ExtReal):
-            return v.value if v.is_finite else ("-inf" if v.is_neg_inf else "inf")
+        def end(v: float):
+            return v if math.isfinite(v) else ("-inf" if v < 0 else "inf")
         return {"a": end(self.a), "b": end(self.b),
                 "a_in_I": self.a_in_I, "b_in_I": self.b_in_I,
                 "a_in_E": self.a_in_E, "b_in_E": self.b_in_E}
 
 
-def exp_moment_interval(t: TripletLike) -> ExpMomentInterval:
+def exp_moment_interval(t: LevyTriplet) -> ExpMomentInterval:
     """Decide ``I`` and the endpoint memberships from tail decay alone.
 
     The right endpoint is set by the right tail (a tilt ``κ > 0`` always
     integrates the left tail) and symmetrically for the left.
     """
-    vt = as_validated(t)
-    right, left = vt.nu.side(1), vt.nu.side(-1)
+    validate_triplet(t)
+    right, left = t.nu.side(1), t.nu.side(-1)
 
     b_sup = right.tilt_sup()
     a_inf = -left.tilt_sup() + 0.0  # never -0.0
 
-    if math.isinf(b_sup):
-        b, b_in_I, b_in_E = POS_INF, False, False
-    else:
-        b = ExtReal.finite(b_sup)
+    b_in_I = b_in_E = a_in_I = a_in_E = False
+    if math.isfinite(b_sup):
         b_in_I = right.moment_finite(0, b_sup)
         b_in_E = (b_in_I and right.moment_finite(1, b_sup)
                   and left.moment_finite(1, -b_sup))
-    if math.isinf(a_inf):
-        a, a_in_I, a_in_E = NEG_INF, False, False
-    else:
-        a = ExtReal.finite(a_inf)
+    if math.isfinite(a_inf):
         a_in_I = left.moment_finite(0, -a_inf)
         a_in_E = (a_in_I and left.moment_finite(1, -a_inf)
                   and right.moment_finite(1, a_inf))
-    return ExpMomentInterval(a, b, a_in_I, b_in_I, a_in_E, b_in_E)
+    return ExpMomentInterval(a_inf, b_sup, a_in_I, b_in_I, a_in_E, b_in_E)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +293,7 @@ def brentq(f, a: float, b: float) -> float:
         f"Brent's method did not converge in {_BRENT_MAXITER} steps")
 
 
-def _minimum(vt, horizon: float,
+def _minimum(t, horizon: float,
              iv: ExpMomentInterval) -> Tuple[MinimumPoint, Optional[ExtReal]]:
     """The minimizer of ``φ_T`` over ``I`` for a market known not to be
     monotone: the root of the increasing ``c'``, or the end of ``I`` up
@@ -312,10 +303,9 @@ def _minimum(vt, horizon: float,
         return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 0.0, iv), None
 
     def m_of(k: float) -> ExtReal:
-        return cumulant_derivative(vt, k)
+        return cumulant_derivative(t, k)
 
-    found = search_increasing_root(m_of, iv.a.as_float(), iv.b.as_float(),
-                                   iv.a_in_I, iv.b_in_I)
+    found = search_increasing_root(m_of, iv.a, iv.b, iv.a_in_I, iv.b_in_I)
     kappa0 = found.lo
     if found.side:
         case = (MinimumCase.RIGHT_ENDPOINT if found.side > 0
@@ -324,12 +314,12 @@ def _minimum(vt, horizon: float,
         case = MinimumCase.INTERIOR_ROOT
         if found.lo < found.hi:
             kappa0 = brentq(lambda k: m_of(k).value, found.lo, found.hi)
-    c_min = min(cumulant(vt, kappa0).value, 0.0)
+    c_min = min(cumulant(t, kappa0).value, 0.0)
     mp = MinimumPoint(kappa0, case, horizon * c_min, iv)
     return mp, found.end_value
 
 
-def minimize_mgf(t: TripletLike, horizon: float) -> MinimumPoint:
+def minimize_mgf(t: LevyTriplet, horizon: float) -> MinimumPoint:
     """Locate ``argmin φ_T`` over the finite-moment interval.
 
     Monotone (arbitrage) markets are refused; the degenerate interval
@@ -341,10 +331,10 @@ def minimize_mgf(t: TripletLike, horizon: float) -> MinimumPoint:
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t)
-    if is_monotone(vt) is not Monotonicity.NOT_MONOTONE:
+    validate_triplet(t)
+    if is_monotone(t) is not Monotonicity.NOT_MONOTONE:
         raise ArbitrageMarketError("monotone price process")
-    return _minimum(vt, horizon, exp_moment_interval(vt))[0]
+    return _minimum(t, horizon, exp_moment_interval(t))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +381,7 @@ def _shape_case(iv: ExpMomentInterval) -> EsscherCase:
     return EsscherCase.INTERVAL_INTERIOR
 
 
-def classify_esscher_parameter(t: TripletLike,
+def classify_esscher_parameter(t: LevyTriplet,
                                horizon: float) -> EsscherParameterStatus:
     """Decide whether some tilt makes the tilted process driftless.
 
@@ -403,18 +393,18 @@ def classify_esscher_parameter(t: TripletLike,
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    vt = as_validated(t)
-    iv = exp_moment_interval(vt)
+    validate_triplet(t)
+    iv = exp_moment_interval(t)
     mp, m_end = None, None
-    if is_monotone(vt) is Monotonicity.NOT_MONOTONE:
-        mp, m_end = _minimum(vt, horizon, iv)
+    if is_monotone(t) is Monotonicity.NOT_MONOTONE:
+        mp, m_end = _minimum(t, horizon, iv)
 
     def status(exists: bool, case: Optional[EsscherCase],
                kappa0: Optional[float], diagnostic: str) -> EsscherParameterStatus:
         return EsscherParameterStatus(exists, case, kappa0, diagnostic, iv, mp)
 
     if iv.is_degenerate:
-        mean = cumulant_derivative(vt, 0.0)
+        mean = cumulant_derivative(t, 0.0)
         if not mean.is_finite:
             what = ("undefined" if mean.is_undefined
                     else ("+inf" if mean.is_pos_inf else "-inf"))
@@ -436,7 +426,7 @@ def classify_esscher_parameter(t: TripletLike,
 
     # endpoint minimum: the parameter exists only if the derivative
     # actually vanishes there (within tolerance) and the endpoint is in E
-    v_end = m_end if m_end is not None else cumulant_derivative(vt, mp.kappa0)
+    v_end = m_end if m_end is not None else cumulant_derivative(t, mp.kappa0)
     if v_end.is_finite and abs(v_end.value) <= _M_ATOL:
         return status(True, _shape_case(iv), mp.kappa0,
                       "derivative vanishes exactly at the interval endpoint")

@@ -265,6 +265,22 @@ class TestApprox:
         assert code == 2
         assert "superlinear" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("command,extra", [
+        ("approx", ("--n-max", "2")),
+        ("mc-check", ("--zn", "2", "--samples", "2000"))])
+    def test_power_penalty_needs_p_above_four_thirds(self, tmp_path, command,
+                                                     extra):
+        # |x|/rho_n(x) must fall tenfold from 1e3 to 1e6: 1e3^(1-P) <= 0.1
+        spec = str(_MODELS / "kou.json")
+        code, rep = run(tmp_path, command, spec, *extra,
+                        "--penalty", "power:1.2")
+        assert code == 2
+        assert rep["error"]["type"] == "PenaltyViolation"
+        assert "P > 4/3" in rep["error"]["message"]
+        code, rep = run(tmp_path, command, spec, *extra,
+                        "--penalty", "power:1.34")
+        assert code == 0
+
     def test_bad_n_max(self, tmp_path):
         code, rep = run(tmp_path, "approx", str(_MODELS / "kou.json"),
                         "--n-max", "0")

@@ -30,8 +30,7 @@ def _samples():
     atoms = m.FiniteAtomic(((0.5, 1.0), (-0.25, 2.0)))
     de = m.DoubleExponentialJumps(0.4, 8.0, 6.0)
     triplet = t.LevyTriplet(0.1, 0.2, vg)
-    interval = g.ExpMomentInterval(extreal.ExtReal.finite(-2.0),
-                                   extreal.POS_INF, False, False, False, False)
+    interval = g.ExpMomentInterval(-2.0, math.inf, True, False, False, False)
     minimum = g.MinimumPoint(0.5, g.MinimumCase.INTERIOR_ROOT, -0.25, interval)
     step = a.ApproxStep(2, 0.1, 0.2, 0.3, 0.4, 0.5)
     return [
@@ -76,10 +75,6 @@ def _samples():
         (triplet,
          "LevyTriplet(b=0.1, sigma2=0.2, nu=VarianceGamma(C=1.0, G=2.0, "
          "M=3.0))", {"b": 0.0, "sigma2": -1.0, "nu": vg}, NegativeVariance),
-        (t.ValidatedTriplet(triplet, 0.3, 0.4),
-         "ValidatedTriplet(triplet=LevyTriplet(b=0.1, sigma2=0.2, "
-         "nu=VarianceGamma(C=1.0, G=2.0, M=3.0)), small_jump_variation=0.3, "
-         "large_jump_mass=0.4)", None, None),
         (a.PenaltyFamily("quadratic", max),
          "PenaltyFamily(kind='quadratic', rho=<built-in function max>, "
          "superlinear=True, even=True)", None, None),
@@ -110,12 +105,12 @@ def _samples():
          "nu=FiniteAtomic(atom_list=((0.5, 1.0), (-0.25, 2.0))), T=1.0, "
          "S0=None)", None, None),
         (interval,
-         "ExpMomentInterval(a=ExtReal(-2.0), b=ExtReal<+inf>, a_in_I=False, "
+         "ExpMomentInterval(a=-2.0, b=inf, a_in_I=True, "
          "b_in_I=False, a_in_E=False, b_in_E=False)", None, None),
         (minimum,
          "MinimumPoint(kappa0=0.5, case=<MinimumCase.INTERIOR_ROOT: "
          "'interior_root'>, log_phi_at_min=-0.25, interval=ExpMomentInterval("
-         "a=ExtReal(-2.0), b=ExtReal<+inf>, a_in_I=False, b_in_I=False, "
+         "a=-2.0, b=inf, a_in_I=True, b_in_I=False, "
          "a_in_E=False, b_in_E=False))", None, None),
         (g.RootSearch(0.0, 1.0),
          "RootSearch(lo=0.0, hi=1.0, side=0, end_value=None)", None, None),
@@ -123,12 +118,12 @@ def _samples():
                                   "d", interval, minimum),
          "EsscherParameterStatus(exists=True, case=<EsscherCase."
          "INTERVAL_INTERIOR: 'interval_interior'>, kappa0=0.5, "
-         "diagnostic='d', interval=ExpMomentInterval(a=ExtReal(-2.0), "
-         "b=ExtReal<+inf>, a_in_I=False, b_in_I=False, a_in_E=False, "
+         "diagnostic='d', interval=ExpMomentInterval(a=-2.0, "
+         "b=inf, a_in_I=True, b_in_I=False, a_in_E=False, "
          "b_in_E=False), minimum=MinimumPoint(kappa0=0.5, case=<MinimumCase."
          "INTERIOR_ROOT: 'interior_root'>, log_phi_at_min=-0.25, "
-         "interval=ExpMomentInterval(a=ExtReal(-2.0), b=ExtReal<+inf>, "
-         "a_in_I=False, b_in_I=False, a_in_E=False, b_in_E=False)))",
+         "interval=ExpMomentInterval(a=-2.0, b=inf, "
+         "a_in_I=True, b_in_I=False, a_in_E=False, b_in_E=False)))",
          None, None),
         (esscher.EsscherResult(esscher.EsscherStatus.NO_EMM, None, None, 0.5,
                                None, None),

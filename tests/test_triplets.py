@@ -26,19 +26,27 @@ from levy_emm import (
     LogJumpImage,
     Monotonicity,
     PenaltyFamily,
+    SimConfig,
     TailDecay,
-    ValidatedTriplet,
     approx_sequence,
-    as_validated,
+    classify_esscher_parameter,
     cumulant,
     cumulant_derivative,
+    esscher_entropy,
     esscher_transform,
+    exp_moment_interval,
     geometric_to_linear,
     is_monotone,
     linear_to_geometric,
+    memm_report,
     mgf,
     mgf_derivative,
+    minimize_mgf,
+    perturbed_triplet,
+    sample_terminal,
     small_jump_variation,
+    solve_geometric_emm,
+    solve_linear_emm,
     tail_mass,
     validate_triplet,
     zero_measure,
@@ -109,6 +117,45 @@ def _truncated_mean(pdf, lo=-1.0, hi=1.0):
     return val
 
 
+def _non_integrable_triplet():
+    """Density ``|x|^{-3.5} e^{-|x|}``: ``x² ν`` is ``|x|^{-1.5}`` near
+    zero, so the small jumps have infinite variation."""
+    def dens(x):
+        x = np.asarray(x, dtype=float)
+        ax = np.where(x != 0.0, np.abs(x), 1.0)
+        return ax ** -3.5 * np.exp(-ax)
+
+    nu = GenericDensity(dens, right=TailDecay.exponential(1.0, power=-3.5),
+                        left=TailDecay.exponential(1.0, power=-3.5),
+                        symmetric=True)
+    return LevyTriplet(0.0, 0.0, nu)
+
+
+#: every public function that takes a triplet, applied to one
+_TRIPLET_CALLS = {
+    "cumulant": lambda t: cumulant(t, 0.5),
+    "cumulant_derivative": lambda t: cumulant_derivative(t, 0.5),
+    "mgf": lambda t: mgf(t, 1.0, 0.5),
+    "mgf_derivative": lambda t: mgf_derivative(t, 1.0, 0.5),
+    "is_monotone": is_monotone,
+    "geometric_to_linear": geometric_to_linear,
+    "linear_to_geometric": linear_to_geometric,
+    "exp_moment_interval": exp_moment_interval,
+    "minimize_mgf": lambda t: minimize_mgf(t, 1.0),
+    "classify_esscher_parameter": lambda t: classify_esscher_parameter(t, 1.0),
+    "esscher_transform": lambda t: esscher_transform(t, 0.5),
+    "esscher_entropy": lambda t: esscher_entropy(t, 1.0, 0.5),
+    "solve_linear_emm": lambda t: solve_linear_emm(t, 1.0),
+    "solve_geometric_emm": lambda t: solve_geometric_emm(t, 1.0),
+    "memm_report": lambda t: memm_report(t, 1.0),
+    "perturbed_triplet": lambda t: perturbed_triplet(
+        t, PenaltyFamily.default_quadratic(), 1),
+    "approx_sequence": lambda t: approx_sequence(
+        t, 1.0, PenaltyFamily.default_quadratic(), (1,)),
+    "sample_terminal": lambda t: sample_terminal(t, SimConfig(1.0, 10)),
+}
+
+
 class TestConstructionAndValidation:
     def test_negative_variance_rejected(self):
         for bad in (-0.1, -1e-300, math.inf, math.nan):
@@ -125,32 +172,27 @@ class TestConstructionAndValidation:
             LevyTriplet(0.0, 1.0, "not a measure")
 
     def test_validated_facts_match_direct_quadrature(self, kou):
-        vt = validate_triplet(kou)
+        # the two integrals validate_triplet checks for finiteness
         lam = 1.5
         sjv, _ = integrate.quad(lambda x: x * x * float(_kou_pdf(x)), -1.0, 1.0,
                                 points=[0.0], limit=200)
         left, _ = integrate.quad(lambda x: float(_kou_pdf(x)), -np.inf, -1.0)
         right, _ = integrate.quad(lambda x: float(_kou_pdf(x)), 1.0, np.inf)
-        assert math.isclose(vt.small_jump_variation, lam * sjv, rel_tol=1e-9)
-        assert math.isclose(vt.large_jump_mass, lam * (left + right), rel_tol=1e-9)
+        assert math.isclose(small_jump_variation(kou.nu), lam * sjv, rel_tol=1e-9)
+        assert math.isclose(tail_mass(kou.nu), lam * (left + right), rel_tol=1e-9)
 
-    def test_as_validated_is_idempotent(self, kou):
-        vt = validate_triplet(kou)
-        assert as_validated(vt) is vt
-        assert isinstance(as_validated(kou), ValidatedTriplet)
+    def test_validate_returns_the_triplet(self, kou):
+        assert validate_triplet(kou) is kou
 
     def test_infinite_small_jump_variation_rejected(self):
-        # density |x|^{-3.5} e^{-|x|}: x^2 nu is |x|^{-1.5} near zero
-        def dens(x):
-            x = np.asarray(x, dtype=float)
-            ax = np.where(x != 0.0, np.abs(x), 1.0)
-            return ax ** -3.5 * np.exp(-ax)
-
-        nu = GenericDensity(dens, right=TailDecay.exponential(1.0, power=-3.5),
-                            left=TailDecay.exponential(1.0, power=-3.5),
-                            symmetric=True)
         with pytest.raises(NonIntegrableLevyMeasure):
-            validate_triplet(LevyTriplet(0.0, 0.0, nu))
+            validate_triplet(_non_integrable_triplet())
+
+    @pytest.mark.parametrize("call", _TRIPLET_CALLS.values(),
+                             ids=list(_TRIPLET_CALLS))
+    def test_every_triplet_entry_point_validates(self, call):
+        with pytest.raises(NonIntegrableLevyMeasure):
+            call(_non_integrable_triplet())
 
     def test_declared_infinite_mass_rejected(self):
         def dens(x):
