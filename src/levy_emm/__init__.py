@@ -43,6 +43,7 @@ from .approximation import (  # noqa: E402
     perturbed_triplet,
 )
 from .mc_oracle import (  # noqa: E402
+    JumpRecords,
     PathwiseZn,
     SamplePack,
     SimConfig,
@@ -72,7 +73,7 @@ __all__ = list(_core_all) + [
     "approx_sequence", "default_schedule",
     "PenaltyDiagnostics", "check_penalty",
     # mc_oracle
-    "SimConfig", "SamplePack", "sample_terminal",
+    "SimConfig", "JumpRecords", "SamplePack", "sample_terminal",
     "martingale_defect", "entropy_estimate", "PathwiseZn", "pathwise_log_zn",
     # modelspec
     "ModelSpec", "parse_model", "load_model", "serialize_model",

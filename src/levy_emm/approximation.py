@@ -43,6 +43,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+#: where :func:`_ray_ratios` reads ``|x|/ρ_n(x)``
+_RAY = np.array([1e3, 1e6])
+
+
+def _ray_ratios(p: "PenaltyFamily", n: int) -> Tuple[np.ndarray, bool]:
+    """``|x|/ρ_n(x)`` at ``x = 1e3`` and ``1e6``, and whether it falls at
+    least tenfold between them (``|x|^P/n`` does for ``P > 4/3``): the
+    superlinearity rule of both :meth:`PenaltyFamily.validate` and
+    :func:`check_penalty`."""
+    ratios = _RAY / np.maximum(p.rho_at(n, _RAY), 1e-300)
+    return ratios, bool(ratios[1] <= 0.1 * ratios[0])
+
+
 class PenaltyFamily(Record):
     """A decreasing family of superlinear penalties ``ρ_n >= 0`` that
     vanish on ``|x| <= 1``, so small jumps are never tempered.
@@ -119,9 +132,8 @@ class PenaltyFamily(Record):
         probe = self.rho_at(n, np.array([-1e6, -1e3, -2.0, 2.0, 1e3, 1e6]))
         if not np.all(np.isfinite(probe)) or np.any(probe < 0.0):
             raise PenaltyViolation("penalty must be finite and nonnegative")
-        r_mid = 1e3 / max(float(self.rho_at(n, 1e3)), 1e-300)
-        r_far = 1e6 / max(float(self.rho_at(n, 1e6)), 1e-300)
-        if not r_far <= 0.1 * r_mid:
+        (r_mid, r_far), falls = _ray_ratios(self, n)
+        if not falls:
             raise PenaltyViolation(
                 f"|x|/rho_n(x) must fall at least tenfold from x = 1e3 to "
                 f"x = 1e6, got {r_mid:.3g} and {r_far:.3g}: the penalty is not "
@@ -322,8 +334,10 @@ class PenaltyDiagnostics(Record):
 def check_penalty(p: PenaltyFamily, nu: LevyMeasure) -> PenaltyDiagnostics:
     """Verify the three penalty conditions against a concrete measure.
 
-    (1) ``ρ_{n+1} <= ρ_n`` on a grid; (2) ``|x|/ρ_n(x) -> 0`` along a
-    geometric ray; (3) ``∫(1-e^{-ρ_n})dν`` finite by quadrature.
+    (1) ``ρ_{n+1} <= ρ_n`` on a grid; (2) ``|x|/ρ_n(x)`` falls at least
+    tenfold from ``x = 1e3`` to ``1e6`` for ``n = 1, 4, 16``, the rule
+    :meth:`PenaltyFamily.validate` applies; (3) ``∫(1-e^{-ρ_n})dν`` finite
+    by quadrature.
     """
     witnesses: dict = {}
 
@@ -344,21 +358,17 @@ def check_penalty(p: PenaltyFamily, nu: LevyMeasure) -> PenaltyDiagnostics:
     if monotone_ok:
         witnesses["monotone_grid"] = {"points": int(grid.size), "n_checked": 6}
 
-    ray = np.geomspace(10.0, 1e6, 6)
     superlinear_ok = True
     for n in (1, 4, 16):
-        rho_vals = p.rho_at(n, ray)
-        with np.errstate(divide="ignore"):
-            ratios = ray / np.where(rho_vals > 0, rho_vals, np.inf)
-        if not (ratios[-1] < 1e-2 and ratios[-1] <= ratios[0] * 0.1):
+        ratios, superlinear_ok = _ray_ratios(p, n)
+        if not superlinear_ok:
             witnesses["superlinear_violation"] = {
-                "n": n, "x": [float(v) for v in ray],
+                "n": n, "x": [float(v) for v in _RAY],
                 "x_over_rho": [float(v) for v in ratios]}
-            superlinear_ok = False
             break
     if superlinear_ok:
         witnesses["superlinear_ray"] = {
-            "x_max": float(ray[-1]), "n_checked": 3}
+            "x_max": float(_RAY[-1]), "n_checked": 3}
 
     integrable_ok = True
     try:

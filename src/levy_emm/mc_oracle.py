@@ -34,6 +34,7 @@ from .levy_core.triplets import LevyTriplet, validate_triplet
 
 __all__ = [
     "SimConfig",
+    "JumpRecords",
     "SamplePack",
     "sample_terminal",
     "martingale_defect",
@@ -74,14 +75,25 @@ class SimConfig(Record):
             raise ValidationError("small_jump_mode must be 'gaussian' or 'drop'")
 
 
+class JumpRecords(Record):
+    """The jumps larger than the cutoff of every path, flat: path ``i``
+    jumped at ``times[offsets[i]:offsets[i + 1]]`` by the ``sizes`` of the
+    same slice, in time order.  ``offsets`` has ``n + 1`` entries, from 0
+    to the number of recorded jumps."""
+
+    offsets: np.ndarray
+    times: np.ndarray
+    sizes: np.ndarray
+
+
 class SamplePack(Record):
-    """Terminal draws plus optional per-path jump records ``(time, size)``
-    for jumps larger than the cutoff."""
+    """Terminal draws plus, when asked for, the jump records of every
+    path."""
 
     values: np.ndarray
     T: float
     seed: int
-    jump_records: Optional[Tuple[np.ndarray, ...]] = None
+    jump_records: Optional[JumpRecords] = None
 
     @property
     def n(self) -> int:
@@ -311,8 +323,9 @@ def sample_terminal(t: LevyTriplet, cfg: SimConfig) -> SamplePack:
 
     Work is split into fixed-size batches, each with its own generator
     spawned from the seed, so results are identical however many threads
-    run them.  Jump records (times and sizes of jumps with magnitude
-    above the cutoff) are kept per path when ``cfg.record_jumps`` is set.
+    run them.  When ``cfg.record_jumps`` is set, the times and sizes of
+    the jumps with magnitude above the cutoff are kept as
+    :class:`JumpRecords`.
     """
     nu = validate_triplet(t).nu
     plan = _jump_plan(nu, cfg.epsilon)
@@ -328,7 +341,8 @@ def sample_terminal(t: LevyTriplet, cfg: SimConfig) -> SamplePack:
     n_batches = (n + _BATCH - 1) // _BATCH
     children = np.random.SeedSequence(cfg.seed).spawn(n_batches)
     values = np.empty(n, dtype=float)
-    records: Optional[List] = [None] * n if cfg.record_jumps else None
+    # each batch's (jumps per path, times, sizes), joined in batch order
+    slices: Optional[List] = [None] * n_batches if cfg.record_jumps else None
 
     def run_batch(k: int) -> None:
         lo, hi = k * _BATCH, min(n, (k + 1) * _BATCH)
@@ -343,22 +357,18 @@ def sample_terminal(t: LevyTriplet, cfg: SimConfig) -> SamplePack:
             counts = rng.poisson(plan.rate * cfg.T, count)
             total = int(counts.sum())
             sizes = plan.draw(rng, total) if total else np.empty(0)
-            # per-path segment sums
-            idx = np.repeat(np.arange(count), counts)
-            out += np.bincount(idx, weights=sizes, minlength=count)
-            if records is not None:
+            path = np.repeat(np.arange(count), counts)
+            out += np.bincount(path, weights=sizes, minlength=count)
+            if slices is not None:
                 times = rng.uniform(0.0, cfg.T, total)
-                offsets = np.concatenate([[0], np.cumsum(counts)])
-                for i in range(count):
-                    seg = slice(offsets[i], offsets[i + 1])
-                    s, tm = sizes[seg], times[seg]
-                    keep = np.abs(s) > cfg.epsilon
-                    order = np.argsort(tm[keep])
-                    records[lo + i] = np.column_stack(
-                        [tm[keep][order], s[keep][order]])
-        elif records is not None:
-            for i in range(count):
-                records[lo + i] = np.empty((0, 2))
+                keep = np.abs(sizes) > cfg.epsilon
+                path, times, sizes = path[keep], times[keep], sizes[keep]
+                order = np.lexsort((times, path))
+                slices[k] = (np.bincount(path, minlength=count),
+                             times[order], sizes[order])
+        elif slices is not None:
+            slices[k] = (np.zeros(count, dtype=np.intp), np.empty(0),
+                         np.empty(0))
         values[lo:hi] = out
 
     workers = _worker_count()
@@ -369,8 +379,12 @@ def sample_terminal(t: LevyTriplet, cfg: SimConfig) -> SamplePack:
         for k in range(n_batches):
             run_batch(k)
 
-    return SamplePack(values, cfg.T, cfg.seed,
-                      tuple(records) if records is not None else None)
+    records = None
+    if slices is not None:
+        counts, times, sizes = (np.concatenate(a) for a in zip(*slices))
+        records = JumpRecords(np.concatenate(([0], np.cumsum(counts))),
+                              times, sizes)
+    return SamplePack(values, cfg.T, cfg.seed, records)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +472,11 @@ def pathwise_log_zn(pack: SamplePack, p: PenaltyFamily, n: int,
             "pathwise evaluation needs jump records; sample with record_jumps=True")
     gap_n = mass_gap(nu, p, int(n))
     gap_1 = mass_gap(nu, p, 1)
-    log_zn = np.array([
-        pack.T * gap_n - float(np.sum(p.rho_at(n, rec[:, 1])))
-        for rec in pack.jump_records])
+    rec = pack.jump_records
+    # np.add.reduceat would give a path without jumps its neighbour's term
+    path = np.repeat(np.arange(pack.n), np.diff(rec.offsets))
+    log_zn = pack.T * gap_n - np.bincount(
+        path, weights=p.rho_at(n, rec.sizes), minlength=pack.n)
     zn = np.exp(log_zn)
     mean = float(zn.mean())
     se = float(zn.std(ddof=1)) / math.sqrt(zn.size) if zn.size > 1 else 0.0

@@ -77,6 +77,22 @@ class TestCheckPenalty:
     def test_quartic_passes(self, kou):
         assert check_penalty(PenaltyFamily.power(4), kou.nu).passed
 
+    @pytest.mark.parametrize("exponent", [1.34, 1.5])
+    def test_powers_the_gate_accepts_pass(self, kou, exponent):
+        p = PenaltyFamily.power(exponent)
+        p.validate(16)
+        d = check_penalty(p, kou.nu)
+        assert d.superlinear_ok and d.passed
+        assert "superlinear_ray" in d.witnesses
+
+    def test_powers_the_gate_rejects_fail(self, kou):
+        p = PenaltyFamily.power(1.2)
+        with pytest.raises(PenaltyViolation):
+            p.validate(1)
+        d = check_penalty(p, kou.nu)
+        assert not d.superlinear_ok and not d.passed
+        assert d.witnesses["superlinear_violation"]["n"] == 1
+
     def test_sublinear_growth_detected(self, kou):
         p = _lying_custom(_outside(lambda n, x: np.abs(x) ** 0.8 / n))
         d = check_penalty(p, kou.nu)

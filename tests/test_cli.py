@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from levy_emm import cli
+from levy_emm import cli, pathwise_log_zn
 from levy_emm.cli import _schedule_up_to, main
 from levy_emm.errors import NoFiniteMinimizer
 
@@ -255,6 +255,16 @@ class TestApprox:
         assert res["penalty"] == "power_4"
         assert res["penalty_diagnostics"]["passed"] is True
 
+    def test_power_penalty_below_two_passes_the_diagnostics(self, tmp_path):
+        # the diagnostics ask what the gate asks: power:1.5 passes both
+        code, rep = run(tmp_path, "approx", str(_MODELS / "kou.json"),
+                        "--n-max", "2", "--penalty", "power:1.5",
+                        "--check-penalty")
+        assert code == 0
+        diag = rep["results"]["penalty_diagnostics"]
+        assert diag["superlinear"] is True
+        assert diag["passed"] is True
+
     def test_bad_penalty_flags(self, tmp_path):
         code, rep = run(tmp_path, "approx", str(_MODELS / "kou.json"),
                         "--penalty", "cubic")
@@ -420,6 +430,27 @@ class TestMcCheck:
         assert zn["bound_holds"] is True
         assert zn["max_zn"] <= zn["uniform_bound"]
         assert abs(zn["zn_mean"] - 1.0) <= 5 * zn["zn_se"]
+
+    def test_pathwise_zn_without_recorded_jumps(self, tmp_path, monkeypatch):
+        # a Brownian model records no jump: every path has Z^n = e^{T gap_n}
+        # = 1 exactly, from an empty sizes array, and without a warning
+        results = []
+
+        def keep(*args, **kwargs):
+            results.append(pathwise_log_zn(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "pathwise_log_zn", keep)
+        code, rep = run(tmp_path, "mc-check", str(_MODELS / "brownian.json"),
+                        "--samples", "20000", "--zn", "2")
+        assert code == 0
+        (out,) = results
+        assert out.log_zn.shape == (20000,)
+        assert np.all(out.log_zn == 0.0)  # T gap_n, and gap_n = 0 here
+        zn = rep["results"]["pathwise_zn"]
+        assert zn["z_vs_one"] is None
+        assert zn["zn_mean"] == zn["max_zn"] == zn["uniform_bound"] == 1.0
+        assert zn["zn_se"] == 0.0 and zn["bound_holds"] is True
 
     def test_zn_index_validated(self, tmp_path, call_counts):
         calls = call_counts("sample_terminal")

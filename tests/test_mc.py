@@ -16,7 +16,10 @@ import pytest
 from scipy import integrate
 
 from levy_emm import (
+    DoubleExponentialJumps,
     FiniteAtomic,
+    JumpDiffusion,
+    JumpRecords,
     LevyTriplet,
     PenaltyFamily,
     SimConfig,
@@ -31,6 +34,7 @@ from levy_emm import (
     sample_terminal,
     solve_linear_emm,
 )
+from levy_emm.approximation import mass_gap
 from levy_emm.errors import DegenerateWeights, MissingJumpRecords
 from levy_emm.mc_oracle import _exp1
 
@@ -85,8 +89,9 @@ class TestReproducibility:
         monkeypatch.setenv("LEVY_EMM_THREADS", "4")
         threaded = sample_terminal(kou, cfg)
         assert np.array_equal(serial.values, threaded.values)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(serial.jump_records, threaded.jump_records))
+        for field in ("offsets", "times", "sizes"):
+            assert np.array_equal(getattr(serial.jump_records, field),
+                                  getattr(threaded.jump_records, field))
 
     def test_seed_controls_the_draws(self, kou):
         a = sample_terminal(kou, SimConfig(T=1.0, n_samples=1000, seed=5))
@@ -101,8 +106,74 @@ class TestReproducibility:
         assert isinstance(pack, SamplePack)
         assert pack.n == 300 and pack.values.shape == (300,)
         assert pack.T == 2.0 and pack.seed == 1
-        assert len(pack.jump_records) == 300
-        assert all(r.ndim == 2 and r.shape[1] == 2 for r in pack.jump_records)
+        rec = pack.jump_records
+        assert isinstance(rec, JumpRecords)
+        assert rec.offsets.shape == (301,)
+        assert rec.times.ndim == 1 and rec.sizes.shape == rec.times.shape
+
+
+def _paths(rec):
+    """Each path's ``(times, sizes)``, read off the flat records."""
+    return [(rec.times[a:b], rec.sizes[a:b])
+            for a, b in zip(rec.offsets[:-1], rec.offsets[1:])]
+
+
+class TestJumpRecords:
+    """The flat layout: one offsets array and two flat arrays per pack."""
+
+    @pytest.mark.parametrize("model", ["kou", "vg", "cgmy_y05", "two_atom"])
+    def test_recording_leaves_the_values_unchanged(self, model, request):
+        t = request.getfixturevalue(model)
+        cfg = dict(T=1.0, n_samples=2 * 8192 + 50, seed=8)
+        plain = sample_terminal(t, SimConfig(**cfg))
+        recorded = sample_terminal(t, SimConfig(record_jumps=True, **cfg))
+        assert plain.jump_records is None
+        assert np.array_equal(plain.values, recorded.values)
+
+    # Kou's plan draws every jump, and the jumps below the cutoff go
+    @pytest.mark.parametrize("model", ["kou", "vg", "two_atom"])
+    def test_layout(self, model, request):
+        t = request.getfixturevalue(model)
+        eps = 0.05
+        pack = sample_terminal(t, SimConfig(T=2.0, n_samples=3000, seed=4,
+                                            epsilon=eps, record_jumps=True))
+        rec = pack.jump_records
+        assert rec.offsets.shape == (pack.n + 1,)
+        assert rec.offsets[0] == 0
+        assert np.all(np.diff(rec.offsets) >= 0)
+        assert rec.offsets[-1] == rec.times.size == rec.sizes.size > 0
+        assert np.all(np.abs(rec.sizes) > eps)
+        for times, _ in _paths(rec):
+            assert np.all((0.0 <= times) & (times <= 2.0))
+            assert np.all(np.diff(times) >= 0.0)
+
+    def test_exact_plan_sizes_sum_to_the_values(self, outer_atom,
+                                                outer_atom_pack):
+        # atoms and no Gaussian part: L_T is the drift plus the jumps, all
+        # of them above the cutoff; the drift compensates the atom at -0.5
+        drift = 1.0 * (0.0 - (-0.5 * 1.0))
+        sums = np.array([np.sum(sizes)
+                         for _, sizes in _paths(outer_atom_pack.jump_records)])
+        assert np.max(np.abs(sums - (outer_atom_pack.values - drift))) <= 1e-12
+
+    def test_pathwise_sum_matches_a_per_path_loop(self):
+        t = LevyTriplet(0.0, 0.0, JumpDiffusion(
+            6.0, DoubleExponentialJumps(0.4, 0.8, 0.6)))
+        pack = sample_terminal(t, SimConfig(T=1.5, n_samples=2000, seed=5,
+                                            record_jumps=True))
+        p = PenaltyFamily.default_quadratic()
+        out = pathwise_log_zn(pack, p, 3, t.nu)
+        rec = pack.jump_records
+        sums = np.array([np.sum(p.rho_at(3, sizes))
+                         for _, sizes in _paths(rec)])
+        want = 1.5 * mass_gap(t.nu, p, 3) - sums
+        # numpy's pairwise sum changes its order from 8 terms up
+        short = np.diff(rec.offsets) < 8
+        assert short.any() and not short.all()
+        assert np.array_equal(out.log_zn[short], want[short])
+        ulps = (np.abs(out.log_zn - want)[~short]
+                / np.spacing(np.maximum(np.abs(want), sums)[~short]))
+        assert np.all(ulps <= 4.0), ulps.max()
 
 
 class TestDistributions:
@@ -120,13 +191,13 @@ class TestDistributions:
         pack = sample_terminal(
             two_atom, SimConfig(T=1.5, n_samples=20_000, seed=3,
                                 record_jumps=True))
-        counts = np.array([r.shape[0] for r in pack.jump_records])
+        rec = pack.jump_records
+        counts = np.diff(rec.offsets)
         lam = 2.0 * 1.5  # total atomic mass times horizon
         assert abs(counts.mean() - lam) <= 5 * math.sqrt(lam / counts.size)
-        sizes = np.concatenate([r[:, 1] for r in pack.jump_records])
-        assert set(np.unique(np.abs(sizes))) == {0.5}
-        for r in pack.jump_records[:50]:
-            times = r[:, 0]
+        assert set(np.unique(np.abs(rec.sizes))) == {0.5}
+        for i in range(50):
+            times = rec.times[rec.offsets[i]:rec.offsets[i + 1]]
             assert np.all((0 <= times) & (times <= 1.5))
             assert np.all(np.diff(times) >= 0)
 
@@ -202,8 +273,9 @@ class TestPathwiseZn:
         out = pathwise_log_zn(outer_atom_pack, p, 4, outer_atom.nu)
         # only the atom at 2 is penalized: rho_4(2) = 1, rho_4(-0.5) = 0
         gap4 = 0.5 * -math.expm1(-1.0)
-        want = np.array([gap4 - np.sum(rec[:, 1] == 2.0)
-                         for rec in outer_atom_pack.jump_records])
+        rec = outer_atom_pack.jump_records
+        want = np.array([gap4 - np.sum(rec.sizes[a:b] == 2.0)
+                         for a, b in zip(rec.offsets[:-1], rec.offsets[1:])])
         assert np.max(np.abs(out.log_zn - want)) <= 1e-13
 
     def test_unit_mean_and_uniform_bound(self, outer_atom, outer_atom_pack):

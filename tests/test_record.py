@@ -92,6 +92,9 @@ def _samples():
          "SimConfig(T=1.0, n_samples=100, epsilon=0.01, seed=0, "
          "small_jump_mode='gaussian', record_jumps=False)",
          {"T": 1.0, "n_samples": 100, "epsilon": 2.0}, ValidationError),
+        (mc.JumpRecords(np.array([0, 1]), np.array([0.5]), np.array([2.0])),
+         "JumpRecords(offsets=array([0, 1]), times=array([0.5]), "
+         "sizes=array([2.]))", None, None),
         (mc.SamplePack(np.array([1.0, 2.0]), 1.0, 3),
          "SamplePack(values=array([1., 2.]), T=1.0, seed=3, "
          "jump_records=None)", None, None),
