@@ -16,7 +16,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import LevyEmmError, PenaltyViolation
+from .errors import LevyEmmError, PenaltyViolation, QuadratureFailure
 from .esscher import solve_linear_emm
 from .levy_core.measures import LevyMeasure, Tempered
 from .levy_core.quadrature import (INNER_CUT, exp_entropy_term, exp_integrand,
@@ -180,9 +180,9 @@ def mass_gap(nu: LevyMeasure, p: PenaltyFamily, n: int) -> float:
 
     tail = exp_integrand(0.0, prefactor=pre)
     val, _ = two_sided_integral(nu, right=tail, left=tail)
-    # lossy view: an unvalidated measure with infinite outer mass must come
-    # back as inf so the integrability diagnostic can fail it, not crash
-    return val.as_float()
+    # an unvalidated measure with infinite outer mass comes back as inf, so
+    # the integrability diagnostic can fail it
+    return val
 
 
 def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
@@ -194,7 +194,10 @@ def _correction_integral(nu: LevyMeasure, p: PenaltyFamily, n: int,
 
     tail = exp_integrand(kappa, prefactor=pre, log_weight=p.log_weight(n))
     val, _ = two_sided_integral(nu, right=tail, left=tail)
-    return val.value
+    if not math.isfinite(val):
+        raise QuadratureFailure(
+            f"the penalty correction integral is {val} at n={n}")
+    return val
 
 
 def _entropy_vs_base(t, p: PenaltyFamily, n: int, kappa: float,
@@ -209,7 +212,10 @@ def _entropy_vs_base(t, p: PenaltyFamily, n: int, kappa: float,
     val, _ = two_sided_integral(
         t.nu, inner_g=exp_integrand(kappa, factor=exp_entropy_term),
         right=tail, left=tail)
-    return horizon * (t.sigma2 * kappa * kappa / 2.0 + val.value)
+    if not math.isfinite(val):
+        raise QuadratureFailure(
+            f"the entropy integral against the base measure is {val} at n={n}")
+    return horizon * (t.sigma2 * kappa * kappa / 2.0 + val)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ class QuadratureFailure(LevyEmmError):
 
 class PsiUndefined(LevyEmmError):
     """Both the positive and the negative part of the exponential first
-    moment diverge, so the derivative of the moment function has no
-    extended-real value."""
+    moment diverge, so the derivative of the moment function is
+    undefined (NaN)."""
 
 
 class ArbitrageMarketError(LevyEmmError):

@@ -10,12 +10,12 @@ for the linear and geometric markets, and a consolidated report.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Optional
 
 import numpy as np
 
 from .errors import KappaOutsideI, QuadratureFailure
-from .levy_core.extreal import ExtReal
 from .levy_core.quadrature import exp_integrand, two_sided_integral
 from .levy_core.record import Record
 from .levy_core.triplets import (LevyTriplet, Monotonicity, cumulant,
@@ -48,10 +48,10 @@ def _tilt_drift_correction(t, kappa: float) -> float:
     truncation function picks up under tilting."""
     val, _ = two_sided_integral(
         t.nu, inner_g=exp_integrand(kappa, factor=np.expm1, power=1))
-    if not val.is_finite:
+    if not math.isfinite(val):
         raise QuadratureFailure(
             f"the tilt drift correction overflows at kappa={kappa}")
-    return val.value
+    return val
 
 
 def esscher_transform(t: LevyTriplet, kappa: float) -> LevyTriplet:
@@ -107,10 +107,10 @@ def _entropy(t, horizon: float, kappa: float) -> float:
         return 0.0
     m = cumulant_derivative(t, kappa)
     c = cumulant(t, kappa)
-    if not (m.is_finite and c.is_finite):
+    if not (math.isfinite(m) and math.isfinite(c)):
         raise KappaOutsideI(
             f"tilted first moment not finite at kappa={kappa}")
-    return _clamped(horizon * (kappa * m.value - c.value))
+    return _clamped(horizon * (kappa * m - c))
 
 
 def _clamped(entropy: float) -> float:
@@ -184,7 +184,7 @@ def solve_linear_emm(t: LevyTriplet, horizon: float) -> EsscherResult:
             "degenerate moment interval with zero mean: no tilt is needed")
     if ps.exists:
         k0 = ps.kappa0
-        ent = _clamped(-horizon * cumulant(t, k0).value)
+        ent = _clamped(-horizon * cumulant(t, k0))
         return EsscherResult(
             EsscherStatus.EMM_EXISTS, k0, ent, ent, _tilted(t, k0), ps,
             f"tilt parameter located ({ps.case.value})")
@@ -232,7 +232,7 @@ def solve_geometric_emm(t: LevyTriplet, horizon: float) -> EsscherResult:
         return EsscherResult(EsscherStatus.NO_EMM, None, None, None, None,
                              None, diagnostic)
 
-    def g_of(k: float) -> ExtReal:
+    def g_of(k: float) -> float:
         return cumulant(t, k + 1.0) - cumulant(t, k)
 
     if lo > hi:
@@ -241,20 +241,20 @@ def solve_geometric_emm(t: LevyTriplet, horizon: float) -> EsscherResult:
     if not (lo < hi):  # single candidate needs both interval endpoints closed
         if iv.a_in_I and iv.b_in_I:
             v = g_of(lo)
-            if v.is_finite and abs(v.value) <= _ROOT_ATOL:
+            if math.isfinite(v) and abs(v) <= _ROOT_ATOL:
                 return finish(lo)
         return no_emm("the single admissible tilt does not solve the root equation")
 
     found = search_increasing_root(g_of, lo, hi, iv.a_in_I, iv.b_in_I)
     if found.side:
         v = found.end_value
-        if v is not None and v.is_finite and abs(v.value) <= _ROOT_ATOL:
+        if v is not None and math.isfinite(v) and abs(v) <= _ROOT_ATOL:
             return finish(found.lo)
         side = "negative" if found.side > 0 else "positive"
         return no_emm(f"cumulant difference stays {side} on the candidate set")
     if found.lo == found.hi:
         return finish(found.lo)
-    return finish(brentq(lambda k: g_of(k).value, found.lo, found.hi))
+    return finish(brentq(g_of, found.lo, found.hi))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Triplets, jump measures and integration: the model layer."""
 
-from .extreal import ExtReal, NEG_INF, POS_INF, UNDEFINED, as_extreal
 from .measures import (CGMY, DoubleExponentialJumps, ExpJumpImage, ExpTilted,
                        FiniteAtomic, GaussianJumps, GenericDensity,
                        JumpDiffusion, LevyMeasure, LogJumpImage,
@@ -13,7 +12,6 @@ from .triplets import (LevyTriplet, Monotonicity, cumulant,
                        validate_triplet)
 
 __all__ = [
-    "ExtReal", "NEG_INF", "POS_INF", "UNDEFINED", "as_extreal",
     "TailDecay", "LevyMeasure", "FiniteAtomic", "GaussianJumps",
     "DoubleExponentialJumps", "JumpDiffusion", "VarianceGamma", "CGMY",
     "SymmetricAlphaStable", "Tempered", "ExpTilted", "GenericDensity",

@@ -94,7 +94,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import NonIntegrableLevyMeasure, QuadratureFailure
-from .extreal import ExtReal
 from .measures import ExpJumpImage, ExpTilted, LevyMeasure, LogJumpImage
 
 __all__ = [
@@ -734,7 +733,7 @@ def two_sided_integral(nu: LevyMeasure, *,
                        inner_g: Optional[Part] = None,
                        right: Optional[Part] = None,
                        left: Optional[Part] = None,
-                       breakpoints: Sequence[float] = ()) -> Tuple[ExtReal, float]:
+                       breakpoints: Sequence[float] = ()) -> Tuple[float, float]:
     """Structured integral of ``g dν`` for a purely atomic measure, a
     density measure or an image of one: :func:`_region` over each side's
     tail ``side*x > INNER_CUT`` and the inner cut ``0 < |x| <= INNER_CUT``
@@ -749,7 +748,9 @@ def two_sided_integral(nu: LevyMeasure, *,
     :meth:`Part.diverges`; a divergent tail is a signed infinity, and a
     finite sum of atoms needs no decay hint.  Divergent tails skip the
     inner cut; a divergence at the origin raises
-    :class:`NonIntegrableLevyMeasure`.
+    :class:`NonIntegrableLevyMeasure`.  Returns ``(value, error)`` as
+    Python floats; the value is NaN where the two tails diverge with
+    opposite signs.
     """
     pts = [abs(b) for b in breakpoints]
     sides = ((+1, right), (-1, left))
@@ -766,13 +767,13 @@ def two_sided_integral(nu: LevyMeasure, *,
                            total)
         err += e
     if not math.isfinite(total):
-        return ExtReal.finite(total), 0.0
+        return float(total), 0.0
     total, e = _region(nu, (+1, -1), inner_g, 0.0, INNER_CUT, pts,
                        start=total)
     if math.isinf(e):
         raise NonIntegrableLevyMeasure(
             "the inner integral diverges at the origin")
-    return ExtReal.finite(total), err + e
+    return float(total), err + e
 
 
 def _fold(r: Optional[PartFn], l: Optional[PartFn]) -> Optional[PartFn]:
@@ -784,7 +785,7 @@ def _fold(r: Optional[PartFn], l: Optional[PartFn]) -> Optional[PartFn]:
 
 def _folded(nu: LevyMeasure, pb: Optional[_Pullback],
             inner_g: Optional[PartFn], right: Optional[PartFn],
-            left: Optional[PartFn], pts: Sequence[float]) -> Tuple[ExtReal, float]:
+            left: Optional[PartFn], pts: Sequence[float]) -> Tuple[float, float]:
     """:func:`two_sided_integral` where the density is exactly symmetric,
     ``ν(-t) = ν(t)``, the base's for an image: the negative axis folds
     onto the positive one, where each piece of distance between the sides'
@@ -808,6 +809,6 @@ def _folded(nu: LevyMeasure, pb: Optional[_Pullback],
             raise NonIntegrableLevyMeasure(
                 "the inner integral diverges at the origin")
         if not math.isfinite(total):
-            return ExtReal.finite(total), 0.0
+            return float(total), 0.0
         err += e
-    return ExtReal.finite(total), err
+    return float(total), err

@@ -14,7 +14,9 @@ with class-level defaults, as a frozen dataclass does, and gets:
 * the repr ``Cls(field=value, ...)``;
 * assignment and deletion that raise ``AttributeError``.
 
-A method the class defines itself overrides the base's.  Creating a
+A method the class defines itself overrides the base's: a record with
+array fields sets ``__eq__ = object.__eq__`` and ``__hash__ =
+object.__hash__``, since an array has no truth value.  Creating a
 record class costs one small ``exec``, about 0.15 ms on Python 3.11,
 where a frozen dataclass took about 1.2 ms of code generation and
 introspection.

@@ -7,8 +7,11 @@ workhorses are
 * ``cumulant``: ``c(κ) = bκ + σ²κ²/2 + ∫(e^{κx} - 1 - κh(x)) ν(dx)``, with
   ``c(0) = 0`` exactly and value ``+inf`` outside the finite-moment set;
 * ``cumulant_derivative``: ``c'(κ) = b + σ²κ + ∫(x e^{κx} - h(x)) ν(dx)``,
-  which may take either infinity or (when both tail parts blow up) no
-  extended-real value at all.
+  which may take either infinity or, when both tail parts blow up, NaN.
+
+Every moment function returns a Python ``float``: ``inf`` outside the
+moment set, NaN where the integral is undefined, so each caller tests
+``math.isfinite`` or ``math.isnan`` before it uses the value.
 
 The terminal-time moment functions ``mgf = exp(T c)`` and
 ``mgf_derivative = mgf * T * c'`` are thin wrappers over those two.
@@ -24,7 +27,6 @@ import numpy as np
 
 from ..errors import (JumpBelowMinusOne, NegativeVariance,
                       NonIntegrableLevyMeasure, PsiUndefined, ValidationError)
-from .extreal import ExtReal, NEG_INF, POS_INF
 from .measures import ExpJumpImage, FiniteAtomic, LevyMeasure, LogJumpImage
 from .quadrature import (INNER_CUT, exp_integrand, expm1_minus_x,
                          one_sided_integral, small_jump_variation, tail_mass,
@@ -90,25 +92,25 @@ def validate_triplet(t: LevyTriplet) -> LevyTriplet:
 # ---------------------------------------------------------------------------
 
 
-def cumulant(t: LevyTriplet, kappa: float) -> ExtReal:
-    """``c(κ)`` per unit time, as an extended real (``+inf`` outside the
-    finite-moment set; never ``-inf`` or undefined)."""
+def cumulant(t: LevyTriplet, kappa: float) -> float:
+    """``c(κ)`` per unit time (``+inf`` outside the finite-moment set;
+    never ``-inf`` or NaN)."""
     validate_triplet(t)
     kappa = float(kappa)
     if kappa == 0.0:
-        return ExtReal.finite(0.0)
+        return 0.0
     base = t.b * kappa + 0.5 * t.sigma2 * kappa * kappa
     tail = exp_integrand(kappa, factor=np.expm1)
     inner = exp_integrand(kappa, factor=expm1_minus_x)
     jumps, _ = two_sided_integral(t.nu, inner_g=inner, right=tail, left=tail)
-    return ExtReal.finite(base) + jumps
+    return base + jumps
 
 
-def cumulant_derivative(t: LevyTriplet, kappa: float) -> ExtReal:
-    """``c'(κ) = b + σ²κ + ∫(x e^{κx} - h(x)) ν(dx)`` as an extended real.
+def cumulant_derivative(t: LevyTriplet, kappa: float) -> float:
+    """``c'(κ) = b + σ²κ + ∫(x e^{κx} - h(x)) ν(dx)``.
 
-    The undefined state (both tail parts infinite) is returned as
-    ``ExtReal`` "undefined"; raising is left to :func:`mgf_derivative`.
+    ``±inf`` where one tail part diverges, NaN where both do (``inf -
+    inf``); raising is left to :func:`mgf_derivative`.
     """
     validate_triplet(t)
     kappa = float(kappa)
@@ -119,22 +121,19 @@ def cumulant_derivative(t: LevyTriplet, kappa: float) -> ExtReal:
     else:
         inner = exp_integrand(kappa, factor=np.expm1, power=1)
     jumps, _ = two_sided_integral(t.nu, inner_g=inner, right=tail, left=tail)
-    return ExtReal.finite(base) + jumps
+    return base + jumps
 
 
-def mgf(t: LevyTriplet, horizon: float, kappa: float) -> ExtReal:
-    """``E[e^{κ L_T}] = exp(T c(κ))`` as an extended real."""
+def mgf(t: LevyTriplet, horizon: float, kappa: float) -> float:
+    """``E[e^{κ L_T}] = exp(T c(κ))``, ``inf`` once that overflows."""
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    c = cumulant(t, kappa)
-    if c.is_pos_inf:
-        return POS_INF
     with np.errstate(over="ignore"):
-        return ExtReal.finite(float(np.exp(horizon * c.value)))
+        return float(np.exp(horizon * cumulant(t, kappa)))
 
 
-def mgf_derivative(t: LevyTriplet, horizon: float, kappa: float) -> ExtReal:
-    """``ψ_T(κ) = φ_T(κ) T c'(κ) = E[L_T e^{κ L_T}]`` as an extended real.
+def mgf_derivative(t: LevyTriplet, horizon: float, kappa: float) -> float:
+    """``ψ_T(κ) = φ_T(κ) T c'(κ) = E[L_T e^{κ L_T}]``.
 
     Outside the finite-moment interval the value is ``+inf`` (to the right)
     or ``-inf`` (to the left).  Raises :class:`PsiUndefined` when positive
@@ -143,14 +142,14 @@ def mgf_derivative(t: LevyTriplet, horizon: float, kappa: float) -> ExtReal:
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     m = cumulant_derivative(t, kappa)
-    if m.is_undefined:
+    if math.isnan(m):
         raise PsiUndefined(f"positive and negative parts both diverge at {kappa}")
     c = cumulant(t, kappa)
-    if c.is_pos_inf:
-        return POS_INF if kappa > 0 else NEG_INF
+    if c == math.inf:
+        return math.inf if kappa > 0 else -math.inf
     with np.errstate(over="ignore"):
-        phi = float(np.exp(horizon * c.value))
-    return ExtReal.finite(phi * horizon) * m
+        phi = float(np.exp(horizon * c))
+    return phi * horizon * m
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +221,7 @@ def _conversion_drift_integral(nu: LevyMeasure) -> float:
         left=exp_integrand(1.0, factor=np.expm1),
         breakpoints=(_LN2,),
     )
-    return val.value - one_sided_integral(nu, +1, 1, _LN2, INNER_CUT)
+    return val - one_sided_integral(nu, +1, 1, _LN2, INNER_CUT)
 
 
 def geometric_to_linear(t: LevyTriplet) -> LevyTriplet:

@@ -85,6 +85,11 @@ class JumpRecords(Record):
     times: np.ndarray
     sizes: np.ndarray
 
+    #: an array has no truth value, so these records compare and hash by
+    #: identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
 
 class SamplePack(Record):
     """Terminal draws plus, when asked for, the jump records of every
@@ -94,6 +99,9 @@ class SamplePack(Record):
     T: float
     seed: int
     jump_records: Optional[JumpRecords] = None
+
+    __eq__ = object.__eq__  # by identity, as JumpRecords
+    __hash__ = object.__hash__
 
     @property
     def n(self) -> int:
@@ -455,6 +463,9 @@ class PathwiseZn(Record):
     zn_mean: float
     zn_se: float
     uniform_bound: float
+
+    __eq__ = object.__eq__  # by identity, as JumpRecords
+    __hash__ = object.__hash__
 
 
 def pathwise_log_zn(pack: SamplePack, p: PenaltyFamily, n: int,

@@ -27,7 +27,6 @@ import math
 from typing import Optional, Tuple
 
 from .errors import ArbitrageMarketError, NoFiniteMinimizer
-from .levy_core.extreal import ExtReal
 from .levy_core.record import Record
 from .levy_core.triplets import (LevyTriplet, Monotonicity, cumulant,
                                  cumulant_derivative, is_monotone,
@@ -161,14 +160,15 @@ class RootSearch(Record):
     lo: float
     hi: float
     side: int = 0
-    end_value: Optional[ExtReal] = None
+    end_value: Optional[float] = None
 
 
 def search_increasing_root(f, lo: float, hi: float, lo_closed: bool,
                            hi_closed: bool) -> RootSearch:
-    """Bracket the root of an increasing ``ExtReal``-valued ``f`` on the
-    interval with ends ``lo < hi``, which may be infinite; ``*_closed``
-    says whether a finite end belongs to the domain.
+    """Bracket the root of an increasing ``f`` on the interval with ends
+    ``lo < hi``, which may be infinite; ``*_closed`` says whether a finite
+    end belongs to the domain.  ``f`` returns a float that may be ``±inf``
+    or NaN (undefined), as :func:`cumulant_derivative` does.
 
     The search starts at 0 when 0 is interior, else at most half a unit
     inside the end nearest 0, and heads for the end where the root must
@@ -187,20 +187,20 @@ def search_increasing_root(f, lo: float, hi: float, lo_closed: bool,
     else:
         start = lo + min(hi - lo, 1.0) / 2.0
     v0 = f(start)
-    if not v0.is_finite:
+    if not math.isfinite(v0):
         raise NoFiniteMinimizer(f"function not finite at interior point {start}")
-    if v0.value == 0.0:
+    if v0 == 0.0:
         return RootSearch(start, start)
-    direction = 1 if v0.value < 0.0 else -1
+    direction = 1 if v0 < 0.0 else -1
     end, closed = (hi, hi_closed) if direction > 0 else (lo, lo_closed)
     v_end = f(end) if closed and math.isfinite(end) else None
-    if v_end is not None and not v_end.is_undefined:
-        if v_end.sign() != direction:
+    if v_end is not None and not math.isnan(v_end):
+        if direction * v_end <= 0.0:
             return RootSearch(end, end, direction, v_end)
-        if v_end.is_finite:
+        if math.isfinite(v_end):
             return RootSearch(min(start, end), max(start, end))
 
-    prev_k, prev_v = start, v0.value
+    prev_k, prev_v = start, v0
     for k in range(_MAX_DOUBLINGS):
         if math.isfinite(end):
             if abs(end - prev_k) <= _KAPPA_TOL * max(1.0, abs(end)):
@@ -209,27 +209,27 @@ def search_increasing_root(f, lo: float, hi: float, lo_closed: bool,
         else:
             nxt = prev_k + direction * max(1.0, abs(prev_k)) * (2.0 ** k)
         v = f(nxt)
-        if v.is_undefined:
+        if math.isnan(v):
             raise NoFiniteMinimizer(f"function undefined at interior point {nxt}")
-        if v.sign() == 0:
+        if v == 0.0:
             return RootSearch(nxt, nxt)
-        if (v.sign() > 0) != (prev_v > 0):
+        if (v > 0.0) != (prev_v > 0.0):
             # sign change; if the value blew past float range, pull the far
             # end back toward the last good point until it is finite again
             far_k, far_v = nxt, v
             for _ in range(200):
-                if far_v.is_finite:
+                if math.isfinite(far_v):
                     return RootSearch(min(prev_k, far_k), max(prev_k, far_k))
                 far_k = 0.5 * (prev_k + far_k)
                 far_v = f(far_k)
-                if far_v.is_finite and (far_v.value > 0) == (prev_v > 0):
-                    prev_k, prev_v = far_k, far_v.value
+                if math.isfinite(far_v) and (far_v > 0.0) == (prev_v > 0.0):
+                    prev_k, prev_v = far_k, far_v
                     far_k, far_v = nxt, v
             raise NoFiniteMinimizer("could not isolate a finite bracket for the root")
-        if not v.is_finite:
+        if not math.isfinite(v):
             raise NoFiniteMinimizer(
                 f"function jumped to {v} at {nxt} without crossing zero")
-        prev_k, prev_v = nxt, v.value
+        prev_k, prev_v = nxt, v
     raise NoFiniteMinimizer("no sign change within the search range")
 
 
@@ -240,13 +240,15 @@ def brentq(f, a: float, b: float) -> float:
     so the same root from the same evaluations).  Stops when the far end
     of the bracket is within ``_KAPPA_TOL + _BRENT_RTOL |x|`` of ``x``.
 
-    Raises :class:`NoFiniteMinimizer` on a NaN value, on ``f(a)`` and
-    ``f(b)`` of the same sign, and after ``_BRENT_MAXITER`` steps.
+    Raises :class:`NoFiniteMinimizer` on a value that is not finite, on
+    ``f(a)`` and ``f(b)`` of the same sign, and after ``_BRENT_MAXITER``
+    steps.
     """
     def value(x: float) -> float:
         fx = f(x)
-        if math.isnan(fx):
-            raise NoFiniteMinimizer(f"function value is NaN at {x!r}")
+        if not math.isfinite(fx):
+            raise NoFiniteMinimizer(
+                f"function value is not finite (NaN or inf) at {x!r}: {fx!r}")
         return fx
 
     xpre, xcur = float(a), float(b)
@@ -294,7 +296,7 @@ def brentq(f, a: float, b: float) -> float:
 
 
 def _minimum(t, horizon: float,
-             iv: ExpMomentInterval) -> Tuple[MinimumPoint, Optional[ExtReal]]:
+             iv: ExpMomentInterval) -> Tuple[MinimumPoint, Optional[float]]:
     """The minimizer of ``φ_T`` over ``I`` for a market known not to be
     monotone: the root of the increasing ``c'``, or the end of ``I`` up
     to which ``c'`` keeps one sign.  Also returns ``c'`` at that end when
@@ -302,7 +304,7 @@ def _minimum(t, horizon: float,
     if iv.is_degenerate:
         return MinimumPoint(0.0, MinimumCase.DEGENERATE_ZERO, 0.0, iv), None
 
-    def m_of(k: float) -> ExtReal:
+    def m_of(k: float) -> float:
         return cumulant_derivative(t, k)
 
     found = search_increasing_root(m_of, iv.a, iv.b, iv.a_in_I, iv.b_in_I)
@@ -313,9 +315,11 @@ def _minimum(t, horizon: float,
     else:
         case = MinimumCase.INTERIOR_ROOT
         if found.lo < found.hi:
-            kappa0 = brentq(lambda k: m_of(k).value, found.lo, found.hi)
-    c_min = min(cumulant(t, kappa0).value, 0.0)
-    mp = MinimumPoint(kappa0, case, horizon * c_min, iv)
+            kappa0 = brentq(m_of, found.lo, found.hi)
+    c0 = cumulant(t, kappa0)
+    if not math.isfinite(c0):
+        raise NoFiniteMinimizer(f"cumulant is {c0} at the minimizer {kappa0}")
+    mp = MinimumPoint(kappa0, case, horizon * min(c0, 0.0), iv)
     return mp, found.end_value
 
 
@@ -405,16 +409,16 @@ def classify_esscher_parameter(t: LevyTriplet,
 
     if iv.is_degenerate:
         mean = cumulant_derivative(t, 0.0)
-        if not mean.is_finite:
-            what = ("undefined" if mean.is_undefined
-                    else ("+inf" if mean.is_pos_inf else "-inf"))
+        if not math.isfinite(mean):
+            what = ("undefined" if math.isnan(mean)
+                    else ("+inf" if mean > 0.0 else "-inf"))
             return status(False, None, None,
                           f"degenerate moment interval and the process mean is {what}")
-        if abs(mean.value) <= _M_ATOL:
+        if abs(mean) <= _M_ATOL:
             return status(True, EsscherCase.DEGENERATE_ZERO_MEAN, 0.0,
                           "degenerate moment interval but the process is driftless")
         return status(False, None, None,
-                      f"degenerate moment interval with nonzero mean {mean.value:.6g}")
+                      f"degenerate moment interval with nonzero mean {mean:.6g}")
 
     if mp is None:
         return status(False, None, None,
@@ -427,7 +431,7 @@ def classify_esscher_parameter(t: LevyTriplet,
     # endpoint minimum: the parameter exists only if the derivative
     # actually vanishes there (within tolerance) and the endpoint is in E
     v_end = m_end if m_end is not None else cumulant_derivative(t, mp.kappa0)
-    if v_end.is_finite and abs(v_end.value) <= _M_ATOL:
+    if math.isfinite(v_end) and abs(v_end) <= _M_ATOL:
         return status(True, _shape_case(iv), mp.kappa0,
                       "derivative vanishes exactly at the interval endpoint")
     side = "negative" if mp.case is MinimumCase.RIGHT_ENDPOINT else "positive"

@@ -199,10 +199,10 @@ def test_criterion_06_tilt_shift_identity():
     worst = 0.0
     for kappa in (-2.0, -1.0, 0.0, 1.0, 2.0):
         tilted = esscher_transform(KOU, kappa)
-        base = cumulant(KOU, kappa).value
+        base = cumulant(KOU, kappa)
         for u in (-3.0, -1.5, 0.0, 1.5, 3.0):
-            want = cumulant(KOU, u + kappa).value - base
-            got = cumulant(tilted, u).value
+            want = cumulant(KOU, u + kappa) - base
+            got = cumulant(tilted, u)
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     ok = worst < 1e-8
     _line("06", "tilted cumulant equals the shifted cumulant on a 5x5 grid",
@@ -226,10 +226,10 @@ def test_criterion_07_derivative_consistency():
     worst = 0.0
     for t, grid in grids:
         for kappa in grid:
-            psi = mgf_derivative(t, 1.0, kappa).value
-            fd = (mgf(t, 1.0, kappa + h).value
-                  - mgf(t, 1.0, kappa - h).value) / (2.0 * h)
-            phi = mgf(t, 1.0, kappa).value
+            psi = mgf_derivative(t, 1.0, kappa)
+            fd = (mgf(t, 1.0, kappa + h)
+                  - mgf(t, 1.0, kappa - h)) / (2.0 * h)
+            phi = mgf(t, 1.0, kappa)
             worst = max(worst, abs(psi - fd) / abs(phi))
     ok = worst < 1e-6
     _line("07", "moment derivative matches finite differences of the "
@@ -274,8 +274,8 @@ def test_criterion_10_conversion_round_trip():
         back = linear_to_geometric(geometric_to_linear(t))
         worst = max(worst, abs(back.b - t.b), abs(back.sigma2 - t.sigma2))
         for kappa in (-1.0, 0.5, 1.0, 2.0):
-            c_orig = cumulant(t, kappa).value
-            c_back = cumulant(back, kappa).value
+            c_orig = cumulant(t, kappa)
+            c_back = cumulant(back, kappa)
             worst = max(worst, abs(c_back - c_orig) / (1.0 + abs(c_orig)))
     ok = worst < 1e-6
     _line("10", "exponential/log jump conversions invert each other", ok,

@@ -30,6 +30,7 @@ from levy_emm import (
     perturbed_triplet,
     solve_linear_emm,
 )
+from levy_emm import approximation
 from levy_emm.errors import ArbitrageMarketError, PenaltyViolation
 
 _SCHEDULE = (1, 4, 16, 64, 256, 1024, 4096, 16384)
@@ -173,18 +174,18 @@ class TestPerturbedTriplet:
                   integrate.quad(inner, -1, 0)[0],
                   integrate.quad(tail, -np.inf, -1)[0]]
         want = 0.03 * k + 0.02 * k * k / 2.0 + math.fsum(pieces)
-        assert math.isclose(cumulant(out, k).value, want, rel_tol=1e-8)
+        assert math.isclose(cumulant(out, k), want, rel_tol=1e-8)
 
     def test_perturbed_interval_is_the_whole_line(self, stable08):
         out = perturbed_triplet(stable08, PenaltyFamily.default_quadratic(), 4)
         iv = exp_moment_interval(out)
         assert iv.a == -math.inf and iv.b == math.inf
-        assert cumulant(out, 10.0).is_finite
+        assert math.isfinite(cumulant(out, 10.0))
 
     def test_cumulant_converges_to_original(self, kou):
         p = PenaltyFamily.default_quadratic()
-        want = cumulant(kou, 0.5).value
-        diffs = [abs(cumulant(perturbed_triplet(kou, p, n), 0.5).value - want)
+        want = cumulant(kou, 0.5)
+        diffs = [abs(cumulant(perturbed_triplet(kou, p, n), 0.5) - want)
                  for n in (16, 256, 65536)]
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] <= 1e-6
@@ -198,6 +199,32 @@ class TestApproxSequence:
         assert math.isclose(tr.entropy_limit, -math.log(mp.phi_at_min),
                             rel_tol=1e-12)
         assert tr.failures == ()
+
+    @pytest.mark.parametrize("which, message", [
+        ("correction", "penalty correction integral is inf"),
+        ("entropy", "entropy integral against the base measure is nan"),
+    ])
+    def test_non_finite_stage_integral_is_a_recorded_failure(
+            self, kou, monkeypatch, which, message):
+        real = approximation.two_sided_integral
+
+        def fake(nu, **parts):
+            # the entropy integral alone has an inner part; the correction's
+            # tails alone carry the penalty's log weight without one
+            inner = parts.get("inner_g") is not None
+            if which == "entropy" and inner:
+                return math.nan, 0.0
+            if which == "correction" and not inner and parts["right"].tempered:
+                return math.inf, 0.0
+            return real(nu, **parts)
+
+        monkeypatch.setattr(approximation, "two_sided_integral", fake)
+        tr = approx_sequence(kou, 1.0, PenaltyFamily.default_quadratic(),
+                             (1, 4))
+        assert tr.steps == ()
+        assert [n for n, _ in tr.failures] == [1, 4]
+        for _, msg in tr.failures:
+            assert msg.startswith("QuadratureFailure: ") and message in msg
 
     def test_tilt_converges(self, kou):
         tr = approx_sequence(kou, 1.0, PenaltyFamily.default_quadratic(),

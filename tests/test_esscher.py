@@ -103,18 +103,18 @@ class TestTransform:
     @pytest.mark.parametrize("k", [-2.0, -0.5, 0.7, 3.0])
     def test_shift_identity_kou(self, kou, k):
         tilted = esscher_transform(kou, k)
-        c_k = cumulant(kou, k).value
+        c_k = cumulant(kou, k)
         for u in (-1.5, -0.3, 0.4, 2.0):
-            lhs = cumulant(tilted, u).value
-            rhs = cumulant(kou, u + k).value - c_k
+            lhs = cumulant(tilted, u)
+            rhs = cumulant(kou, u + k) - c_k
             assert math.isclose(lhs, rhs, rel_tol=1e-8, abs_tol=1e-12)
 
     def test_shift_identity_cgmy(self, cgmy_y05):
         tilted = esscher_transform(cgmy_y05, 1.3)
-        c_k = cumulant(cgmy_y05, 1.3).value
+        c_k = cumulant(cgmy_y05, 1.3)
         for u in (-2.0, 0.8):
-            lhs = cumulant(tilted, u).value
-            rhs = cumulant(cgmy_y05, u + 1.3).value - c_k
+            lhs = cumulant(tilted, u)
+            rhs = cumulant(cgmy_y05, u + 1.3) - c_k
             assert math.isclose(lhs, rhs, rel_tol=1e-8, abs_tol=1e-12)
 
     def test_shift_identity_converted_kou(self, kou):
@@ -125,10 +125,10 @@ class TestTransform:
         k = solve_linear_emm(lin, 1.0).kappa0
         assert k < 0
         tilted = esscher_transform(lin, k)
-        c_k = cumulant(lin, k).value
+        c_k = cumulant(lin, k)
         for u in (-2.0, -0.5, 0.5 * -k, -k):
-            lhs = cumulant(tilted, u).value
-            rhs = cumulant(lin, u + k).value - c_k
+            lhs = cumulant(tilted, u)
+            rhs = cumulant(lin, u + k) - c_k
             assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12), u
 
     def test_outside_interval_rejected(self, kou, vg):
@@ -210,7 +210,7 @@ class TestLinearSolver:
     def test_kou_martingale_property(self, kou):
         res = solve_linear_emm(kou, 1.0)
         assert res.status is EsscherStatus.EMM_EXISTS
-        assert abs(cumulant_derivative(res.transformed, 0.0).value) <= 1e-9
+        assert abs(cumulant_derivative(res.transformed, 0.0)) <= 1e-9
         assert res.entropy >= 0.0
 
     def test_subordinator(self, pi4_subordinator):
@@ -218,7 +218,7 @@ class TestLinearSolver:
         assert res.status is EsscherStatus.EMM_EXISTS
         assert abs(res.kappa0 - (-math.pi / 4.0)) <= 1e-10
         assert math.isclose(res.entropy, math.pi / 4.0, rel_tol=1e-9)
-        assert abs(cumulant_derivative(res.transformed, 0.0).value) <= 1e-8
+        assert abs(cumulant_derivative(res.transformed, 0.0)) <= 1e-8
 
     def test_degenerate_zero_mean_needs_no_tilt(self, stable15):
         res = solve_linear_emm(stable15, 1.0)
@@ -227,24 +227,24 @@ class TestLinearSolver:
         assert res.transformed == stable15
 
     def test_no_emm_still_reports_infimum(self, cgmy_y15):
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         t = LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu)
         res = solve_linear_emm(t, 1.0)
         assert res.status is EsscherStatus.NO_EMM
         assert res.kappa0 is None and res.entropy is None
-        assert math.isclose(res.infimum_entropy, -cumulant(t, 5.0).value,
+        assert math.isclose(res.infimum_entropy, -cumulant(t, 5.0),
                             rel_tol=1e-9)
         assert res.infimum_entropy > 0.0
         assert "approached but not attained" in res.diagnostic
         assert not res.parameter_status.exists
 
     def test_endpoint_zero_gives_emm(self, cgmy_y15):
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         res = solve_linear_emm(LevyTriplet(-shift, 0.0, cgmy_y15.nu), 1.0)
         assert res.status is EsscherStatus.EMM_EXISTS
         assert res.kappa0 == 5.0
         assert res.transformed.nu == CGMY(1.0, 10.0, 0.0, 1.5)
-        assert abs(cumulant_derivative(res.transformed, 0.0).value) <= 1e-9
+        assert abs(cumulant_derivative(res.transformed, 0.0)) <= 1e-9
 
     def test_monotone_market(self):
         res = solve_linear_emm(
@@ -311,7 +311,7 @@ class TestGeometricSolver:
         assert "single admissible tilt" in res.diagnostic
 
     def test_difference_of_constant_sign(self, cgmy_y15, call_counts):
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         # both ends of the candidate set [-5, 4] are closed, so the probe
         # of the end settles each verdict: c at the start, c at the end
         calls = call_counts("cumulant")
@@ -354,7 +354,7 @@ class TestSinglePass:
         assert calls == {"is_monotone": 2, "exp_moment_interval": 2}
 
     def test_no_emm_minimizes_once(self, cgmy_y15, call_counts):
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         t = LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu)
         calls = call_counts("minimize_mgf", "search_increasing_root",
                             "is_monotone", "exp_moment_interval")
@@ -365,7 +365,7 @@ class TestSinglePass:
     def test_endpoint_minimum_reuses_the_probed_derivative(self, cgmy_y15,
                                                             call_counts):
         # c' is evaluated at the start 0 and at the closed end 5, once each
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         t = LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu)
         calls = call_counts("cumulant_derivative")
         status = classify_esscher_parameter(t, 1.0)
@@ -388,7 +388,7 @@ class TestReport:
         assert len(rep["notes"]) == 2
 
     def test_linear_report_no_emm(self, cgmy_y15):
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         rep = memm_report(LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu), 1.0)
         assert rep["status"] == "no_emm"
         assert rep["kappa0"] is None and rep["entropy"] is None

@@ -31,7 +31,6 @@ from levy_emm import (
     minimize_mgf,
 )
 from levy_emm.errors import ArbitrageMarketError, NoFiniteMinimizer
-from levy_emm.levy_core.extreal import ExtReal, NEG_INF, POS_INF
 from levy_emm.mgf_analysis import brentq, search_increasing_root
 
 
@@ -146,7 +145,7 @@ class TestExpMomentInterval:
         iv = exp_moment_interval(lin)
         assert (iv.b, iv.b_in_I, iv.b_in_E) == (0.0, True, True)
         # ∫_{x > ln 2} (e^x - 1) e^{-x} x^{-1.5} dx, by mpmath
-        assert math.isclose(cumulant_derivative(lin, 0.0).value,
+        assert math.isclose(cumulant_derivative(lin, 0.0),
                             lin.b + 2.0484684017643, rel_tol=1e-12)
 
 
@@ -203,16 +202,16 @@ class TestMinimizeMgf:
         assert got.phi_at_min == 1.0
 
     def test_right_endpoint_minimum(self, cgmy_y15):
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         t = LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu)
         got = minimize_mgf(t, 1.0)
         assert got.case is MinimumCase.RIGHT_ENDPOINT
         assert got.kappa0 == 5.0
-        c_end = cumulant(t, 5.0).value
+        c_end = cumulant(t, 5.0)
         assert math.isclose(got.phi_at_min, math.exp(min(c_end, 0.0)), rel_tol=1e-10)
 
     def test_left_endpoint_minimum(self, cgmy_y15):
-        shift = cumulant_derivative(cgmy_y15, -5.0).value
+        shift = cumulant_derivative(cgmy_y15, -5.0)
         t = LevyTriplet(-shift + 1.0, 0.0, cgmy_y15.nu)
         got = minimize_mgf(t, 1.0)
         assert got.case is MinimumCase.LEFT_ENDPOINT
@@ -260,7 +259,7 @@ class TestClassifyEsscherParameter:
         assert st.case is EsscherCase.BOTH_ENDPOINTS
 
     def test_endpoint_minimum_without_zero(self, cgmy_y15):
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         st = classify_esscher_parameter(
             LevyTriplet(-shift - 1.0, 0.0, cgmy_y15.nu), 1.0)
         assert not st.exists and st.kappa0 is None
@@ -271,7 +270,7 @@ class TestClassifyEsscherParameter:
         assert "positive" in st.diagnostic
 
     def test_exact_zero_at_endpoint(self, cgmy_y15):
-        shift = cumulant_derivative(cgmy_y15, 5.0).value
+        shift = cumulant_derivative(cgmy_y15, 5.0)
         st = classify_esscher_parameter(
             LevyTriplet(-shift, 0.0, cgmy_y15.nu), 1.0)
         assert st.exists and st.kappa0 == 5.0
@@ -280,13 +279,13 @@ class TestClassifyEsscherParameter:
 
     def test_one_end_closed_shapes(self):
         right = _asymmetric_exponential()
-        shift = cumulant_derivative(LevyTriplet(0.0, 0.0, right), 5.0).value
+        shift = cumulant_derivative(LevyTriplet(0.0, 0.0, right), 5.0)
         st = classify_esscher_parameter(LevyTriplet(-shift, 0.0, right), 1.0)
         assert st.exists and st.kappa0 == 5.0
         assert st.case is EsscherCase.RIGHT_ENDPOINT_CLOSED
 
         left = _asymmetric_exponential(flip=True)
-        shift = cumulant_derivative(LevyTriplet(0.0, 0.0, left), -5.0).value
+        shift = cumulant_derivative(LevyTriplet(0.0, 0.0, left), -5.0)
         st = classify_esscher_parameter(LevyTriplet(-shift, 0.0, left), 1.0)
         assert st.exists and st.kappa0 == -5.0
         assert st.case is EsscherCase.LEFT_ENDPOINT_CLOSED
@@ -417,11 +416,11 @@ class TestSearchIncreasingRoot:
         def f(x):
             calls.append(x)
             if blow_up and x == hi and hi_kind == "closed":
-                return POS_INF
+                return math.inf
             if blow_up and x == lo and lo_kind == "closed":
-                return NEG_INF
+                return -math.inf
             u = x - r
-            return ExtReal.finite(a * u + b * u ** 3)
+            return a * u + b * u ** 3
 
         def in_domain(x):
             return (lo < x < hi or (x == lo and lo_kind == "closed")
@@ -429,20 +428,20 @@ class TestSearchIncreasingRoot:
 
         # the search sees the computed f, whose zero may round away from r
         def exact_zero(x):
-            return f(x).value == 0.0
+            return f(x) == 0.0
 
         has_root = in_domain(r) and not (blow_up and r in (lo, hi))
         found = search_increasing_root(f, lo, hi, lo_kind == "closed",
                                        hi_kind == "closed")
         if (has_root and r in (lo, hi) and r != _start(lo, hi)):
             # a zero at a closed end is an endpoint verdict, not a bracket
-            assert found.side != 0 and found.end_value.value == 0.0
+            assert found.side != 0 and found.end_value == 0.0
         if found.side == 0:
             assert has_root
             assert in_domain(found.lo) and in_domain(found.hi)
             assert (found.lo <= r <= found.hi or exact_zero(found.lo)
                     or exact_zero(found.hi))
-            assert f(found.lo).value <= 0.0 <= f(found.hi).value
+            assert f(found.lo) <= 0.0 <= f(found.hi)
             return
         end = hi if found.side > 0 else lo
         end_kind = hi_kind if found.side > 0 else lo_kind
@@ -453,17 +452,17 @@ class TestSearchIncreasingRoot:
         elif not blow_up:
             # a closed end without a sign change is decided by one probe
             assert len(calls) <= 2
-            assert found.end_value.value == f(end).value
+            assert found.end_value == f(end)
             if has_root:
                 assert r == end or exact_zero(end)
-                assert found.end_value.value == 0.0
+                assert found.end_value == 0.0
 
     def test_zero_at_start_costs_one_evaluation(self):
         calls = []
 
         def f(x):
             calls.append(x)
-            return ExtReal.finite(x - 0.5)
+            return x - 0.5
 
         found = search_increasing_root(f, 0.0, 5.0, True, True)
         assert (found.lo, found.hi, found.side) == (0.5, 0.5, 0)
@@ -474,15 +473,15 @@ class TestSearchIncreasingRoot:
 
         def f(x):
             calls.append(x)
-            return ExtReal.finite(x - 7.0)
+            return x - 7.0
 
         found = search_increasing_root(f, -5.0, 4.0, True, True)
-        assert (found.lo, found.side, found.end_value.value) == (4.0, 1, -3.0)
+        assert (found.lo, found.side, found.end_value) == (4.0, 1, -3.0)
         assert calls == [0.0, 4.0]
 
     def test_undefined_on_the_way_raises(self):
         def f(x):
-            return ExtReal.finite(-1.0) if x < 1.0 else POS_INF - POS_INF
+            return -1.0 if x < 1.0 else math.inf - math.inf
 
         with pytest.raises(NoFiniteMinimizer):
             search_increasing_root(f, -1.0, math.inf, False, False)
@@ -529,6 +528,16 @@ class TestBrentq:
     def test_nan_value_raises(self):
         with pytest.raises(NoFiniteMinimizer, match="NaN"):
             brentq(lambda x: math.nan if x > 0.1 else x - 0.5, -1.0, 1.0)
+
+    @pytest.mark.parametrize("blow_up", [math.inf, -math.inf])
+    def test_infinite_value_inside_the_bracket_raises(self, blow_up):
+        # f(0) and f(1) are finite with a sign change; the first step lands
+        # at 0.5, where f is infinite
+        def f(x):
+            return blow_up if 0.4 < x < 0.6 else x - 0.5
+
+        with pytest.raises(NoFiniteMinimizer, match="not finite"):
+            brentq(f, 0.0, 1.0)
 
     def test_same_sign_raises(self):
         with pytest.raises(NoFiniteMinimizer, match="no sign change"):

@@ -6,7 +6,9 @@ from ``levy_core.record.Record``, and a fresh ``import levy_emm.cli`` loads
 no ``dataclasses`` module.  No module imports ``scipy`` (the runtime needs
 numpy only, and a fresh ``import levy_emm.cli`` loads no scipy module):
 every integral against a jump measure goes through the package's own
-kernel in ``levy_core/quadrature.py``.  That layer is also the only caller of a
+kernel in ``levy_core/quadrature.py``.  No module imports ``extreal``:
+a moment function's value is a float, ``inf`` or NaN where it is not
+finite.  That layer is also the only caller of a
 measure's ``density``/``log_density`` outside the measures themselves, so
 no integrand multiplies by a jump density on its own, and the only caller
 of ``math.fsum``, so no module sums an integrand over a measure's atoms on
@@ -101,6 +103,14 @@ def _loaded_by_cli_import(package: str) -> str:
             f"if m.split('.')[0] == {package!r}))")
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.parametrize("path", _MODULES,
+                         ids=[_module_name(p) for p in _MODULES])
+def test_no_module_imports_extreal(path):
+    uses = [(module, name) for module, name in _imports(path)
+            if "extreal" in module.split(".") or name == "extreal"]
+    assert not uses, f"{_module_name(path)} imports extreal: {uses}"
 
 
 def test_cli_import_loads_no_scipy():

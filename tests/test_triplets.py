@@ -52,6 +52,8 @@ from levy_emm import (
     zero_measure,
 )
 from levy_emm.approximation import mass_gap
+from levy_emm.levy_core.quadrature import (exp_integrand, expm1_minus_x,
+                                           two_sided_integral)
 from levy_emm.errors import (
     JumpBelowMinusOne,
     NegativeVariance,
@@ -210,26 +212,26 @@ class TestBrownian:
     def test_cumulant_closed_form(self, brownian):
         for k in KAPPAS:
             c = cumulant(brownian, k)
-            assert c.is_finite
-            assert math.isclose(c.value, 0.05 * k + 0.045 * k * k,
+            assert math.isfinite(c)
+            assert math.isclose(c, 0.05 * k + 0.045 * k * k,
                                 rel_tol=1e-14, abs_tol=1e-15)
 
     def test_cumulant_at_zero_is_exactly_zero(self, brownian):
-        assert cumulant(brownian, 0.0).value == 0.0
+        assert cumulant(brownian, 0.0) == 0.0
 
     def test_derivative_closed_form(self, brownian):
         for k in KAPPAS:
             m = cumulant_derivative(brownian, k)
-            assert math.isclose(m.value, 0.05 + 0.09 * k, rel_tol=1e-14)
+            assert math.isclose(m, 0.05 + 0.09 * k, rel_tol=1e-14)
 
     def test_mgf_and_derivative(self, brownian):
         T = 2.5
         for k in KAPPAS:
             c = 0.05 * k + 0.045 * k * k
             m = 0.05 + 0.09 * k
-            assert math.isclose(mgf(brownian, T, k).value,
+            assert math.isclose(mgf(brownian, T, k),
                                 math.exp(T * c), rel_tol=1e-13)
-            assert math.isclose(mgf_derivative(brownian, T, k).value,
+            assert math.isclose(mgf_derivative(brownian, T, k),
                                 math.exp(T * c) * T * m, rel_tol=1e-13)
 
     def test_mgf_rejects_nonpositive_horizon(self, brownian):
@@ -243,21 +245,21 @@ class TestFiniteAtomic:
     def test_symmetric_atoms_cumulant(self, two_atom):
         for k in KAPPAS:
             want = 0.1 * k + 2.0 * (math.cosh(0.5 * k) - 1.0)
-            assert math.isclose(cumulant(two_atom, k).value, want,
+            assert math.isclose(cumulant(two_atom, k), want,
                                 rel_tol=1e-13, abs_tol=1e-15)
 
     def test_symmetric_atoms_derivative(self, two_atom):
         for k in KAPPAS:
             want = 0.1 + math.sinh(0.5 * k)
-            assert math.isclose(cumulant_derivative(two_atom, k).value, want,
+            assert math.isclose(cumulant_derivative(two_atom, k), want,
                                 rel_tol=1e-13)
 
     def test_large_atom_is_uncompensated(self):
         t = LevyTriplet(0.0, 0.0, FiniteAtomic(((2.0, 0.3),)))
         for k in KAPPAS:
-            assert math.isclose(cumulant(t, k).value, 0.3 * math.expm1(2.0 * k),
+            assert math.isclose(cumulant(t, k), 0.3 * math.expm1(2.0 * k),
                                 rel_tol=1e-13, abs_tol=1e-15)
-            assert math.isclose(cumulant_derivative(t, k).value,
+            assert math.isclose(cumulant_derivative(t, k),
                                 0.3 * 2.0 * math.exp(2.0 * k), rel_tol=1e-13)
 
     def test_mixed_atoms(self):
@@ -271,7 +273,7 @@ class TestFiniteAtomic:
             return -0.4 * k + 0.005 * k * k + jumps
 
         for k in KAPPAS:
-            assert math.isclose(cumulant(t, k).value, oracle(k),
+            assert math.isclose(cumulant(t, k), oracle(k),
                                 rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -282,11 +284,11 @@ class TestFiniteAtomic:
             base = [_EDGE_B * k, 0.5 * _EDGE_SIGMA2 * k * k]
             jumps = _terms(atoms, lambda x, m: m * (
                 mp.expm1(k * x) - k * _h(x)))
-            _assert_sum(cumulant(t, k).value, base + jumps)
+            _assert_sum(cumulant(t, k), base + jumps)
             base = [_EDGE_B, _EDGE_SIGMA2 * k]
             jumps = _terms(atoms, lambda x, m: m * (
                 x * mp.exp(k * x) - _h(x)))
-            _assert_sum(cumulant_derivative(t, k).value, base + jumps)
+            _assert_sum(cumulant_derivative(t, k), base + jumps)
 
     @edge_atoms
     def test_edge_small_jump_variation_and_tail_mass(self, atoms):
@@ -367,13 +369,13 @@ class TestJumpDiffusion:
         for k in self.KOU_GRID:
             want = (0.03 * k + 0.01 * k * k
                     + 1.5 * (self._kou_jump_mgf(k) - 1.0) - k * 1.5 * tm)
-            assert math.isclose(cumulant(kou, k).value, want, rel_tol=1e-9)
+            assert math.isclose(cumulant(kou, k), want, rel_tol=1e-9)
 
     def test_kou_derivative(self, kou):
         tm = _truncated_mean(_kou_pdf)
         for k in self.KOU_GRID:
             want = 0.03 + 0.02 * k + 1.5 * (self._kou_jump_mgf_prime(k) - tm)
-            assert math.isclose(cumulant_derivative(kou, k).value, want,
+            assert math.isclose(cumulant_derivative(kou, k), want,
                                 rel_tol=1e-9)
 
     def test_merton_cumulant_and_derivative(self, merton):
@@ -382,18 +384,18 @@ class TestJumpDiffusion:
             jump_mgf = math.exp(-0.1 * k + 0.02 * k * k)
             c_want = 0.02 * k + 0.02 * k * k + (jump_mgf - 1.0) - k * tm
             m_want = 0.02 + 0.04 * k + ((-0.1 + 0.04 * k) * jump_mgf - tm)
-            assert math.isclose(cumulant(merton, k).value, c_want, rel_tol=1e-9)
-            assert math.isclose(cumulant_derivative(merton, k).value, m_want,
+            assert math.isclose(cumulant(merton, k), c_want, rel_tol=1e-9)
+            assert math.isclose(cumulant_derivative(merton, k), m_want,
                                 rel_tol=1e-9)
 
     def test_mgf_identities(self, kou):
         T = 0.8
         for k in self.KOU_GRID:
-            phi = mgf(kou, T, k).value
-            m = cumulant_derivative(kou, k).value
-            assert math.isclose(mgf_derivative(kou, T, k).value, phi * T * m,
+            phi = mgf(kou, T, k)
+            m = cumulant_derivative(kou, k)
+            assert math.isclose(mgf_derivative(kou, T, k), phi * T * m,
                                 rel_tol=1e-10)
-            assert math.isclose(mgf(kou, 2 * T, k).value, phi * phi,
+            assert math.isclose(mgf(kou, 2 * T, k), phi * phi,
                                 rel_tol=1e-10)
 
 
@@ -413,23 +415,23 @@ class TestVarianceGamma:
                     + self.C * math.log(self.M * self.G
                                         / ((self.M - k) * (self.G + k)))
                     - k * tm)
-            assert math.isclose(cumulant(vg, k).value, want, rel_tol=1e-9)
+            assert math.isclose(cumulant(vg, k), want, rel_tol=1e-9)
 
     def test_derivative(self, vg):
         tm = self._truncation_term()
         for k in self.GRID:
             want = (0.01 + self.C * (1.0 / (self.M - k) - 1.0 / (self.G + k))
                     - tm)
-            assert math.isclose(cumulant_derivative(vg, k).value, want,
+            assert math.isclose(cumulant_derivative(vg, k), want,
                                 rel_tol=1e-9)
 
     def test_boundary_blows_up(self, vg):
-        assert cumulant(vg, 9.0).is_pos_inf
-        assert cumulant(vg, -6.0).is_pos_inf
-        assert cumulant(vg, 12.0).is_pos_inf
-        assert mgf(vg, 1.0, 9.0).is_pos_inf
-        assert mgf_derivative(vg, 1.0, 9.0).is_pos_inf
-        assert mgf_derivative(vg, 1.0, -6.0).is_neg_inf
+        assert cumulant(vg, 9.0) == math.inf
+        assert cumulant(vg, -6.0) == math.inf
+        assert cumulant(vg, 12.0) == math.inf
+        assert mgf(vg, 1.0, 9.0) == math.inf
+        assert mgf_derivative(vg, 1.0, 9.0) == math.inf
+        assert mgf_derivative(vg, 1.0, -6.0) == -math.inf
 
 
 def _cgmy_cumulant_oracle(b, sigma2, C, G, M, Y, kappa):
@@ -480,57 +482,94 @@ class TestCGMY:
     def test_cumulant_y05(self, cgmy_y05):
         for k in (-3.5, -1.0, 0.8, 5.0):
             want = _cgmy_cumulant_oracle(0.0, 0.0, 0.5, 4.0, 7.0, 0.5, k)
-            assert math.isclose(cumulant(cgmy_y05, k).value, want, rel_tol=5e-9)
+            assert math.isclose(cumulant(cgmy_y05, k), want, rel_tol=5e-9)
 
     def test_cumulant_y15(self, cgmy_y15):
         for k in (-4.0, -1.5, 2.0, 4.5):
             want = _cgmy_cumulant_oracle(0.0, 0.0, 1.0, 5.0, 5.0, 1.5, k)
-            assert math.isclose(cumulant(cgmy_y15, k).value, want, rel_tol=5e-9)
+            assert math.isclose(cumulant(cgmy_y15, k), want, rel_tol=5e-9)
 
     def test_y05_endpoint_cumulant_finite_mean_infinite(self, cgmy_y05):
         # at kappa = M the tilted tail is x^{-1.5}: mass converges, the
         # first moment does not
         c = cumulant(cgmy_y05, 7.0)
-        assert c.is_finite
+        assert math.isfinite(c)
         want = _cgmy_cumulant_oracle(0.0, 0.0, 0.5, 4.0, 7.0, 0.5, 7.0)
-        assert math.isclose(c.value, want, rel_tol=5e-9)
-        assert cumulant_derivative(cgmy_y05, 7.0).is_pos_inf
-        assert mgf_derivative(cgmy_y05, 1.0, 7.0).is_pos_inf
+        assert math.isclose(c, want, rel_tol=5e-9)
+        assert cumulant_derivative(cgmy_y05, 7.0) == math.inf
+        assert mgf_derivative(cgmy_y05, 1.0, 7.0) == math.inf
 
     def test_y15_endpoint_mean_finite(self, cgmy_y15):
         # tilted tail x^{-2.5}: both the mass and the first moment converge
         m = cumulant_derivative(cgmy_y15, 5.0)
-        assert m.is_finite
+        assert math.isfinite(m)
         want = _cgmy_mean_oracle(0.0, 0.0, 1.0, 5.0, 5.0, 1.5, 5.0)
-        assert math.isclose(m.value, want, rel_tol=5e-9)
+        assert math.isclose(m, want, rel_tol=5e-9)
 
     def test_derivative_against_oracle(self, cgmy_y05, cgmy_y15):
         for t, params in ((cgmy_y05, (0.5, 4.0, 7.0, 0.5)),
                           (cgmy_y15, (1.0, 5.0, 5.0, 1.5))):
             for k in (-2.0, 0.0, 1.5):
                 want = _cgmy_mean_oracle(0.0, 0.0, *params, k)
-                assert math.isclose(cumulant_derivative(t, k).value, want,
+                assert math.isclose(cumulant_derivative(t, k), want,
                                     rel_tol=5e-9, abs_tol=1e-12)
 
 
 class TestStableEdges:
     def test_no_exponential_moments(self, stable08, stable15):
         for t in (stable08, stable15):
-            assert cumulant(t, 0.0).value == 0.0
+            assert cumulant(t, 0.0) == 0.0
             for k in (-0.5, 0.01, 1.0):
-                assert cumulant(t, k).is_pos_inf
-                assert mgf(t, 1.0, k).is_pos_inf
+                assert cumulant(t, k) == math.inf
+                assert mgf(t, 1.0, k) == math.inf
 
     def test_mean_undefined_below_alpha_one(self, stable08):
-        assert cumulant_derivative(stable08, 0.0).is_undefined
+        assert math.isnan(cumulant_derivative(stable08, 0.0))
         with pytest.raises(PsiUndefined):
             mgf_derivative(stable08, 1.0, 0.0)
 
     def test_mean_zero_above_alpha_one(self, stable15):
         m = cumulant_derivative(stable15, 0.0)
-        assert m.value == 0.0
+        assert m == 0.0
         psi = mgf_derivative(stable15, 1.0, 0.0)
-        assert psi.value == 0.0
+        assert psi == 0.0
+
+
+def _moment_values(t, kappa):
+    """``c``, ``c'``, ``φ_1``, ``ψ_1`` and the kernel's value of the jump
+    part of ``c`` at ``kappa``."""
+    tail = exp_integrand(kappa, factor=np.expm1)
+    jumps, _ = two_sided_integral(
+        t.nu, inner_g=exp_integrand(kappa, factor=expm1_minus_x),
+        right=tail, left=tail)
+    return [cumulant(t, kappa), cumulant_derivative(t, kappa),
+            mgf(t, 1.0, kappa), mgf_derivative(t, 1.0, kappa), jumps]
+
+
+class TestFloatContract:
+    """Every moment function returns a Python ``float``, not an
+    ``np.float64``: finite inside the moment set, ``inf`` outside it and
+    NaN where ``c'`` is undefined."""
+
+    @pytest.mark.parametrize("name", ["vg", "two_atom", "kou", "brownian"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, -1.5])
+    def test_finite_inside_the_moment_set(self, request, name, kappa):
+        values = _moment_values(request.getfixturevalue(name), kappa)
+        assert [type(v) for v in values] == [float] * 5, values
+        assert all(math.isfinite(v) for v in values), values
+
+    def test_inf_outside_the_moment_set(self, vg):
+        for kappa, sign in ((10.0, 1.0), (-7.0, -1.0)):
+            values = _moment_values(vg, kappa)
+            assert [type(v) for v in values] == [float] * 5, values
+            assert values == [math.inf, sign * math.inf, math.inf,
+                              sign * math.inf, math.inf]
+
+    def test_nan_where_the_mean_is_undefined(self, stable08):
+        tail = exp_integrand(0.0, power=1)
+        jumps, _ = two_sided_integral(stable08.nu, right=tail, left=tail)
+        for v in (cumulant_derivative(stable08, 0.0), jumps):
+            assert type(v) is float and math.isnan(v)
 
 
 class TestIsMonotone:
