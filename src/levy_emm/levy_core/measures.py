@@ -13,6 +13,9 @@ Every measure knows three things beyond its pointwise density/atom data:
   (not just to quadrature tolerance);
 * how to tilt itself by ``e^{κx}``, in closed form where the family is
   closed under tilting and via a generic wrapper otherwise.
+
+Variance-gamma has no class of its own: it is the ``Y = 0`` member of the
+CGMY family, and :func:`VarianceGamma` builds that :class:`CGMY`.
 """
 
 from __future__ import annotations
@@ -426,53 +429,11 @@ class JumpDiffusion(LevyMeasure, Record):
 # ---------------------------------------------------------------------------
 
 
-class VarianceGamma(LevyMeasure, Record):
-    """Density ``C e^{-M x}/x`` on x>0 and ``C e^{-G |x|}/|x|`` on x<0."""
-
-    C: float
-    G: float
-    M: float
-
-    def __post_init__(self) -> None:
-        if not (self.C > 0 and self.G > 0 and self.M > 0):
-            raise ValidationError("variance-gamma parameters must be > 0")
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        rate = np.where(x > 0, self.M, self.G)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.C * np.exp(-rate * ax) / ax
-        return np.where(ax > 0, out, np.inf)
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        rate = np.where(x > 0, self.M, self.G)
-        with np.errstate(divide="ignore"):
-            return math.log(self.C) - rate * ax - np.log(ax)
-
-    def side(self, s: int) -> TailDecay:
-        return TailDecay.exponential(self.M if s > 0 else self.G, -1.0)
-
-    def is_symmetric(self) -> bool:
-        return self.G == self.M
-
-    def tilted(self, kappa: float) -> "VarianceGamma":
-        if kappa == 0.0:
-            return self
-        if not (-self.G < kappa < self.M):
-            raise KappaOutsideI(f"tilt {kappa} outside (-{self.G}, {self.M})")
-        return VarianceGamma(self.C, self.G + kappa, self.M - kappa)
-
-    def describe(self) -> dict:
-        return {"type": "variance_gamma", "C": self.C, "G": self.G, "M": self.M}
-
-
 class CGMY(LevyMeasure, Record):
     """Density ``C e^{-M x} x^{-1-Y}`` on x>0, mirrored with rate G on x<0.
 
-    ``G`` and ``M`` may be zero (pure polynomial tail); that is exactly what
+    ``Y = 0`` is variance-gamma, whose ``G`` and ``M`` must be > 0.  For
+    ``Y > 0`` they may be zero (pure polynomial tail); that is exactly what
     an extreme admissible tilt produces.
     """
 
@@ -482,12 +443,14 @@ class CGMY(LevyMeasure, Record):
     Y: float
 
     def __post_init__(self) -> None:
+        if self.Y == 0.0 and not (self.C > 0 and self.G > 0 and self.M > 0):
+            raise ValidationError("variance-gamma parameters must be > 0")
         if not self.C > 0:
             raise ValidationError("C must be > 0")
         if self.G < 0 or self.M < 0:
             raise ValidationError("G and M must be >= 0")
-        if not 0.0 < self.Y < 2.0:
-            raise ValidationError("Y must lie in (0, 2)")
+        if not 0.0 <= self.Y < 2.0:
+            raise ValidationError("Y must lie in [0, 2)")
 
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -516,14 +479,23 @@ class CGMY(LevyMeasure, Record):
     def tilted(self, kappa: float) -> "CGMY":
         if kappa == 0.0:
             return self
-        # endpoints are admissible: the tail density keeps an integrable
-        # polynomial factor |x|^{-1-Y}
-        if not (-self.G <= kappa <= self.M):
+        # for Y > 0 the ends are admissible: the tilted tail keeps an
+        # integrable factor |x|^{-1-Y}; at Y = 0 that factor is C/|x|
+        if self.Y > 0.0 and not -self.G <= kappa <= self.M:
             raise KappaOutsideI(f"tilt {kappa} outside [-{self.G}, {self.M}]")
+        if self.Y == 0.0 and not -self.G < kappa < self.M:
+            raise KappaOutsideI(f"tilt {kappa} outside (-{self.G}, {self.M})")
         return CGMY(self.C, self.G + kappa, self.M - kappa, self.Y)
 
     def describe(self) -> dict:
+        if self.Y == 0.0:
+            return {"type": "variance_gamma", "C": self.C, "G": self.G, "M": self.M}
         return {"type": "cgmy", "C": self.C, "G": self.G, "M": self.M, "Y": self.Y}
+
+
+def VarianceGamma(C: float, G: float, M: float) -> CGMY:
+    """Variance-gamma, density ``C e^{-M x}/x`` on x>0 mirrored with rate G."""
+    return CGMY(C, G, M, 0.0)
 
 
 class SymmetricAlphaStable(LevyMeasure, Record):

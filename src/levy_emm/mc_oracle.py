@@ -26,8 +26,7 @@ from .approximation import PenaltyFamily, mass_gap
 from .errors import (DegenerateWeights, MissingJumpRecords,
                      QuadratureFailure, UnsupportedMeasure, ValidationError)
 from .levy_core.measures import (CGMY, GaussianJumps, JumpDiffusion,
-                                 LevyMeasure, SymmetricAlphaStable, Tempered,
-                                 VarianceGamma)
+                                 LevyMeasure, SymmetricAlphaStable, Tempered)
 from .levy_core.quadrature import INNER_CUT, one_sided_integral
 from .levy_core.record import Record
 from .levy_core.triplets import LevyTriplet, validate_triplet
@@ -260,11 +259,6 @@ def _jump_plan(nu: LevyMeasure, eps: float) -> _JumpPlan:
             return sign * eps * rng.random(k) ** (-1.0 / nu.alpha)
 
         return _JumpPlan(2.0 * lam_side, draw, False)
-
-    if isinstance(nu, VarianceGamma):
-        parts = [_one_sided_exp_poly_plan(nu, nu.M, 0.0, eps, +1),
-                 _one_sided_exp_poly_plan(nu, nu.G, 0.0, eps, -1)]
-        return _mix_plans(parts, False)
 
     if isinstance(nu, CGMY):
         parts = [_one_sided_exp_poly_plan(nu, nu.M, nu.Y, eps, +1),

@@ -140,10 +140,12 @@ def measure_from_dict(raw: Mapping[str, Any],
                              M=_number(d["M"], f"{where}.M"))
     if kind == "cgmy":
         d = _fields(raw, ("kind", "C", "G", "M", "Y"), (), where)
+        y = _number(d["Y"], f"{where}.Y")
+        if not 0.0 < y < 2.0:  # Y = 0 is spelled "variance_gamma"
+            raise ValidationError(f"{where}.Y: must lie in (0, 2), got {y}")
         return CGMY(C=_number(d["C"], f"{where}.C"),
                     G=_number(d["G"], f"{where}.G"),
-                    M=_number(d["M"], f"{where}.M"),
-                    Y=_number(d["Y"], f"{where}.Y"))
+                    M=_number(d["M"], f"{where}.M"), Y=y)
     if kind == "symmetric_alpha_stable":
         d = _fields(raw, ("kind", "alpha"), ("scale",), where)
         scale = _number(d["scale"], f"{where}.scale") if "scale" in d else 1.0
@@ -172,9 +174,9 @@ def measure_to_dict(nu: LevyMeasure) -> dict:
                 f"jump distribution {type(jumps).__name__} has no JSON form")
         return {"kind": "jump_diffusion", "intensity": nu.intensity,
                 "jumps": jd}
-    if isinstance(nu, VarianceGamma):
-        return {"kind": "variance_gamma", "C": nu.C, "G": nu.G, "M": nu.M}
     if isinstance(nu, CGMY):
+        if nu.Y == 0.0:
+            return {"kind": "variance_gamma", "C": nu.C, "G": nu.G, "M": nu.M}
         return {"kind": "cgmy", "C": nu.C, "G": nu.G, "M": nu.M, "Y": nu.Y}
     if isinstance(nu, SymmetricAlphaStable):
         return {"kind": "symmetric_alpha_stable", "alpha": nu.alpha,

@@ -14,11 +14,14 @@ from levy_emm import (
     GaussianJumps,
     GenericDensity,
     JumpDiffusion,
+    LevyTriplet,
     LogJumpImage,
     SymmetricAlphaStable,
     TailDecay,
     Tempered,
     VarianceGamma,
+    cumulant,
+    cumulant_derivative,
     zero_measure,
 )
 from levy_emm.errors import KappaOutsideI, ValidationError
@@ -244,6 +247,20 @@ class TestParametricFamilies:
         assert (t.G, t.M) == (8.0, 7.0)
         with pytest.raises(KappaOutsideI):
             nu.tilted(9.0)  # VG boundary tilt leaves 1/x: not integrable
+        with pytest.raises(KappaOutsideI):
+            CGMY(1.0, 6.0, 9.0, 0.0).tilted(-6.0)
+        # the same ends are admissible once Y > 0
+        assert CGMY(1.0, 6.0, 9.0, 0.5).tilted(9.0).M == 0.0
+        assert CGMY(1.0, 6.0, 9.0, 0.5).tilted(-6.0).G == 0.0
+
+    @pytest.mark.parametrize("kappa", [-5.4, 0.5, 8.1])
+    def test_cgmy_tends_to_vg_as_y_vanishes(self, kappa):
+        near = LevyTriplet(0.01, 0.0, CGMY(1.0, 6.0, 9.0, 1e-6))
+        vg = LevyTriplet(0.01, 0.0, VarianceGamma(1.0, 6.0, 9.0))
+        assert cumulant(near, kappa) == pytest.approx(
+            cumulant(vg, kappa), rel=1e-5)
+        assert cumulant_derivative(near, kappa) == pytest.approx(
+            cumulant_derivative(vg, kappa), rel=1e-5)
 
     def test_cgmy_density(self):
         nu = CGMY(C=0.5, G=4.0, M=7.0, Y=0.8)
@@ -280,6 +297,10 @@ class TestParametricFamilies:
     def test_validation(self):
         with pytest.raises(ValidationError):
             VarianceGamma(-1.0, 2.0, 3.0)
+        with pytest.raises(ValidationError, match="variance-gamma"):
+            CGMY(1.0, 0.0, 9.0, 0.0)  # G = 0 is admissible only for Y > 0
+        with pytest.raises(ValidationError, match="Y"):
+            CGMY(1.0, 1.0, 1.0, -0.5)
         with pytest.raises(ValidationError):
             CGMY(1.0, 1.0, 1.0, 2.0)
         with pytest.raises(ValidationError):

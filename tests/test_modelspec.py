@@ -150,9 +150,11 @@ class TestParse:
             parse_model(spec_doc(nu={"kind": "finite_atomic", "atoms": {}}))
 
     def test_measure_constraints_propagate(self):
-        with pytest.raises(ValidationError, match="Y"):
-            parse_model(spec_doc(nu={"kind": "cgmy", "C": 1.0, "G": 4.0,
-                                     "M": 7.0, "Y": 2.5}))
+        # Y = 0 is spelled "variance_gamma", never "cgmy"
+        for y in (2.5, 0.0):
+            with pytest.raises(ValidationError, match="Y"):
+                parse_model(spec_doc(nu={"kind": "cgmy", "C": 1.0, "G": 4.0,
+                                         "M": 7.0, "Y": y}))
         with pytest.raises(ValidationError, match="atom"):
             parse_model(spec_doc(nu={"kind": "finite_atomic",
                                      "atoms": [{"x": 0.0, "mass": 1.0}]}))
@@ -162,6 +164,10 @@ class TestLoad:
     def test_load_from_file(self, write_spec):
         spec = load_model(write_spec(spec_doc(name="from-disk")))
         assert spec.name == "from-disk"
+        # variance-gamma is a CGMY at Y = 0 that keeps its own spelling
+        vg = spec_doc(nu={"kind": "variance_gamma", "C": 1.0, "G": 6.0,
+                          "M": 9.0})
+        assert serialize_model(load_model(write_spec(vg, "vg.json"))) == vg
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):

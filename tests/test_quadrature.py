@@ -564,10 +564,9 @@ def _mp_density(nu, side):
     base for an image)."""
     if isinstance(nu, ExpJumpImage):
         nu = nu.base
-    if isinstance(nu, (VarianceGamma, CGMY)):
+    if isinstance(nu, CGMY):
         rate = nu.M if side > 0 else nu.G
-        y = getattr(nu, "Y", 0.0)
-        return lambda t: nu.C * mpmath.exp(-rate * t) * t ** (-1 - mpmath.mpf(y))
+        return lambda t: nu.C * mpmath.exp(-rate * t) * t ** (-1 - mpmath.mpf(nu.Y))
     law = nu.jumps
     if isinstance(law, GaussianJumps):
         return lambda t: nu.intensity * mpmath.npdf(side * t, law.mean, law.std)

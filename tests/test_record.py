@@ -27,7 +27,7 @@ def _samples():
     for every record class.  Callables are builtins, whose reprs hold no
     address."""
     m, t, a, mc, g = measures, triplets, approximation, mc_oracle, mgf_analysis
-    vg = m.VarianceGamma(1.0, 2.0, 3.0)
+    vg = m.CGMY(1.0, 2.0, 3.0, 0.0)
     atoms = m.FiniteAtomic(((0.5, 1.0), (-0.25, 2.0)))
     de = m.DoubleExponentialJumps(0.4, 8.0, 6.0)
     triplet = t.LevyTriplet(0.1, 0.2, vg)
@@ -48,18 +48,18 @@ def _samples():
          "JumpDiffusion(intensity=1.5, jumps=DoubleExponentialJumps(p=0.4, "
          "eta_plus=8.0, eta_minus=6.0))",
          {"intensity": 0.0, "jumps": de}, ValidationError),
-        (vg, "VarianceGamma(C=1.0, G=2.0, M=3.0)",
-         {"C": 0.0, "G": 1.0, "M": 1.0}, ValidationError),
+        (vg, "CGMY(C=1.0, G=2.0, M=3.0, Y=0.0)",
+         {"C": 1, "G": 0, "M": 1, "Y": 0}, ValidationError),
         (m.CGMY(1.0, 2.0, 3.0, 0.5), "CGMY(C=1.0, G=2.0, M=3.0, Y=0.5)",
          {"C": 1.0, "G": 1.0, "M": 1.0, "Y": 2.5}, ValidationError),
         (m.SymmetricAlphaStable(1.5),
          "SymmetricAlphaStable(alpha=1.5, scale=1.0)",
          {"alpha": 2.5}, ValidationError),
         (m.Tempered(vg, np.negative, True),
-         "Tempered(base=VarianceGamma(C=1.0, G=2.0, M=3.0), "
+         "Tempered(base=CGMY(C=1.0, G=2.0, M=3.0, Y=0.0), "
          "log_weight=<ufunc 'negative'>, even=True)", None, None),
         (m.ExpTilted(vg, 0.5),
-         "ExpTilted(base=VarianceGamma(C=1.0, G=2.0, M=3.0), kappa=0.5)",
+         "ExpTilted(base=CGMY(C=1.0, G=2.0, M=3.0, Y=0.0), kappa=0.5)",
          {"base": m.SymmetricAlphaStable(1.5), "kappa": 0.5}, KappaOutsideI),
         (m.GenericDensity(np.negative, m.TailDecay.superexp(),
                           m.TailDecay.bounded(2.0), symmetric=True),
@@ -68,13 +68,13 @@ def _samples():
          "base=None), left=TailDecay(kind='bounded', rate=0.0, power=0.0, "
          "cutoff=2.0, base=None), symmetric=True)", None, None),
         (m.ExpJumpImage(vg),
-         "ExpJumpImage(base=VarianceGamma(C=1.0, G=2.0, M=3.0))", None, None),
+         "ExpJumpImage(base=CGMY(C=1.0, G=2.0, M=3.0, Y=0.0))", None, None),
         (m.LogJumpImage(atoms),
          "LogJumpImage(base=FiniteAtomic(atom_list=((0.5, 1.0), "
          "(-0.25, 2.0))))", {"base": vg}, UnsupportedMeasure),
         (triplet,
-         "LevyTriplet(b=0.1, sigma2=0.2, nu=VarianceGamma(C=1.0, G=2.0, "
-         "M=3.0))", {"b": 0.0, "sigma2": -1.0, "nu": vg}, NegativeVariance),
+         "LevyTriplet(b=0.1, sigma2=0.2, nu=CGMY(C=1.0, G=2.0, M=3.0, "
+         "Y=0.0))", {"b": 0.0, "sigma2": -1.0, "nu": vg}, NegativeVariance),
         (a.PenaltyFamily("quadratic", max),
          "PenaltyFamily(kind='quadratic', rho=<built-in function max>, "
          "superlinear=True, even=True)", None, None),
@@ -156,12 +156,20 @@ def _values(obj):
     return tuple(getattr(obj, name) for name in type(obj)._fields)
 
 
+def _sample_id(obj):
+    """The class name; CGMY's ``Y = 0`` sample is named for the
+    variance-gamma it is."""
+    if isinstance(obj, measures.CGMY) and obj.Y == 0.0:
+        return "VarianceGamma"
+    return type(obj).__name__
+
+
 def test_every_record_class_has_a_sample():
     assert {type(obj) for obj, *_ in _SAMPLES} == _record_classes()
 
 
 @pytest.mark.parametrize("obj, text, bad, error", _SAMPLES,
-                         ids=[type(s[0]).__name__ for s in _SAMPLES])
+                         ids=[_sample_id(s[0]) for s in _SAMPLES])
 def test_record_semantics(obj, text, bad, error):
     cls = type(obj)
     values = _values(obj)
@@ -199,21 +207,21 @@ def test_record_semantics(obj, text, bad, error):
 
 
 def test_positional_and_keyword_arguments():
-    vg = measures.VarianceGamma(C=1.0, M=3.0, G=2.0)
-    assert vg == measures.VarianceGamma(1.0, 2.0, 3.0)
+    cgmy = measures.CGMY(C=1.0, M=3.0, Y=0.5, G=2.0)
+    assert cgmy == measures.CGMY(1.0, 2.0, 3.0, 0.5)
     with pytest.raises(TypeError):
-        measures.VarianceGamma(1.0, 2.0)
+        measures.CGMY(1.0, 2.0, 3.0)
     with pytest.raises(TypeError):
-        measures.VarianceGamma(1.0, 2.0, 3.0, 4.0)
+        measures.CGMY(1.0, 2.0, 3.0, 0.5, 4.0)
     with pytest.raises(TypeError):
-        measures.VarianceGamma(1.0, 2.0, 3.0, C=1.0)
+        measures.CGMY(1.0, 2.0, 3.0, 0.5, C=1.0)
     with pytest.raises(TypeError):
-        measures.VarianceGamma(1.0, 2.0, M=3.0, Y=1.0)
+        measures.CGMY(1.0, 2.0, M=3.0, Y=0.5, alpha=1.0)
     assert measures.TailDecay("poly", power=-2.5).cutoff == math.inf
 
 
 def test_post_init_may_rewrite_fields():
-    vg = measures.VarianceGamma(1.0, 2.0, 3.0)
+    vg = measures.CGMY(1.0, 2.0, 3.0, 0.0)
     nested = measures.ExpTilted(measures.ExpTilted(vg, 0.5), 0.25)
     assert (nested.base, nested.kappa) == (vg, 0.75)
     triplet = triplets.LevyTriplet(1, 0, vg)
